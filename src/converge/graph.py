@@ -6,17 +6,24 @@ yield L = D - A up to scheme-dependent prefactors, multiplied by a
 calibration constant chosen so the spectrum targets the Laplace-Beltrami
 spectrum of the underlying unit-radius manifold.
 
-Storage is cached-dense up to DENSE_LIMIT points and switches to an
-on-the-fly tiled kernel evaluation above that; the two paths agree to
-roundoff and the dense path is the one the acceptance runs exercise.
+The kernel is symmetric, so only its lower triangle is computed and swept,
+one row tile K[lo:hi, :hi] at a time. Storage is cached-dense up to
+DENSE_LIMIT points: the tiles fill an n x n array in place, so a worker
+touches about 4 n^2 bytes (256 MiB at n = 8192) and a matvec is one BLAS
+symmetric sweep over the triangle. Above DENSE_LIMIT the tiles are
+re-evaluated on the fly for every matvec, each one used for its rows and,
+transposed, for its columns. The two paths agree to roundoff and the dense
+path is the one the acceptance runs exercise.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .manifolds import PointCloud
 
@@ -99,9 +106,23 @@ def calibrated_scheme(
     return KernelScheme(tag=tag, intrinsic_dim=d, bandwidth=t, calibration=cal)
 
 
+def _lazy_matrix(n: int) -> np.ndarray:
+    """An n x n zero matrix whose memory is mapped page by page on first write.
+
+    np.empty would ask for huge pages, and one write into a 2 MiB huge page
+    maps 32 whole kernel rows at n = 8192, the unwritten triangle included.
+    """
+    buf = mmap.mmap(-1, 8 * n * n)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=float).reshape(n, n)
+
+
 class LaplacianOperator:
     """Symmetric PSD graph Laplacian over n points, matrix-free matvec.
 
+    Only the lower triangle of the kernel is computed, stored and swept, in
+    row tiles K[lo:hi, :hi]; the upper triangle follows by symmetry.
     Self-weights are never materialized: they cancel identically in D - A.
     """
 
@@ -114,48 +135,62 @@ class LaplacianOperator:
         self._pref = scheme.kernel_prefactor()
         self._inv_denom = 1.0 / scheme.kernel_denominator()
         self._sqnorms = np.einsum("ij,ij->i", points, points)
-        if storage == "cached-dense":
-            self._kernel = self._kernel_block(np.arange(self.n))
-            self._degrees = self._kernel.sum(axis=1)
-        else:
-            self._kernel = None
-            self._degrees = np.empty(self.n)
-            for lo in range(0, self.n, TILE_ROWS):
-                hi = min(lo + TILE_ROWS, self.n)
-                self._degrees[lo:hi] = self._kernel_block(np.arange(lo, hi)).sum(axis=1)
+        # cached-dense: tiles land in place; the upper triangle stays unwritten
+        self._kernel = _lazy_matrix(self.n) if storage == "cached-dense" else None
+        self._degrees = np.zeros(self.n)
+        for lo, hi, blk in self._tiles(self._kernel):
+            self._degrees[lo:hi] += blk.sum(axis=1)
+            self._degrees[:lo] += blk[:, :lo].sum(axis=0)
 
-    def _kernel_block(self, rows: np.ndarray) -> np.ndarray:
-        """Adjacency rows (without calibration/outer scale), zero diagonal."""
-        sq = (
-            self._sqnorms[rows, None]
-            + self._sqnorms[None, :]
-            - 2.0 * self.points[rows] @ self.points.T
-        )
-        np.clip(sq, 0.0, None, out=sq)
-        block = self._pref * np.exp(-sq * self._inv_denom)
-        block[np.arange(len(rows)), rows] = 0.0
-        return block
+    def _tiles(self, out: np.ndarray | None = None):
+        """Yield (lo, hi, K[lo:hi, :hi]): adjacency row tiles up to the diagonal.
+
+        Weights exclude calibration and outer scale, and the diagonal is zero.
+        Tiles are evaluated into the matching slice of `out` if given, else
+        into a fresh array per tile.
+        """
+        pts, sq = self.points, self._sqnorms
+        for lo in range(0, self.n, TILE_ROWS):
+            hi = min(lo + TILE_ROWS, self.n)
+            blk = np.empty((hi - lo, hi)) if out is None else out[lo:hi, :hi]
+            np.matmul(pts[lo:hi], pts[:hi].T, out=blk)
+            blk *= -2.0
+            blk += sq[lo:hi, None]
+            blk += sq[None, :hi]
+            np.maximum(blk, 0.0, out=blk)
+            blk *= -self._inv_denom
+            np.exp(blk, out=blk)
+            blk *= self._pref
+            blk[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+            yield lo, hi, blk
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Return L x."""
+        """Return L x for a vector (n,) or a block of vectors (n, k)."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
-        if self._kernel is not None:
-            ax = self._kernel @ x
+        if x.ndim not in (1, 2) or x.shape[0] != self.n:
+            raise ValueError(f"expected {self.n} rows, got shape {x.shape}")
+        if self._kernel is None:
+            ax = np.zeros(x.shape)
+            for lo, hi, blk in self._tiles():
+                ax[lo:hi] += blk @ x[:hi]
+                ax[:lo] += blk[:, :lo].T @ x[lo:hi]
         else:
-            ax = np.empty(self.n)
-            for lo in range(0, self.n, TILE_ROWS):
-                hi = min(lo + TILE_ROWS, self.n)
-                ax[lo:hi] = self._kernel_block(np.arange(lo, hi)) @ x
-        return self._scale * (self._degrees * x - ax)
+            # the C-order lower triangle is the Fortran-order upper one, and
+            # the transposed view reaches BLAS without a copy
+            sym = blas.dsymv if x.ndim == 1 else blas.dsymm
+            ax = sym(1.0, self._kernel.T, x, lower=0)
+        degrees = self._degrees if x.ndim == 1 else self._degrees[:, None]
+        return self._scale * (degrees * x - ax)
 
     def dense_matrix(self) -> np.ndarray:
         """Materialize L as a dense symmetric matrix (oracle/testing path)."""
-        if self._kernel is not None:
-            k = self._kernel
-        else:
-            k = self._kernel_block(np.arange(self.n))
+        k = self._kernel
+        if k is None:
+            k = np.empty((self.n, self.n))
+            for _ in self._tiles(k):
+                pass
+        k = np.tril(k, -1)
+        k += k.T
         return self._scale * (np.diag(self._degrees) - k)
 
     def degree_bound(self) -> float:

@@ -424,32 +424,6 @@ def eigen_convergence_experiment(
     return result
 
 
-def select_bandwidth_constant(
-    scheme_tag: str,
-    candidates=(0.5, 1.0, 2.0, 4.0),
-    n: int = 4096,
-    seed: int = 0,
-) -> float:
-    """Grid-search the bandwidth constant c on the circle.
-
-    Picks the candidate minimizing |lambda_1^n - 1| at the given n with the
-    analytic calibration; the chosen c is then frozen for experiment runs.
-    """
-    m = manifolds.circle()
-    cloud = manifolds.sample_uniform(m, n, seed)
-    cal = graph.calibration_constant(scheme_tag, 1, m.volume)
-    best_c, best_err = None, math.inf
-    for c in candidates:
-        t = graph.scale_parameter(n, 1, c)
-        scheme = graph.KernelScheme(scheme_tag, 1, t, cal)
-        op = graph.build_laplacian(cloud, scheme)
-        eig = spectral.smallest_eigenpairs(op, K=2, tol=EIGEN_TOL, seed=seed)
-        err = abs(float(eig.eigenvalues[1]) - 1.0)
-        if err < best_err:
-            best_c, best_err = c, err
-    return best_c
-
-
 def _fmt(v) -> str:
     return "" if v is None else f"{v:.17g}"
 

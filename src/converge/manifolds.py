@@ -211,13 +211,3 @@ def quadrature_nodes(manifold: ManifoldModel, count: int | None = None):
     w = np.full(m, 1.0 / m)
     return pts, w
 
-
-def quadrature_inner(
-    manifold: ManifoldModel,
-    f: Callable[[np.ndarray], np.ndarray],
-    g: Callable[[np.ndarray], np.ndarray],
-    count: int | None = None,
-) -> float:
-    """<f, g> under dV / vol(M), by quadrature."""
-    pts, w = quadrature_nodes(manifold, count)
-    return float(np.sum(w * f(pts) * g(pts)))

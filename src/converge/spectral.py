@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
+from .bounds import hoeffding_bound
 from .graph import LaplacianOperator
 from .manifolds import (
     ContinuumEigenpair,
@@ -164,9 +165,8 @@ def smallest_eigenpairs(
     vecs /= np.linalg.norm(vecs, axis=0) / np.sqrt(n)
     lam = np.maximum(lam, 0.0)  # clip tiny negative roundoff in the kernel mode
 
-    residuals = np.array(
-        [gn_norm(op.matvec(vecs[:, i]) - lam[i] * vecs[:, i]) for i in range(K)]
-    )
+    # G_n norms of the columns of L V - V diag(lam), one block product
+    residuals = np.linalg.norm(op.matvec(vecs) - vecs * lam, axis=0) / np.sqrt(n)
     scale = max(float(lam[-1]), 1.0)
     if np.any(residuals > tol * scale):
         raise ConvergenceFailure(
@@ -273,8 +273,7 @@ def hoeffding_check(
     grid, w = quadrature_nodes(manifold)
     fg = f(grid) * g(grid)
     exact = float(np.sum(w * fg))
-    sup = float(np.max(np.abs(fg)))
-    bound = np.sqrt(18.0 * np.log(n) / n) * sup
+    bound = hoeffding_bound(n, float(np.max(np.abs(fg))))
     violations = 0
     for trial in range(trials):
         cloud = sample_uniform(manifold, n, seed + trial)

@@ -128,6 +128,37 @@ def test_storage_modes_agree():
     assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(a).max())
 
 
+@pytest.mark.parametrize("tag", ["heat", "gaussian"])
+def test_storage_modes_agree_across_tiles(monkeypatch, tag):
+    monkeypatch.setattr(graph, "TILE_ROWS", 64)
+    m = manifolds.sphere2()
+    n = 300  # five row tiles, the last one ragged
+    cloud = manifolds.sample_uniform(m, n, seed=8)
+    scheme = calibrated_scheme(tag, m, n)
+    dense = build_laplacian(cloud, scheme, storage="cached-dense")
+    lazy = build_laplacian(cloud, scheme, storage="on-the-fly")
+    assert len(list(lazy._tiles())) == 5
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal(n)
+    a, b = dense.matvec(x), lazy.matvec(x)
+    assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(a).max())
+    # kernel from all n^2 pairwise distances
+    p = cloud.points
+    r2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
+    k = scheme.kernel_prefactor() * np.exp(-r2 / scheme.kernel_denominator())
+    np.fill_diagonal(k, 0.0)
+    want = scheme.outer_scale(n) * (np.diag(k.sum(axis=1)) - k)
+    X = rng.standard_normal((n, 4))
+    for op in (dense, lazy):
+        L = op.dense_matrix()
+        assert np.array_equal(L, L.T)
+        assert np.abs(L.sum(axis=1)).max() < 1e-10 * op.degree_bound()
+        assert np.allclose(L, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+        block = op.matvec(X)
+        single = np.column_stack([op.matvec(X[:, j]) for j in range(X.shape[1])])
+        assert np.allclose(block, single, rtol=1e-12, atol=1e-12 * np.abs(single).max())
+
+
 def test_smallest_eigenvalue_zero_with_constant_vector(small_operator):
     eig = spectral.smallest_eigenpairs(small_operator, K=2, tol=1e-8)
     assert eig.eigenvalues[0] == pytest.approx(0.0, abs=1e-9)
