@@ -160,16 +160,17 @@ def continuum_hidden_layers(
     if net.depth > 1:
         grid, grid_w = quadrature_nodes(manifold)
         k = min(reexpansion_modes, len(eigenpairs))
-        grid_basis = None if net.nonlinearity == "identity" else _basis_at(eigenpairs, grid, k)
+        # every layer's input has either the signal's width or k coefficients
+        grid_basis = _basis_at(eigenpairs, grid, max(k, coeffs.shape[1]))
     for bank in net.filters[:-1]:
         filtered = _apply_bank(bank, eigenpairs, coeffs)
-        grid_vals = net.sigma(filtered @ _basis_at(eigenpairs, grid, coeffs.shape[1]).T)
-        if grid_basis is None:
+        grid_vals = net.sigma(filtered @ grid_basis[:, : coeffs.shape[1]].T)
+        if net.nonlinearity == "identity":
             coeffs = filtered  # still bandlimited, nothing to re-expand
             out.feature_l2_norms.extend(float(np.linalg.norm(c)) for c in coeffs)
         else:
-            coeffs = (grid_vals * grid_w) @ grid_basis
-            recon = coeffs @ grid_basis.T
+            coeffs = (grid_vals * grid_w) @ grid_basis[:, :k]
+            recon = coeffs @ grid_basis[:, :k].T
             for gv, rv in zip(grid_vals, recon):
                 out.quadrature_residuals.append(
                     float(np.sqrt(np.sum(grid_w * (gv - rv) ** 2)))

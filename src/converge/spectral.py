@@ -5,11 +5,11 @@ Everything here lives in the G_n geometry: the inner product is the
 inner product. Eigenvectors returned by this module are G_n-orthonormal
 (Euclidean norm sqrt(n)).
 
-The solver is Lanczos with full reorthogonalization applied to the
-spectrally flipped operator sigma_max I - L, where sigma_max is a
-Gershgorin-style bound from the degree maxima; largest Ritz pairs of the
-flipped operator are the smallest eigenpairs of L. No linear solves are
-needed, only matvecs.
+The solver is Lanczos with full reorthogonalization applied to L itself:
+the K smallest Ritz values of the tridiagonal projection, taken in
+ascending order, converge to the smallest eigenpairs of L, so no spectral
+shift is needed. It uses only matvecs, no linear solves, and stops as soon
+as every Ritz residual estimate meets the tolerance.
 """
 
 from __future__ import annotations
@@ -72,60 +72,40 @@ def _start_vector(n: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _lanczos_flipped(
-    op: LaplacianOperator, K: int, tol: float, seed: int, max_iter: int
-):
-    """Lanczos on B = sigma I - L; returns K largest Ritz pairs of B."""
+def _lanczos(op: LaplacianOperator, K: int, tol: float, seed: int, max_iter: int):
+    """Lanczos on L with full reorthogonalization; the K smallest Ritz pairs."""
     n = op.n
-    sigma = op.degree_bound()
-
-    def bmatvec(v):
-        return sigma * v - op.matvec(v)
-
     m_cap = min(max_iter, n)
     Q = np.empty((n, m_cap))
     alphas = np.empty(m_cap)
     betas = np.empty(m_cap)
-    q = _start_vector(n, seed)
-    Q[:, 0] = q
-    m = 0
-    beta = 0.0
+    Q[:, 0] = _start_vector(n, seed)
+    floor = 1e-14 * max(op.degree_bound(), 1.0)
     check_at = max(2 * K, 8)
-    while True:
-        u = bmatvec(Q[:, m])
-        alpha = float(np.dot(Q[:, m], u))
-        alphas[m] = alpha
-        r = u - alpha * Q[:, m]
-        if m > 0:
-            r -= betas[m - 1] * Q[:, m - 1]
-        # full reorthogonalization, twice for safety
-        r -= Q[:, : m + 1] @ (Q[:, : m + 1].T @ r)
-        r -= Q[:, : m + 1] @ (Q[:, : m + 1].T @ r)
+    for m in range(1, m_cap + 1):
+        r = op.matvec(Q[:, m - 1])
+        alphas[m - 1] = np.dot(Q[:, m - 1], r)
+        # full reorthogonalization, twice for safety; it also removes the
+        # alpha q_m and beta q_{m-1} terms of the three-term recurrence
+        r -= Q[:, :m] @ (Q[:, :m].T @ r)
+        r -= Q[:, :m] @ (Q[:, :m].T @ r)
         beta = float(np.linalg.norm(r))
-        m += 1
-        exhausted = m >= m_cap or beta < 1e-14 * max(sigma, 1.0)
+        exhausted = m == m_cap or beta < floor
+        if exhausted and m < K:
+            raise ConvergenceFailure(
+                f"Krylov space exhausted at m={m} before reaching K={K}", np.array([])
+            )
         if m >= check_at or exhausted:
-            theta, S = scipy.linalg.eigh_tridiagonal(alphas[:m], betas[: m - 1])
-            if m >= K:
-                # largest K of B; cheap residual estimate |beta * s_last|
-                idx = np.argsort(theta)[::-1][:K]
-                est = np.abs(beta * S[-1, idx])
-                lam = sigma - theta[idx]
-                scale = max(float(np.max(lam)), 1.0)
-                # est is the Euclidean residual of the unit Ritz pair, which
-                # equals the G_n residual after rescaling to unit G_n norm
-                if np.all(est <= 0.1 * tol * scale) or exhausted:
-                    vecs = Q[:, :m] @ S[:, idx]
-                    return lam, vecs, exhausted
-            if exhausted:
-                raise ConvergenceFailure(
-                    f"Krylov space exhausted at m={m} before reaching K={K}",
-                    np.array([]),
-                )
-            check_at = min(m + max(K, 4), m_cap)
-        if not exhausted:
-            betas[m - 1] = beta
-            Q[:, m] = r / beta
+            theta, S = scipy.linalg.eigh_tridiagonal(
+                alphas[:m], betas[: m - 1], select="i", select_range=(0, K - 1)
+            )
+            # |beta * s_last| is the Euclidean residual of each unit Ritz pair,
+            # which equals the G_n residual after rescaling to unit G_n norm
+            if exhausted or np.all(np.abs(beta * S[-1]) <= 0.1 * tol * max(theta[-1], 1.0)):
+                return theta, Q[:, :m] @ S
+            check_at = m + max(K, 4)
+        betas[m - 1] = beta
+        Q[:, m] = r / beta
 
 
 def smallest_eigenpairs(
@@ -154,9 +134,7 @@ def smallest_eigenpairs(
         lam, vecs = scipy.linalg.eigh(op.dense_matrix())
         lam, vecs = lam[:K], vecs[:, :K]
     elif method == "lanczos":
-        lam, vecs, _ = _lanczos_flipped(op, K, tol, seed, max_iter=40 * K)
-        order = np.argsort(lam)
-        lam, vecs = lam[order], vecs[:, order]
+        lam, vecs = _lanczos(op, K, tol, seed, max_iter=40 * K)
     else:
         raise ValueError(f"unknown method: {method!r}")
 

@@ -283,6 +283,25 @@ def test_eigen_experiment_smoke():
         assert r["vector_error"] >= 0
 
 
+def test_sphere_eigen_experiment_aligns_whole_cluster():
+    # eigen_index 1 sits in the l = 1 triplet: all three harmonics must enter
+    # the alignment, or it rotates onto an arbitrary slice of the triplet
+    cfg = ExperimentConfig.from_dict(
+        {
+            "manifold": "sphere2",
+            "network": TINY_CONFIG["network"],
+            "graph": {"scheme": "gaussian", "bandwidth_constant": 2.0},
+            "n_grid": [256, 512, 1024],
+            "trials": 2,
+            "seed": 1,
+            "eigen_index": 1,
+        }
+    )
+    res = eigen_convergence_experiment(cfg, threads=1)
+    assert max(r["vector_error"] for r in res.records) <= 0.5
+    assert res.per_n[-1]["mean_vector_error"] <= 0.15
+
+
 def test_cli_run_and_fit(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(TINY_CONFIG))

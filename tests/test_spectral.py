@@ -74,6 +74,27 @@ def test_lanczos_matches_dense_oracle(tag):
         assert angle < 1e-6
 
 
+def test_lanczos_exhausted_krylov_space(monkeypatch):
+    # "auto" sends n <= 128 to dense, so only an explicit method reaches this:
+    # Lanczos runs until the Krylov space is the whole space, then the
+    # residual gate decides
+    _, op = _operator(manifolds.sphere2(), 24, seed=4)
+    matvec, calls = op.matvec, []
+    monkeypatch.setattr(op, "matvec", lambda x: calls.append(1) or matvec(x))
+    lanczos = smallest_eigenpairs(op, K=5, method="lanczos")
+    assert len(calls) == 24 + 1  # 24 Lanczos steps, then the residual block
+    dense_lam, dense_vec = scipy.linalg.eigh(op.dense_matrix())
+    assert np.abs(lanczos.eigenvalues - np.maximum(dense_lam[:5], 0)).max() <= 1e-8
+    for g in multiplicity_groups(lanczos.eigenvalues):
+        assert _subspace_angle(lanczos.eigenvectors[:, g], dense_vec[:, g]) <= 1e-6
+    # coincident points: the start vector spans a 2-dimensional Krylov space
+    m = manifolds.circle()
+    pts = manifolds.PointCloud(np.tile([1.0, 0.0], (6, 1)), m)
+    op = build_laplacian(pts, calibrated_scheme("gaussian", m, 6))
+    with pytest.raises(ConvergenceFailure, match="exhausted at m=2"):
+        smallest_eigenpairs(op, K=3, method="lanczos")
+
+
 def test_circle_first_eigenvalue_near_one():
     _, op = _operator(manifolds.circle(), 4096, seed=2)
     eig = smallest_eigenpairs(op, K=2, tol=1e-8)
