@@ -10,7 +10,10 @@ The kernel is symmetric, so only its lower triangle is computed and swept,
 one row tile K[lo:hi, :hi] at a time. Storage is cached-dense up to
 DENSE_LIMIT points: the tiles fill an n x n array in place, so a worker
 touches about 4 n^2 bytes (256 MiB at n = 8192) and a matvec is one BLAS
-symmetric sweep over the triangle. Above DENSE_LIMIT the tiles are
+symmetric sweep over the triangle (`dsymv`, or `dsymm` for a block). It
+calls scipy's BLAS through ctypes, which releases the GIL, so the sweeps of
+concurrent harness workers run in parallel; through scipy.linalg.blas, which
+holds the GIL, they would take turns. Above DENSE_LIMIT the tiles are
 re-evaluated on the fly for every matvec, each one used for its rows and,
 transposed, for its columns. The two paths agree to roundoff and the dense
 path is the one the acceptance runs exercise.
@@ -18,12 +21,13 @@ path is the one the acceptance runs exercise.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import mmap
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
+from scipy.linalg import cython_blas
 
 from .manifolds import PointCloud
 
@@ -118,6 +122,57 @@ def _lazy_matrix(n: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=float).reshape(n, n)
 
 
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi)
+)
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+def _blas_routine(name: str, nargs: int):
+    """scipy's BLAS routine `name`, every argument a pointer, as a ctypes function.
+
+    A ctypes CFUNCTYPE call releases the GIL for as long as the routine runs.
+    """
+    capsule = cython_blas.__pyx_capi__[name]
+    address = _capsule_pointer(capsule, _capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+
+
+_DSYMV = _blas_routine("dsymv", 10)
+_DSYMM = _blas_routine("dsymm", 12)
+
+
+def symmetric_sweep(lower: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """S x for a vector (n,) or a block (n, k), where S is the symmetric matrix
+    whose lower triangle (diagonal included) is that of `lower`.
+
+    `lower` is a C-order (n, n) float array; its upper triangle is never read.
+    The result equals scipy.linalg.blas.dsymv/dsymm on lower.T with lower=0
+    bit for bit, and the GIL is released during the sweep.
+    """
+    n = lower.shape[0]
+    if lower.dtype != np.float64 or lower.shape != (n, n) or not lower.flags.c_contiguous:
+        raise ValueError("expected a C-contiguous square float64 matrix")
+    x = np.asfortranarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"expected {n} rows, got shape {x.shape}")
+    # the C-order lower triangle is the Fortran-order upper one
+    out = np.zeros(x.shape, order="F")
+    a, b, c = (v.ctypes.data for v in (lower, x, out))
+    ref = ctypes.byref
+    rows, one, zero = ctypes.c_int(n), ctypes.c_double(1.0), ctypes.c_double(0.0)
+    if x.ndim == 1:
+        unit = ref(ctypes.c_int(1))
+        _DSYMV(b"U", ref(rows), ref(one), a, ref(rows), b, unit, ref(zero), c, unit)
+    else:
+        cols = ctypes.c_int(x.shape[1])
+        _DSYMM(b"L", b"U", ref(rows), ref(cols), ref(one), a, ref(rows), b, ref(rows),
+               ref(zero), c, ref(rows))
+    return out
+
+
 class LaplacianOperator:
     """Symmetric PSD graph Laplacian over n points, matrix-free matvec.
 
@@ -175,10 +230,7 @@ class LaplacianOperator:
                 ax[lo:hi] += blk @ x[:hi]
                 ax[:lo] += blk[:, :lo].T @ x[lo:hi]
         else:
-            # the C-order lower triangle is the Fortran-order upper one, and
-            # the transposed view reaches BLAS without a copy
-            sym = blas.dsymv if x.ndim == 1 else blas.dsymm
-            ax = sym(1.0, self._kernel.T, x, lower=0)
+            ax = symmetric_sweep(self._kernel, x)
         degrees = self._degrees if x.ndim == 1 else self._degrees[:, None]
         return self._scale * (degrees * x - ax)
 

@@ -52,6 +52,9 @@ def default_thread_count() -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise ConfigError(f"bad {THREADS_ENV_VAR} value: {env!r}") from exc
+    if hasattr(os, "sched_getaffinity"):
+        # the cores this process may run on, which a container can limit
+        return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
 
 
@@ -307,11 +310,13 @@ def _fit_or_none(per_n, key):
 
 
 def _run_cells(config, threads, keys, mode_count, measure) -> ExperimentResult:
-    """Run every (n, trial) cell in a fixed order and summarize per n.
+    """Run every (n, trial) cell and summarize per n.
 
     A cell records measure(cloud, eig) on its lowest mode_count(n)
     eigenpairs, or None for each of `keys` and `failed: True` if the solve
-    fails. More than MAX_FAILURE_FRACTION failed cells abort the run.
+    fails. More than MAX_FAILURE_FRACTION failed cells abort the run. Cells
+    start largest n first, so no worker is left with a big cell while the
+    others idle, and the records come back in grid order.
     """
     start = time.perf_counter()
     calibration = resolve_calibration(config)
@@ -324,6 +329,7 @@ def _run_cells(config, threads, keys, mode_count, measure) -> ExperimentResult:
             scheme = graph.calibrated_scheme(config.scheme_tag, m, n, config.bandwidth_constant)
             op = graph.build_laplacian(cloud, replace(scheme, calibration=calibration["constant"]))
             eig = spectral.smallest_eigenpairs(op, K=mode_count(n), tol=EIGEN_TOL, seed=seed)
+            del op  # frees the kernel before measure, which may be long
             record.update(measure(cloud, eig))
         except spectral.ConvergenceFailure:
             record.update(dict.fromkeys(keys), failed=True)
@@ -334,8 +340,10 @@ def _run_cells(config, threads, keys, mode_count, measure) -> ExperimentResult:
         for n in config.n_grid
         for trial in range(config.trials)
     ]
+    largest_first = sorted(cells, key=lambda c: -c[0])
     with ThreadPoolExecutor(max_workers=threads or default_thread_count()) as pool:
-        records = list(pool.map(lambda c: cell(*c), cells))
+        done = dict(zip(largest_first, pool.map(lambda c: cell(*c), largest_first)))
+    records = [done[c] for c in cells]
     failures = sum(1 for r in records if r.get("failed"))
     if failures > MAX_FAILURE_FRACTION * len(cells):
         raise ExperimentAborted(

@@ -76,7 +76,8 @@ def _lanczos(op: LaplacianOperator, K: int, tol: float, seed: int, max_iter: int
     """Lanczos on L with full reorthogonalization; the K smallest Ritz pairs."""
     n = op.n
     m_cap = min(max_iter, n)
-    Q = np.empty((n, m_cap))
+    # column-major: a column is contiguous, and unused columns are never touched
+    Q = np.empty((n, m_cap), order="F")
     alphas = np.empty(m_cap)
     betas = np.empty(m_cap)
     Q[:, 0] = _start_vector(n, seed)

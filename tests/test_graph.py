@@ -1,9 +1,11 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import blas
 
 from converge import graph, manifolds, spectral
 from converge.graph import (
@@ -157,6 +159,56 @@ def test_storage_modes_agree_across_tiles(monkeypatch, tag):
         block = op.matvec(X)
         single = np.column_stack([op.matvec(X[:, j]) for j in range(X.shape[1])])
         assert np.allclose(block, single, rtol=1e-12, atol=1e-12 * np.abs(single).max())
+
+
+def test_symmetric_sweep_matches_scipy_blas():
+    # the GIL-free sweep is the same BLAS routine as scipy.linalg.blas, bit for bit
+    n = 300
+    rng = np.random.default_rng(4)
+    lower = np.tril(rng.standard_normal((n, n)))
+    Q = rng.standard_normal((n, 7))  # C-order: a column is a strided view
+    assert not Q[:, 2].flags.c_contiguous
+    for x in (rng.standard_normal(n), Q[:, 2]):
+        got = graph.symmetric_sweep(lower, x)
+        assert got.shape == (n,)
+        assert np.array_equal(got, blas.dsymv(1.0, lower.T, x, lower=0))
+    got = graph.symmetric_sweep(lower, Q)
+    assert got.shape == (n, 7)
+    assert np.array_equal(got, blas.dsymm(1.0, lower.T, Q, lower=0))
+    sym = np.tril(lower, -1) + np.tril(lower).T
+    assert np.allclose(got, sym @ Q, rtol=1e-12, atol=1e-12 * np.abs(sym @ Q).max())
+    with pytest.raises(ValueError):
+        graph.symmetric_sweep(np.asfortranarray(lower), Q)
+    with pytest.raises(ValueError):
+        graph.symmetric_sweep(lower, Q[:-1])
+
+
+def test_symmetric_sweep_concurrent_threads():
+    # the sweep runs without the GIL: more threads than cores, one shared kernel
+    n = 400
+    rng = np.random.default_rng(6)
+    lower = np.tril(rng.standard_normal((n, n)))
+    xs = [rng.standard_normal(n) if i % 2 else rng.standard_normal((n, 3)) for i in range(32)]
+    serial = [graph.symmetric_sweep(lower, x) for x in xs]
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        futures = [pool.submit(graph.symmetric_sweep, lower, x) for x in xs for _ in range(4)]
+        got = [f.result(timeout=60) for f in futures]
+    assert all(np.array_equal(g, serial[i // 4]) for i, g in enumerate(got))
+
+
+def test_dense_sweep_agrees_with_on_the_fly():
+    m = manifolds.sphere2()
+    n = 700
+    cloud = manifolds.sample_uniform(m, n, seed=9)
+    scheme = calibrated_scheme("gaussian", m, n)
+    dense = build_laplacian(cloud, scheme, storage="cached-dense")
+    lazy = build_laplacian(cloud, scheme, storage="on-the-fly")
+    rng = np.random.default_rng(2)
+    Q = rng.standard_normal((n, 5))
+    for x in (rng.standard_normal(n), Q[:, 1], Q):
+        a, b = dense.matvec(x), lazy.matvec(x)
+        assert a.shape == x.shape
+        assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(a).max())
 
 
 def test_smallest_eigenvalue_zero_with_constant_vector(small_operator):

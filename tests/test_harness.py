@@ -185,6 +185,27 @@ def test_run_determinism(tiny_result, two_layer_runs, tmp_path):
         assert s1.read_bytes() == s2.read_bytes()
 
 
+def test_cells_start_largest_n_first(monkeypatch, tiny_result, tmp_path):
+    # the costliest cells start first, and the records keep grid order
+    cfg = ExperimentConfig.from_dict(TINY_CONFIG)
+    calibration_seed = derive_seed(cfg.seed, 2048, 10**6)
+    sample = harness.manifolds.sample_uniform
+    started = []
+
+    def recorded(m, n, seed):
+        if seed != calibration_seed:
+            started.append(n)
+        return sample(m, n, seed)
+
+    monkeypatch.setattr(harness.manifolds, "sample_uniform", recorded)
+    res = run_convergence_experiment(cfg, threads=1)
+    assert started == [256, 256, 128, 128]
+    assert [(r["n"], r["trial"]) for r in res.records] == [(128, 0), (128, 1), (256, 0), (256, 1)]
+    write_csv(res, tmp_path / "a.csv")
+    write_csv(tiny_result, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_hidden_layers_computed_once_per_run(two_layer_runs):
     # 4 trials, but the sample-independent hidden layers are built once
     assert {t: calls for t, (_, calls) in two_layer_runs.items()} == {1: 1, 2: 1, 4: 1}
