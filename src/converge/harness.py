@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -240,8 +241,8 @@ def resolve_calibration(config: ExperimentConfig, check_n: int = 2048) -> dict:
     Measures the first nonzero eigenvalue of the calibrated Laplacian on the
     experiment's manifold at a moderate n. If it is within 20% of the
     continuum value the analytic constant is kept; otherwise the constant is
-    rescaled empirically by the measured ratio. The chosen path is recorded
-    in the experiment metadata.
+    rescaled empirically by the measured ratio, and one line on stderr says
+    so. The chosen path is recorded in the experiment metadata.
     """
     m = config.manifold_model
     target = 1.0 if m.kind == "circle" else 2.0
@@ -261,6 +262,11 @@ def resolve_calibration(config: ExperimentConfig, check_n: int = 2048) -> dict:
         info.update(path="analytic", constant=analytic)
     else:
         info.update(path="empirical", constant=analytic * target / measured)
+        print(
+            f"calibration: measured lambda_1 {measured:.6g} misses target {target:g} "
+            "by more than 20%; rescaling the constant empirically",
+            file=sys.stderr,
+        )
     return info
 
 

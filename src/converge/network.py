@@ -8,6 +8,15 @@ points: `continuum_hidden_layers` computes them once, and `forward_continuum`
 on the one-layer tail it returns evaluates the exact last layer at any point
 cloud. The two passes are compared by summing per-feature G_n norms of the
 difference at the sample points.
+
+Truncation contract: both sides keep K modes at every layer, not
+DEFAULT_REEXPANSION_MODES. The discrete side keeps the eigensystem's K modes
+in `filter_apply_discrete`, after every nonlinearity too. The continuum side
+re-expands each hidden layer onto min(reexpansion_modes, len(eigenpairs))
+modes, and the rate experiment passes as many continuum eigenpairs as the
+signal has coefficients, which is K = `ExperimentConfig.mode_count(n)` unless
+a config's `truncation` asks for more (10 modes on `sphere_rate.json`).
+Modes a hidden layer drops are what its quadrature residual measures.
 """
 
 from __future__ import annotations

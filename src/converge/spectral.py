@@ -8,12 +8,18 @@ inner product. Eigenvectors returned by this module are G_n-orthonormal
 The solver is Lanczos with full reorthogonalization applied to L itself:
 the K smallest Ritz values of the tridiagonal projection, taken in
 ascending order, converge to the smallest eigenpairs of L, so no spectral
-shift is needed. It uses only matvecs, no linear solves, and stops as soon
-as every Ritz residual estimate meets the tolerance.
+shift is needed. It uses only matvecs, no linear solves. The Ritz residual
+estimates are checked first at step max(2K, 8); after a miss, the next check
+extrapolates the estimates' geometric decay since the previous miss to the
+step where they meet the tolerance, at most max(K, 4) steps ahead. The
+residual gate ||L V - V Lambda|| is computed from the sweeps Lanczos already
+took (L applied to the Ritz vectors is the same combination of the stored
+L q_m), so a solve costs one kernel sweep per Lanczos step and no more.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -73,18 +79,26 @@ def _start_vector(n: int, seed: int) -> np.ndarray:
 
 
 def _lanczos(op: LaplacianOperator, K: int, tol: float, seed: int, max_iter: int):
-    """Lanczos on L with full reorthogonalization; the K smallest Ritz pairs."""
+    """Lanczos on L with full reorthogonalization; the K smallest Ritz pairs.
+
+    Returns (theta, Q S, LQ S): the Ritz values, the Euclidean-unit Ritz
+    vectors, and L applied to them, assembled from the sweeps already taken
+    (column m of LQ is L q_m as the operator returned it).
+    """
     n = op.n
     m_cap = min(max_iter, n)
     # column-major: a column is contiguous, and unused columns are never touched
     Q = np.empty((n, m_cap), order="F")
+    LQ = np.empty((n, m_cap), order="F")
     alphas = np.empty(m_cap)
     betas = np.empty(m_cap)
     Q[:, 0] = _start_vector(n, seed)
     floor = 1e-14 * max(op.degree_bound(), 1.0)
-    check_at = max(2 * K, 8)
+    stride = max(K, 4)
+    check_at, last_miss = max(2 * K, 8), None
     for m in range(1, m_cap + 1):
         r = op.matvec(Q[:, m - 1])
+        LQ[:, m - 1] = r  # the raw sweep, kept for the residual gate
         alphas[m - 1] = np.dot(Q[:, m - 1], r)
         # full reorthogonalization, twice for safety; it also removes the
         # alpha q_m and beta q_{m-1} terms of the three-term recurrence
@@ -102,9 +116,17 @@ def _lanczos(op: LaplacianOperator, K: int, tol: float, seed: int, max_iter: int
             )
             # |beta * s_last| is the Euclidean residual of each unit Ritz pair,
             # which equals the G_n residual after rescaling to unit G_n norm
-            if exhausted or np.all(np.abs(beta * S[-1]) <= 0.1 * tol * max(theta[-1], 1.0)):
-                return theta, Q[:, :m] @ S
-            check_at = m + max(K, 4)
+            estimate, bound = np.abs(beta * S[-1]).max(), 0.1 * tol * max(theta[-1], 1.0)
+            if exhausted or estimate <= bound:
+                return theta, Q[:, :m] @ S, LQ[:, :m] @ S
+            ratio, step = estimate / bound, stride
+            if last_miss is not None and last_miss[1] > ratio:
+                # the estimates decay about geometrically: extrapolate the decay
+                # since the last miss to the step where they meet the bound
+                m0, ratio0 = last_miss
+                to_go = math.log(ratio) * (m - m0) / math.log(ratio0 / ratio)
+                step = min(stride, max(1, math.ceil(to_go)))
+            check_at, last_miss = m + step, (m, ratio)
         betas[m - 1] = beta
         Q[:, m] = r / beta
 
@@ -121,7 +143,8 @@ def smallest_eigenpairs(
     method: "lanczos" (default for K << n), "dense" (full symmetric
     eigendecomposition of the materialized matrix), or "auto".
     Raises ConvergenceFailure if residuals do not reach tol within the
-    iteration cap (40 K matvecs).
+    iteration cap (40 K matvecs), or if the returned pairs' residuals
+    ||L v - lambda v||_{G_n} exceed tol * max(lambda_K, 1).
     """
     n = op.n
     if not 1 <= K <= n:
@@ -133,19 +156,21 @@ def smallest_eigenpairs(
 
     if method == "dense":
         lam, vecs = scipy.linalg.eigh(op.dense_matrix())
-        lam, vecs = lam[:K], vecs[:, :K]
+        lam, vecs, lvecs = lam[:K], vecs[:, :K], None
     elif method == "lanczos":
-        lam, vecs = _lanczos(op, K, tol, seed, max_iter=40 * K)
+        lam, vecs, lvecs = _lanczos(op, K, tol, seed, max_iter=40 * K)
     else:
         raise ValueError(f"unknown method: {method!r}")
 
     # Euclidean-orthonormal Ritz vectors -> G_n-orthonormal columns
-    vecs = vecs * np.sqrt(n)
-    vecs /= np.linalg.norm(vecs, axis=0) / np.sqrt(n)
+    unit = np.sqrt(n) / np.linalg.norm(vecs, axis=0)
+    vecs = vecs * unit
+    # L V: Lanczos already swept every basis vector; dense takes one block product
+    lvecs = op.matvec(vecs) if lvecs is None else lvecs * unit
     lam = np.maximum(lam, 0.0)  # clip tiny negative roundoff in the kernel mode
 
-    # G_n norms of the columns of L V - V diag(lam), one block product
-    residuals = np.linalg.norm(op.matvec(vecs) - vecs * lam, axis=0) / np.sqrt(n)
+    # G_n norms of the columns of L V - V diag(lam)
+    residuals = np.linalg.norm(lvecs - vecs * lam, axis=0) / np.sqrt(n)
     scale = max(float(lam[-1]), 1.0)
     if np.any(residuals > tol * scale):
         raise ConvergenceFailure(

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +285,36 @@ def test_failed_cell_below_abort_threshold(name, monkeypatch, tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 13
     assert f"256,3,{bad_seed}," + "," * (len(keys) - 1) in lines
+
+
+PINNED = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+
+
+@pytest.mark.parametrize(
+    "name,measured,target", [("sphere_rate.json", 1.885, 2.0), ("circle_eigen.json", 0.984, 1.0)]
+)
+def test_pinned_configs_take_analytic_calibration(name, measured, target, capsys):
+    info = harness.resolve_calibration(ExperimentConfig.from_json(PINNED / name))
+    assert info["path"] == "analytic"
+    assert info["constant"] == info["analytic_constant"]
+    assert info["measured_lambda1"] == pytest.approx(measured, abs=5e-4)
+    assert info["target_lambda1"] == target
+    assert capsys.readouterr().err == ""
+
+
+def test_empirical_calibration_says_so_on_stderr(monkeypatch, capsys):
+    # doubling the analytic constant doubles lambda_1: 20% off, so rescaled
+    constant = harness.graph.calibration_constant
+    monkeypatch.setattr(
+        harness.graph, "calibration_constant", lambda *args: 2.0 * constant(*args)
+    )
+    info = harness.resolve_calibration(ExperimentConfig.from_dict(TINY_CONFIG))
+    assert info["path"] == "empirical"
+    assert info["measured_lambda1"] > 1.2
+    assert info["constant"] == pytest.approx(info["analytic_constant"] / info["measured_lambda1"])
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert f"{info['measured_lambda1']:.6g}" in err[0] and "target 1 " in err[0]
 
 
 def test_eigen_experiment_smoke():

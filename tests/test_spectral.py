@@ -77,12 +77,12 @@ def test_lanczos_matches_dense_oracle(tag):
 def test_lanczos_exhausted_krylov_space(monkeypatch):
     # "auto" sends n <= 128 to dense, so only an explicit method reaches this:
     # Lanczos runs until the Krylov space is the whole space, then the
-    # residual gate decides
+    # residual gate decides on the sweeps already taken
     _, op = _operator(manifolds.sphere2(), 24, seed=4)
     matvec, calls = op.matvec, []
     monkeypatch.setattr(op, "matvec", lambda x: calls.append(1) or matvec(x))
     lanczos = smallest_eigenpairs(op, K=5, method="lanczos")
-    assert len(calls) == 24 + 1  # 24 Lanczos steps, then the residual block
+    assert len(calls) == 24  # 24 Lanczos steps; the residual gate adds no sweep
     dense_lam, dense_vec = scipy.linalg.eigh(op.dense_matrix())
     assert np.abs(lanczos.eigenvalues - np.maximum(dense_lam[:5], 0)).max() <= 1e-8
     for g in multiplicity_groups(lanczos.eigenvalues):
@@ -93,6 +93,70 @@ def test_lanczos_exhausted_krylov_space(monkeypatch):
     op = build_laplacian(pts, calibrated_scheme("gaussian", m, 6))
     with pytest.raises(ConvergenceFailure, match="exhausted at m=2"):
         smallest_eigenpairs(op, K=3, method="lanczos")
+
+
+@pytest.mark.parametrize("manifold,K", [(manifolds.sphere2(), 10), (manifolds.circle(), 3)])
+def test_lanczos_reuses_its_sweeps_for_the_gate(manifold, K):
+    # L (Q S) assembled from the raw sweeps L q_m equals sweeping Q S anew
+    _, op = _operator(manifold, 2048, seed=9)
+    theta, V, LV = spectral._lanczos(op, K, tol=1e-8, seed=9, max_iter=40 * K)
+    swept = np.column_stack([op.matvec(V[:, j]) for j in range(K)])
+    assert np.abs(LV - swept).max() <= 1e-12 * np.abs(swept).max()
+
+
+def test_gate_rejects_vectors_that_miss_their_sweeps(monkeypatch):
+    # the gate must read the returned vectors, not only the stored sweeps
+    _, op = _operator(manifolds.sphere2(), 1024, seed=9)
+    lanczos = spectral._lanczos
+
+    def perturbed(*args, **kwargs):
+        theta, V, LV = lanczos(*args, **kwargs)
+        noise = np.random.default_rng(0).standard_normal(V.shape)
+        return theta, V + 1e-5 * noise, LV
+
+    monkeypatch.setattr(spectral, "_lanczos", perturbed)
+    with pytest.raises(ConvergenceFailure):
+        smallest_eigenpairs(op, K=10, tol=1e-8, seed=9, method="lanczos")
+
+
+def _first_converged_step(op, K, tol, seed):
+    """The first Lanczos step at which every Ritz estimate meets the stop rule."""
+    n = op.n
+    Q = [spectral._start_vector(n, seed)]
+    alphas, betas = [], []
+    for m in range(1, n + 1):
+        r = op.matvec(Q[-1])
+        alphas.append(np.dot(Q[-1], r))
+        B = np.column_stack(Q)
+        r -= B @ (B.T @ r)
+        r -= B @ (B.T @ r)
+        beta = np.linalg.norm(r)
+        if m >= K:
+            theta, S = scipy.linalg.eigh_tridiagonal(
+                np.array(alphas), np.array(betas), select="i", select_range=(0, K - 1)
+            )
+            if np.all(np.abs(beta * S[-1]) <= 0.1 * tol * max(theta[-1], 1.0)):
+                return m
+        betas.append(beta)
+        Q.append(r / beta)
+
+
+@pytest.mark.parametrize(
+    "manifold,K,n", [(manifolds.sphere2(), 10, 1024), (manifolds.circle(), 3, 2048)]
+)
+def test_lanczos_stops_near_the_converged_step(monkeypatch, manifold, K, n):
+    _, op = _operator(manifold, n, seed=3)
+    first = _first_converged_step(op, K, tol=1e-8, seed=3)
+    # the fixed schedule: a check at max(2K, 8), then every max(K, 4) steps,
+    # and one block sweep for the residual gate
+    fixed = max(2 * K, 8)
+    while fixed < first:
+        fixed += max(K, 4)
+    matvec, calls = op.matvec, []
+    monkeypatch.setattr(op, "matvec", lambda x: calls.append(1) or matvec(x))
+    smallest_eigenpairs(op, K=K, tol=1e-8, seed=3, method="lanczos")
+    assert first <= len(calls) <= first + 2
+    assert len(calls) <= fixed + 1
 
 
 def test_circle_first_eigenvalue_near_one():
