@@ -26,6 +26,7 @@ from .harness import (
     write_plot_data,
     write_summary,
 )
+from .spectral import ConvergenceFailure
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -120,6 +121,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ExperimentAborted as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
+    except ConvergenceFailure as exc:
+        # only the calibration solve raises this far; a cell's failure is recorded
+        worst = float(exc.residuals.max()) if exc.residuals.size else float("nan")
+        print(f"convergence failure: {exc}; max residual {worst:.3e}", file=sys.stderr)
         return EXIT_CONVERGENCE
 
 

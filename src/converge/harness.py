@@ -3,9 +3,11 @@
 Both experiments run every (n, trial) cell through one pipeline: sample the
 manifold, build the calibrated kernel graph, compute the lowest eigenpairs,
 measure. The rate experiment measures the G_n error between the discrete and
-the continuum network, whose hidden layers are computed once per experiment;
-the eigen experiment measures eigenvalue and aligned eigenvector errors. Each
-fits log-log lines to the per-n means.
+the continuum network; the eigen experiment measures eigenvalue and aligned
+eigenvector errors. Each fits log-log lines to the per-n means. Work that
+does not depend on the sample runs once per experiment, beside the
+calibration solve: the rate experiment's continuum hidden layers are the
+worker pool's first task, and the cells read them from its future.
 
 Determinism contract: per-trial seeds are derived by hashing
 (master seed, n, trial), trials are aggregated in a fixed order regardless
@@ -20,7 +22,6 @@ import json
 import math
 import os
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -250,7 +251,12 @@ def resolve_calibration(config: ExperimentConfig, check_n: int = 2048) -> dict:
     analytic = scheme.calibration
     cloud = manifolds.sample_uniform(m, check_n, derive_seed(config.seed, check_n, 10**6))
     op = graph.build_laplacian(cloud, scheme)
-    eig = spectral.smallest_eigenpairs(op, K=2, tol=EIGEN_TOL, seed=config.seed)
+    try:
+        eig = spectral.smallest_eigenpairs(op, K=2, tol=EIGEN_TOL, seed=config.seed)
+    except spectral.ConvergenceFailure as exc:
+        raise spectral.ConvergenceFailure(
+            f"calibration solve (n = {check_n}, K = 2): {exc}", exc.residuals
+        ) from exc
     measured = float(eig.eigenvalues[1])
     info = {
         "analytic_constant": analytic,
@@ -315,17 +321,24 @@ def _fit_or_none(per_n, key):
     return {"slope": slope, "intercept": intercept, "r2": r2}
 
 
-def _run_cells(config, threads, keys, mode_count, measure) -> ExperimentResult:
+def _run_cells(
+    config, threads, keys, mode_count, measure, setup=lambda: None
+) -> ExperimentResult:
     """Run every (n, trial) cell and summarize per n.
 
-    A cell records measure(cloud, eig) on its lowest mode_count(n)
-    eigenpairs, or None for each of `keys` and `failed: True` if the solve
-    fails. More than MAX_FAILURE_FRACTION failed cells abort the run. Cells
-    start largest n first, so no worker is left with a big cell while the
-    others idle, and the records come back in grid order.
+    setup() is the experiment's sample-independent work. With more than one
+    worker it is the pool's first task, run beside the calibration solve on
+    the calling thread; with one worker the order is calibration, setup,
+    cells. Cells start once the calibration constant is known. A cell records
+    measure(cloud, eig, setup()) on its lowest mode_count(n) eigenpairs,
+    waiting for setup() if it is still running, or None for each of `keys`
+    and `failed: True` if the solve fails. A failed calibration solve raises
+    ConvergenceFailure and runs no cell. More than MAX_FAILURE_FRACTION failed
+    cells abort the run. Cells start largest n first, so no worker is left
+    with a big cell while the others idle, and the records come back in grid
+    order.
     """
     start = time.perf_counter()
-    calibration = resolve_calibration(config)
     m = config.manifold_model
 
     def cell(n, trial, seed):
@@ -336,7 +349,7 @@ def _run_cells(config, threads, keys, mode_count, measure) -> ExperimentResult:
             op = graph.build_laplacian(cloud, replace(scheme, calibration=calibration["constant"]))
             eig = spectral.smallest_eigenpairs(op, K=mode_count(n), tol=EIGEN_TOL, seed=seed)
             del op  # frees the kernel before measure, which may be long
-            record.update(measure(cloud, eig))
+            record.update(measure(cloud, eig, prepared.result()))
         except spectral.ConvergenceFailure:
             record.update(dict.fromkeys(keys), failed=True)
         return record
@@ -347,7 +360,13 @@ def _run_cells(config, threads, keys, mode_count, measure) -> ExperimentResult:
         for trial in range(config.trials)
     ]
     largest_first = sorted(cells, key=lambda c: -c[0])
-    with ThreadPoolExecutor(max_workers=threads or default_thread_count()) as pool:
+    workers = threads or default_thread_count()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        beside = workers > 1  # a worker builds the setup while this thread calibrates
+        prepared = pool.submit(setup) if beside else None
+        calibration = resolve_calibration(config)
+        if not beside:
+            prepared = pool.submit(setup)  # one worker: calibration, setup, cells
         done = dict(zip(largest_first, pool.map(lambda c: cell(*c), largest_first)))
     records = [done[c] for c in cells]
     failures = sum(1 for r in records if r.get("failed"))
@@ -378,21 +397,21 @@ def run_convergence_experiment(
         raise ConfigError("convergence experiment expects a single input feature")
     pairs = manifolds.continuum_eigenpairs(m, sig.bandwidth + 1)
     coeffs = sig.coefficients[None, :]
-    # The continuum hidden layers do not depend on the sample. The first trial
-    # to take the lock computes them, so setup (perfbench setup_s) stays short.
-    lock, hidden = threading.Lock(), []
 
-    def measure(cloud, eig):
-        with lock:
-            if not hidden:
-                hidden.append(network.continuum_hidden_layers(net, m, pairs, coeffs))
-        tail, tail_coeffs, _ = hidden[0]
+    def hidden_layers():
+        # sample-independent: built once, beside the calibration solve
+        return network.continuum_hidden_layers(net, m, pairs, coeffs)
+
+    def measure(cloud, eig, hidden):
+        tail, tail_coeffs, _ = hidden
         x0 = manifolds.evaluate_signal(sig, m, cloud)[None, :]
         disc = network.forward_discrete(net, eig, x0)
         cont = network.forward_continuum(tail, m, pairs, tail_coeffs, cloud)
         return {"error": network.mnn_error(disc, cont)}
 
-    result = _run_cells(config, threads, ("error",), config.mode_count, measure)
+    result = _run_cells(
+        config, threads, ("error",), config.mode_count, measure, setup=hidden_layers
+    )
     result.fit = _fit_or_none(result.per_n, "error")
     return result
 
@@ -410,10 +429,10 @@ def eigen_convergence_experiment(
     pairs = [p for p in pairs if p.multiplicity_group <= pairs[idx].multiplicity_group]
     groups = spectral.multiplicity_groups([p.eigenvalue for p in pairs])
 
-    def measure(cloud, eig):
+    def measure(cloud, eig, _):
         projected = spectral.project_eigenfunctions(pairs, cloud)
         aligned = spectral.align_to_continuum(eig, projected, groups)
-        lam_err, vec_err = spectral.eigen_errors(aligned, pairs, cloud)
+        lam_err, vec_err = spectral.eigen_errors(aligned, pairs, projected)
         return {"lambda_error": float(lam_err[idx]), "vector_error": float(vec_err[idx])}
 
     keys = ("lambda_error", "vector_error")

@@ -6,16 +6,19 @@ discretization error we measure downstream. Eigenfunctions are orthonormal
 with respect to the *normalized* volume measure dV / vol(M), which keeps the
 classical eigenvalue formulas (k^2 on the circle, l(l+1) on the sphere)
 intact even though vol(M) != 1.
+
+`eigenbasis` evaluates the first `count` eigenfunctions at a set of points in
+one pass, sharing the angles and, on the sphere, the Legendre recurrence
+across modes. Every multi-mode caller goes through it, and a single pair's
+`evaluate` returns its column, so there is one evaluation path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, lpmv
 
 # Quadrature sizes: circle = 2^17-node trapezoid rule, sphere = Fibonacci
 # lattice with equal weights.
@@ -71,14 +74,17 @@ class PointCloud:
 class ContinuumEigenpair:
     """One Laplace-Beltrami eigenpair, 0-indexed, constant mode first.
 
-    The evaluator maps ambient coordinates (m, D) to eigenfunction values
-    (m,). Eigenfunctions are orthonormal under dV / vol(M).
+    Eigenfunctions are orthonormal under dV / vol(M).
     """
 
     index: int
     eigenvalue: float
     multiplicity_group: int
-    evaluate: Callable[[np.ndarray], np.ndarray] = field(compare=False)
+    manifold: ManifoldModel
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """Values at ambient coordinates (m, D): column `index` of `eigenbasis`."""
+        return eigenbasis(self.manifold, x, self.index + 1)[:, self.index]
 
 
 @dataclass(frozen=True)
@@ -114,46 +120,6 @@ def sample_uniform(manifold: ManifoldModel, n: int, seed: int) -> PointCloud:
     return PointCloud(points=pts, manifold=manifold, seed=seed)
 
 
-def _circle_eigenpair(i: int) -> ContinuumEigenpair:
-    if i == 0:
-        return ContinuumEigenpair(0, 0.0, 0, lambda x: np.ones(x.shape[0]))
-    k = (i + 1) // 2
-    is_cos = i % 2 == 1  # odd index -> sqrt(2) cos(k theta), even -> sin
-    root2 = math.sqrt(2.0)
-
-    def ev(x, k=k, is_cos=is_cos):
-        theta = np.arctan2(x[:, 1], x[:, 0])
-        return root2 * (np.cos(k * theta) if is_cos else np.sin(k * theta))
-
-    return ContinuumEigenpair(i, float(k * k), k, ev)
-
-
-def _sphere_harmonic(l: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Real spherical harmonic scaled to unit norm under dOmega / (4 pi).
-
-    m = 0: sqrt(2l+1) P_l(cos theta); m != 0 carries the usual sqrt(2) and
-    factorial normalization with cos/sin(|m| phi).
-    """
-    am = abs(m)
-    # sqrt((2l+1) (l-|m|)! / (l+|m|)!), via log-gamma for stability
-    norm = math.exp(
-        0.5 * (math.log(2 * l + 1) + gammaln(l - am + 1) - gammaln(l + am + 1))
-    )
-    if m != 0:
-        norm *= math.sqrt(2.0)
-
-    def ev(x, l=l, m=m, am=am, norm=norm):
-        ct = np.clip(x[:, 2], -1.0, 1.0)
-        p = lpmv(am, l, ct)
-        if m == 0:
-            return norm * p
-        phi = np.arctan2(x[:, 1], x[:, 0])
-        trig = np.cos(am * phi) if m > 0 else np.sin(am * phi)
-        return norm * p * trig
-
-    return ev
-
-
 def continuum_eigenpairs(manifold: ManifoldModel, count: int) -> list[ContinuumEigenpair]:
     """The `count` lowest Laplace-Beltrami eigenpairs, eigenvalues nondecreasing.
 
@@ -163,17 +129,72 @@ def continuum_eigenpairs(manifold: ManifoldModel, count: int) -> list[ContinuumE
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
     if manifold.kind == "circle":
-        return [_circle_eigenpair(i) for i in range(count)]
-    pairs: list[ContinuumEigenpair] = []
-    l = 0
-    while len(pairs) < count:
-        lam = float(l * (l + 1))
-        for m in range(-l, l + 1):
-            pairs.append(ContinuumEigenpair(len(pairs), lam, l, _sphere_harmonic(l, m)))
-            if len(pairs) == count:
-                break
-        l += 1
-    return pairs
+        groups = [(i + 1) // 2 for i in range(count)]
+        return [ContinuumEigenpair(i, float(k * k), k, manifold) for i, k in enumerate(groups)]
+    levels = [math.isqrt(i) for i in range(count)]
+    return [ContinuumEigenpair(i, float(l * (l + 1)), l, manifold) for i, l in enumerate(levels)]
+
+
+def eigenbasis(manifold: ManifoldModel, x: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` eigenfunctions at ambient coordinates x (m, D), as (m, count).
+
+    Column i is eigenpair i of `continuum_eigenpairs`, and depends on i alone,
+    not on `count`. The angles are computed once for all modes. Circle:
+    1, sqrt(2) cos(k theta), sqrt(2) sin(k theta). Sphere: the real harmonic
+    (l, m) is sqrt(2l+1) P_l(cos theta) for m = 0 and sqrt(2) Pbar_l^|m|(cos
+    theta) cos/sin(|m| phi) otherwise, where Pbar_l^m = sqrt((2l+1) (l-m)! /
+    (l+m)!) P_l^m carries the Condon-Shortley sign. Pbar comes from the
+    normalized three-term recurrences in l (Holmes & Featherstone, J. Geodesy
+    76, 2002), seeded by the sectoral Pbar_m^m, and cos/sin(|m| phi) once per
+    |m| by the angle-addition recurrence from cos/sin phi = (x, y) / r.
+    """
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
+    out = np.empty((count, x.shape[0]))  # one contiguous row per mode
+    out[0] = 1.0
+    root2 = math.sqrt(2.0)
+    if manifold.kind == "circle":
+        theta = np.arctan2(x[:, 1], x[:, 0])
+        for k in range(1, count // 2 + 1):
+            out[2 * k - 1] = root2 * np.cos(k * theta)
+            if 2 * k < count:
+                out[2 * k] = root2 * np.sin(k * theta)
+        return out.T
+    top = math.isqrt(count - 1)  # the last level with a column
+    t = np.clip(x[:, 2], -1.0, 1.0)  # cos theta
+    u = np.sqrt(1.0 - t * t)  # sin theta
+    r = np.hypot(x[:, 0], x[:, 1])
+    # phi = 0 on the axis, where every mode with m != 0 vanishes
+    cos_1 = np.divide(x[:, 0], r, out=np.ones_like(r), where=r > 0)
+    sin_1 = np.divide(x[:, 1], r, out=np.zeros_like(r), where=r > 0)
+    sectoral = out[0]  # Pbar_0^0; from m = 1 on it carries the sqrt(2) too
+    for m in range(top + 1):
+        if m == 1:
+            sectoral = -math.sqrt(3.0) * u
+            cos_m, sin_m = cos_1, sin_1
+        elif m > 1:
+            sectoral = -math.sqrt((2 * m + 1) / (2 * m)) * u * sectoral
+            cos_m, sin_m = cos_m * cos_1 - sin_m * sin_1, sin_m * cos_1 + cos_m * sin_1
+        older, prev = None, sectoral
+        for l in range(m, top + 1):
+            centre = l * l + l  # column of (l, 0); (l, m) sits at centre + m
+            if centre - m >= count:
+                break  # the last level is cut before (l, -m)
+            if l == m + 1:
+                prev, older = math.sqrt(2 * m + 3) * t * prev, prev
+            elif l > m + 1:
+                a = math.sqrt((2 * l - 1) * (2 * l + 1) / ((l - m) * (l + m)))
+                b = math.sqrt(
+                    (2 * l + 1) * (l + m - 1) * (l - m - 1) / ((l - m) * (l + m) * (2 * l - 3))
+                )
+                prev, older = a * t * prev - b * older, prev
+            if m == 0:
+                out[centre] = prev
+                continue
+            np.multiply(prev, sin_m, out=out[centre - m])
+            if centre + m < count:
+                np.multiply(prev, cos_m, out=out[centre + m])
+    return out.T
 
 
 def evaluate_signal(
@@ -181,12 +202,7 @@ def evaluate_signal(
 ) -> np.ndarray:
     """Evaluate f at the sample points: entry j is sum_i alpha_i phi_i(x_j)."""
     x = points.points if isinstance(points, PointCloud) else points
-    pairs = continuum_eigenpairs(manifold, f.bandwidth + 1)
-    out = np.zeros(x.shape[0])
-    for alpha, pair in zip(f.coefficients, pairs):
-        if alpha != 0.0:
-            out += alpha * pair.evaluate(x)
-    return out
+    return eigenbasis(manifold, x, f.bandwidth + 1) @ f.coefficients
 
 
 def quadrature_nodes(manifold: ManifoldModel, count: int | None = None):

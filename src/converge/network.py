@@ -4,9 +4,11 @@ The discrete pass runs on a graph-Laplacian EigenSystem; the continuum pass
 runs on analytic eigenpairs and is exact for bandlimited inputs through the
 first nonlinearity. The continuum hidden layers of deeper networks run on a
 quadrature grid, re-expanded onto a truncated eigenbasis, and need no sample
-points: `continuum_hidden_layers` computes them once, and `forward_continuum`
-on the one-layer tail it returns evaluates the exact last layer at any point
-cloud. The two passes are compared by summing per-feature G_n norms of the
+points: `continuum_hidden_layers` computes them once per experiment (the
+harness runs it beside the calibration solve), and `forward_continuum` on the
+one-layer tail it returns evaluates the exact last layer at any point cloud.
+Both evaluate the eigenbasis with one `manifolds.eigenbasis` call per point
+set. The two passes are compared by summing per-feature G_n norms of the
 difference at the sample points.
 
 Truncation contract: both sides keep K modes at every layer, not
@@ -27,7 +29,13 @@ from typing import Sequence
 import numpy as np
 
 from .filters import SpectralFilter
-from .manifolds import ContinuumEigenpair, ManifoldModel, PointCloud, quadrature_nodes
+from .manifolds import (
+    ContinuumEigenpair,
+    ManifoldModel,
+    PointCloud,
+    eigenbasis,
+    quadrature_nodes,
+)
 from .spectral import EigenSystem, gn_norm
 
 NONLINEARITIES = {
@@ -129,10 +137,6 @@ class ContinuumOutput:
     feature_sup_norms: list[float] = field(default_factory=list)
 
 
-def _basis_at(eigenpairs, x, count):
-    return np.column_stack([eigenpairs[i].evaluate(x) for i in range(count)])
-
-
 def _apply_bank(bank, eigenpairs, coeffs):
     """Filtered coefficients: row p is sum_q h^pq(lambda) * coeffs[q]."""
     lam = np.array([p.eigenvalue for p in eigenpairs[: coeffs.shape[1]]])
@@ -170,7 +174,7 @@ def continuum_hidden_layers(
         grid, grid_w = quadrature_nodes(manifold)
         k = min(reexpansion_modes, len(eigenpairs))
         # every layer's input has either the signal's width or k coefficients
-        grid_basis = _basis_at(eigenpairs, grid, max(k, coeffs.shape[1]))
+        grid_basis = eigenbasis(manifold, grid, max(k, coeffs.shape[1]))
     for bank in net.filters[:-1]:
         filtered = _apply_bank(bank, eigenpairs, coeffs)
         grid_vals = net.sigma(filtered @ grid_basis[:, : coeffs.shape[1]].T)
@@ -208,7 +212,7 @@ def forward_continuum(
         net, manifold, eigenpairs, coefficients, reexpansion_modes
     )
     filtered = _apply_bank(tail.filters[0], eigenpairs, coeffs)
-    vals = filtered @ _basis_at(eigenpairs, points.points, coeffs.shape[1]).T
+    vals = filtered @ eigenbasis(manifold, points.points, coeffs.shape[1]).T
     out.values = tail.sigma(vals)
     out.feature_l2_norms.extend(
         float(np.linalg.norm(v)) / np.sqrt(points.n) for v in out.values

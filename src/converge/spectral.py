@@ -32,6 +32,7 @@ from .manifolds import (
     ContinuumEigenpair,
     ManifoldModel,
     PointCloud,
+    eigenbasis,
     quadrature_nodes,
     sample_uniform,
 )
@@ -199,10 +200,16 @@ def multiplicity_groups(
 
 def project_eigenfunctions(
     pairs: Sequence[ContinuumEigenpair], points: PointCloud | np.ndarray
-) -> list[np.ndarray]:
-    """P_n phi_i for each continuum eigenfunction: values at the samples."""
+) -> np.ndarray:
+    """P_n phi_i for each continuum eigenfunction: row i holds phi_i at the samples.
+
+    The pairs are the lowest modes in order, as `continuum_eigenpairs` gives
+    them, so one `eigenbasis` call evaluates them all.
+    """
+    if [p.index for p in pairs] != list(range(len(pairs))):
+        raise ValueError("pairs must be the lowest eigenpairs, in index order")
     x = points.points if isinstance(points, PointCloud) else points
-    return [p.evaluate(x) for p in pairs]
+    return eigenbasis(pairs[0].manifold, x, len(pairs)).T
 
 
 def align_to_continuum(
@@ -245,16 +252,18 @@ def align_to_continuum(
 def eigen_errors(
     aligned: EigenSystem,
     continuum: Sequence[ContinuumEigenpair],
-    points: PointCloud | np.ndarray,
+    projected: Sequence[np.ndarray],
 ):
-    """Per-index (|lambda_i - lambda_i^n|, ||P_n phi_i - phi_i^n||_{G_n})."""
-    x = points.points if isinstance(points, PointCloud) else points
+    """Per-index (|lambda_i - lambda_i^n|, ||P_n phi_i - phi_i^n||_{G_n}).
+
+    projected[i] is P_n phi_i, as `project_eigenfunctions` returns it.
+    """
     k = min(aligned.count, len(continuum))
     lam_err = np.empty(k)
     vec_err = np.empty(k)
     for i in range(k):
         lam_err[i] = abs(continuum[i].eigenvalue - aligned.eigenvalues[i])
-        vec_err[i] = gn_norm(continuum[i].evaluate(x) - aligned.eigenvectors[:, i])
+        vec_err[i] = gn_norm(projected[i] - aligned.eigenvectors[:, i])
     return lam_err, vec_err
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -144,8 +145,9 @@ def test_run_record_count(tiny_result):
 def two_layer_runs():
     """threads -> (result, calls to the quadrature grid) for a 2-layer network.
 
-    Four threads on a shortened switch interval make every trial race for
-    the hidden layers at once.
+    The hidden layers are built once, beside the calibration solve, and every
+    trial reads them from the same future. Four threads on a shortened switch
+    interval make the trials ask for them while they may still be building.
     """
     runs = {}
     nodes = network.quadrature_nodes
@@ -212,6 +214,83 @@ def test_hidden_layers_computed_once_per_run(two_layer_runs):
     assert {t: calls for t, (_, calls) in two_layer_runs.items()} == {1: 1, 2: 1, 4: 1}
     for res, _ in two_layer_runs.values():
         assert all(r["error"] > 0 for r in res.records)
+
+
+def test_hidden_layers_built_beside_calibration(two_layer_runs, monkeypatch, tmp_path):
+    # a calibration solve that waits for the hidden-layer pass finishes only
+    # if the pass runs beside it, not inside the first trial's measure
+    built = threading.Event()
+    hidden_layers = network.continuum_hidden_layers
+    calibrate = harness.resolve_calibration
+
+    def hidden_then_signal(*args, **kwargs):
+        out = hidden_layers(*args, **kwargs)
+        built.set()
+        return out
+
+    def calibrate_after_hidden(config, **kwargs):
+        if not built.wait(timeout=10.0):
+            pytest.fail("the hidden layers did not start beside the calibration solve")
+        return calibrate(config, **kwargs)
+
+    monkeypatch.setattr(network, "continuum_hidden_layers", hidden_then_signal)
+    monkeypatch.setattr(harness, "resolve_calibration", calibrate_after_hidden)
+    res = run_convergence_experiment(ExperimentConfig.from_dict(TWO_LAYER_CONFIG), threads=2)
+    write_csv(res, tmp_path / "a.csv")
+    write_csv(two_layer_runs[1][0], tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_one_worker_runs_calibration_setup_cells_in_order(monkeypatch):
+    cfg = ExperimentConfig.from_dict(TWO_LAYER_CONFIG)
+    calibration_seed = derive_seed(cfg.seed, 2048, 10**6)
+    nodes, calibrate = network.quadrature_nodes, harness.resolve_calibration
+    sample = harness.manifolds.sample_uniform
+    order = []  # the hidden-layer pass is the only caller of the quadrature grid
+
+    def logged(name, fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            order.append(name)
+            return out
+
+        return call
+
+    def sampled(m, n, seed):
+        if seed != calibration_seed:
+            order.append("cell")
+        return sample(m, n, seed)
+
+    monkeypatch.setattr(network, "quadrature_nodes", logged("setup", nodes))
+    monkeypatch.setattr(harness, "resolve_calibration", logged("calibration", calibrate))
+    monkeypatch.setattr(harness.manifolds, "sample_uniform", sampled)
+    run_convergence_experiment(cfg, threads=1)
+    assert order == ["calibration", "setup"] + ["cell"] * 4
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_calibration_failure_is_not_a_failed_cell(name, monkeypatch, tmp_path, capsys):
+    # the K = 2 calibration solve fails: exit 3, one stderr line, no CSV
+    solve = spectral.smallest_eigenpairs
+
+    def fail_calibration(op, K, *args, **kwargs):
+        if K == 2:
+            raise spectral.ConvergenceFailure("forced", np.array([3e-5, 4e-4]))
+        return solve(op, K, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "smallest_eigenpairs", fail_calibration)
+    experiment, _ = EXPERIMENTS[name]
+    with pytest.raises(spectral.ConvergenceFailure, match="calibration solve"):
+        experiment(ExperimentConfig.from_dict(TINY_CONFIG), threads=2)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY_CONFIG))
+    capsys.readouterr()
+    code = main([name, "--config", str(cfg_path), "--out-dir", str(tmp_path), "--threads", "2"])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "calibration solve" in err[0] and "max residual 4.000e-04" in err[0]
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("truncation, expected", [(None, 10), (4, 10), (20, 20), ("full", 300)])

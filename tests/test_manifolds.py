@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, lpmv
 
 from converge import manifolds
 from converge.manifolds import (
@@ -11,6 +12,7 @@ from converge.manifolds import (
     ManifoldModel,
     circle,
     continuum_eigenpairs,
+    eigenbasis,
     evaluate_signal,
     quadrature_nodes,
     sample_uniform,
@@ -176,3 +178,55 @@ def test_evaluate_signal_mode_norm_concentrates():
     vals = evaluate_signal(sig, m, pc)
     sq_norm = float(np.dot(vals, vals)) / n
     assert abs(sq_norm - 1.0) <= 3 * math.sqrt(18 * math.log(n) / n)
+
+
+def _lpmv_harmonic(l, m, x):
+    """Oracle: one real harmonic from scipy's lpmv, which carries the Condon-Shortley sign."""
+    am = abs(m)
+    norm = math.exp(0.5 * (math.log(2 * l + 1) + gammaln(l - am + 1) - gammaln(l + am + 1)))
+    p = norm * lpmv(am, l, np.clip(x[:, 2], -1.0, 1.0))
+    if m == 0:
+        return p
+    phi = np.arctan2(x[:, 1], x[:, 0])
+    return math.sqrt(2.0) * p * (np.cos(am * phi) if m > 0 else np.sin(am * phi))
+
+
+def _basis_test_points(m):
+    x = sample_uniform(m, 300, seed=21).points
+    angles = np.linspace(0.0, 2.0 * math.pi, 13)
+    if m.kind == "circle":
+        return np.vstack([x, np.column_stack([np.cos(angles), np.sin(angles)])])
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    equator = np.column_stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)])
+    return np.vstack([x, poles, equator])
+
+
+def test_sphere_basis_matches_lpmv_oracle():
+    # every mode with l <= 15, in m = -l..l order, at random points, both
+    # poles and the equator
+    x = _basis_test_points(sphere2())
+    basis = eigenbasis(sphere2(), x, 256)
+    oracle = np.column_stack([_lpmv_harmonic(l, m, x) for l in range(16) for m in range(-l, l + 1)])
+    assert basis.shape == (x.shape[0], 256)
+    assert np.abs(basis - oracle).max() <= 1e-12
+
+
+def test_circle_basis_columns():
+    x = _basis_test_points(circle())
+    theta = np.arctan2(x[:, 1], x[:, 0])
+    basis = eigenbasis(circle(), x, 9)
+    assert np.array_equal(basis[:, 0], np.ones(x.shape[0]))
+    for k in range(1, 5):
+        assert np.abs(basis[:, 2 * k - 1] - math.sqrt(2.0) * np.cos(k * theta)).max() <= 1e-14
+        assert np.abs(basis[:, 2 * k] - math.sqrt(2.0) * np.sin(k * theta)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("m", [circle(), sphere2()], ids=["circle", "sphere2"])
+def test_single_mode_is_its_basis_column(m):
+    # one code path: a pair's values are its column, whatever the count
+    x = _basis_test_points(m)
+    basis = eigenbasis(m, x, 40)
+    for pair in continuum_eigenpairs(m, 40):
+        assert np.array_equal(pair.evaluate(x), basis[:, pair.index])
+    for count in (1, 2, 5, 10, 17):
+        assert np.array_equal(eigenbasis(m, x, count), basis[:, :count])
