@@ -12,15 +12,13 @@ passes: one matmul against points pre-scaled by 2/denom, two broadcast adds
 of the log prefactor and squared norms, one `minimum` that clamps the
 exponent where roundoff makes r^2 negative, and one `exp`.
 
-Storage is cached-dense up to DENSE_LIMIT points: the tiles fill an n x n
-array in place, so a worker touches about 4 n^2 bytes (256 MiB at n = 8192)
-and a matvec is one BLAS symmetric sweep over the triangle (`dsymv`, or
-`dsymm` for a block). It calls scipy's BLAS through ctypes, which releases
-the GIL, so the sweeps of concurrent harness workers run in parallel;
-through scipy.linalg.blas, which holds the GIL, they would take turns. Above DENSE_LIMIT the tiles are
-re-evaluated on the fly for every matvec, each one used for its rows and,
-transposed, for its columns. The two paths agree to roundoff and the dense
-path is the one the acceptance runs exercise.
+The tiles fill an n x n array in place, so a worker touches about 4 n^2
+bytes (256 MiB at n = 8192, 1 GiB at n = 16384), and a matvec is one BLAS
+symmetric sweep over the triangle (`dsymv`, or `dsymm` for a block). It calls
+scipy's BLAS through ctypes, which releases the GIL, so the sweeps of
+concurrent harness workers run in parallel; through scipy.linalg.blas, which
+holds the GIL, they would take turns. The harness bounds memory by capping
+its worker count, not here.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from scipy.linalg import cython_blas
 
 from .manifolds import PointCloud
 
-DENSE_LIMIT = 8192
 TILE_ROWS = 256
 
 
@@ -178,75 +175,51 @@ def symmetric_sweep(lower: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class LaplacianOperator:
-    """Symmetric PSD graph Laplacian over n points, matrix-free matvec.
+    """Symmetric PSD graph Laplacian over n points, kernel cached at build.
 
     Only the lower triangle of the kernel is computed, stored and swept, in
     row tiles K[lo:hi, :hi]; the upper triangle follows by symmetry.
     Self-weights are never materialized: they cancel identically in D - A.
     """
 
-    def __init__(self, points: np.ndarray, scheme: KernelScheme, storage: str):
-        self.points = points
-        self.scheme = scheme
-        self.storage = storage
-        self.n = points.shape[0]
-        self._scale = scheme.outer_scale(self.n)
+    def __init__(self, points: np.ndarray, scheme: KernelScheme):
+        self.n = n = points.shape[0]
+        self._scale = scheme.outer_scale(n)
+        # a weight, without calibration and outer scale, is exp(min(log pref +
+        # (2 x_i.x_j - |x_i|^2 - |x_j|^2) / denom, log pref)): the minimum is
+        # the r^2 >= 0 clamp
         inv_denom = 1.0 / scheme.kernel_denominator()
-        self._log_pref = math.log(scheme.kernel_prefactor())
-        self._scaled_points = points * (2.0 * inv_denom)
-        self._col_term = np.einsum("ij,ij->i", points, points) * -inv_denom
-        # cached-dense: tiles land in place; the upper triangle stays unwritten
-        self._kernel = _lazy_matrix(self.n) if storage == "cached-dense" else None
-        self._degrees = np.zeros(self.n)
-        for lo, hi, blk in self._tiles(self._kernel):
-            self._degrees[lo:hi] += blk.sum(axis=1)
-            self._degrees[:lo] += blk[:, :lo].sum(axis=0)
-
-    def _tiles(self, out: np.ndarray | None = None):
-        """Yield (lo, hi, K[lo:hi, :hi]): adjacency row tiles up to the diagonal.
-
-        Weights exclude calibration and outer scale, and the diagonal is zero.
-        Tiles are evaluated into the matching slice of `out` if given, else
-        into a fresh array per tile. A weight is
-        exp(min(log pref + (2 x_i.x_j - |x_i|^2 - |x_j|^2) / denom, log pref)),
-        where the minimum is the r^2 >= 0 clamp.
-        """
-        pts, col_term = self.points, self._col_term
-        row_term = col_term + self._log_pref
-        for lo in range(0, self.n, TILE_ROWS):
-            hi = min(lo + TILE_ROWS, self.n)
-            blk = np.empty((hi - lo, hi)) if out is None else out[lo:hi, :hi]
-            np.matmul(pts[lo:hi], self._scaled_points[:hi].T, out=blk)
+        log_pref = math.log(scheme.kernel_prefactor())
+        scaled_points = points * (2.0 * inv_denom)
+        col_term = np.einsum("ij,ij->i", points, points) * -inv_denom
+        row_term = col_term + log_pref
+        # tiles land in place; above the diagonal blocks nothing is written
+        self._kernel = _lazy_matrix(n)
+        self._degrees = np.zeros(n)
+        for lo in range(0, n, TILE_ROWS):
+            hi = min(lo + TILE_ROWS, n)
+            blk = self._kernel[lo:hi, :hi]
+            np.matmul(points[lo:hi], scaled_points[:hi].T, out=blk)
             blk += row_term[lo:hi, None]
             blk += col_term[None, :hi]
-            np.minimum(blk, self._log_pref, out=blk)
+            np.minimum(blk, log_pref, out=blk)
             np.exp(blk, out=blk)
             blk[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
-            yield lo, hi, blk
+            self._degrees[lo:hi] += blk.sum(axis=1)
+            self._degrees[:lo] += blk[:, :lo].sum(axis=0)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Return L x for a vector (n,) or a block of vectors (n, k)."""
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[0] != self.n:
             raise ValueError(f"expected {self.n} rows, got shape {x.shape}")
-        if self._kernel is None:
-            ax = np.zeros(x.shape)
-            for lo, hi, blk in self._tiles():
-                ax[lo:hi] += blk @ x[:hi]
-                ax[:lo] += blk[:, :lo].T @ x[lo:hi]
-        else:
-            ax = symmetric_sweep(self._kernel, x)
+        ax = symmetric_sweep(self._kernel, x)
         degrees = self._degrees if x.ndim == 1 else self._degrees[:, None]
         return self._scale * (degrees * x - ax)
 
     def dense_matrix(self) -> np.ndarray:
         """Materialize L as a dense symmetric matrix (oracle/testing path)."""
-        k = self._kernel
-        if k is None:
-            k = np.empty((self.n, self.n))
-            for _ in self._tiles(k):
-                pass
-        k = np.tril(k, -1)
+        k = np.tril(self._kernel, -1)
         k += k.T
         return self._scale * (np.diag(self._degrees) - k)
 
@@ -255,17 +228,11 @@ class LaplacianOperator:
         return float(2.0 * self._scale * self._degrees.max())
 
 
-def build_laplacian(
-    points: PointCloud | np.ndarray, scheme: KernelScheme, storage: str | None = None
-) -> LaplacianOperator:
+def build_laplacian(points: PointCloud | np.ndarray, scheme: KernelScheme) -> LaplacianOperator:
     """Construct the calibrated graph Laplacian for a point cloud."""
     x = points.points if isinstance(points, PointCloud) else np.asarray(points, float)
     if x.shape[0] < 2:
         raise ValueError(f"need at least 2 points, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):
         raise ValueError("point cloud contains non-finite coordinates")
-    if storage is None:
-        storage = "cached-dense" if x.shape[0] <= DENSE_LIMIT else "on-the-fly"
-    if storage not in ("cached-dense", "on-the-fly"):
-        raise ValueError(f"unknown storage mode: {storage!r}")
-    return LaplacianOperator(x, scheme, storage)
+    return LaplacianOperator(x, scheme)

@@ -37,6 +37,7 @@ from .network import NetworkSpec
 EIGEN_TOL = 1e-8
 MAX_FAILURE_FRACTION = 0.10
 THREADS_ENV_VAR = "CONVERGE_THREADS"
+MEMORY_FRACTION = 0.5  # of the memory free at start, for the cells running at once
 
 
 class ConfigError(ValueError):
@@ -58,6 +59,11 @@ def default_thread_count() -> int:
         # the cores this process may run on, which a container can limit
         return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
+
+
+def memory_budget() -> int:
+    """Bytes the concurrently running cells may hold: a fixed share of free memory."""
+    return int(MEMORY_FRACTION * os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
 
 
 def derive_seed(master: int, n: int, trial: int) -> int:
@@ -337,9 +343,24 @@ def _run_cells(
     cells abort the run. Cells start largest n first, so no worker is left
     with a big cell while the others idle, and the records come back in grid
     order.
+
+    The workers are capped at memory_budget() // spectral.peak_bytes of the
+    largest cell, which never changes a result. A thread count below 1, or a
+    cell larger than the whole budget, raises ConfigError before calibration.
     """
     start = time.perf_counter()
     m = config.manifold_model
+    workers = default_thread_count() if threads is None else threads
+    if workers < 1:
+        raise ConfigError(f"need at least 1 thread, got {workers}")
+    budget = memory_budget()
+    largest = max(spectral.peak_bytes(n, mode_count(n)) for n in config.n_grid)
+    if largest > budget:
+        raise ConfigError(f"a {largest >> 20} MiB cell exceeds a {budget >> 20} MiB memory budget")
+    if budget // largest < workers:
+        workers = budget // largest
+        msg = f"memory budget {budget >> 20} MiB, {largest >> 20} MiB a cell: {workers} workers"
+        print(msg, file=sys.stderr)
 
     def cell(n, trial, seed):
         record = {"n": n, "trial": trial, "seed": seed}
@@ -360,7 +381,6 @@ def _run_cells(
         for trial in range(config.trials)
     ]
     largest_first = sorted(cells, key=lambda c: -c[0])
-    workers = threads or default_thread_count()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         beside = workers > 1  # a worker builds the setup while this thread calibrates
         prepared = pool.submit(setup) if beside else None
@@ -381,6 +401,7 @@ def _run_cells(
         metadata={
             "calibration": calibration,
             "failures": failures,
+            "workers": workers,
             "wall_clock_seconds": round(time.perf_counter() - start, 3),
         },
     )

@@ -132,6 +132,17 @@ def _lanczos(op: LaplacianOperator, K: int, tol: float, seed: int, max_iter: int
         Q[:, m] = r / beta
 
 
+def auto_method(n: int, K: int) -> str:
+    """The method "auto" picks: dense for a large share of the spectrum or a tiny n."""
+    return "dense" if (K > n // 3 or n <= 128) else "lanczos"
+
+
+def peak_bytes(n: int, K: int) -> int:
+    """Peak bytes of a kernel build plus an "auto" solve: the 4 n^2 touched triangle
+    for Lanczos, and about 40 n^2 with the dense method's matrix and eigh workspace."""
+    return (40 if auto_method(n, K) == "dense" else 4) * n * n
+
+
 def smallest_eigenpairs(
     op: LaplacianOperator,
     K: int,
@@ -153,7 +164,7 @@ def smallest_eigenpairs(
     if tol <= 0:
         raise ValueError(f"need tol > 0, got {tol}")
     if method == "auto":
-        method = "dense" if (K > n // 3 or n <= 128) else "lanczos"
+        method = auto_method(n, K)
 
     if method == "dense":
         lam, vecs = scipy.linalg.eigh(op.dense_matrix())

@@ -120,45 +120,41 @@ def test_matvec_against_hand_computed_3x3():
     assert np.allclose(op.dense_matrix(), L, rtol=1e-12, atol=1e-12)
 
 
-def test_storage_modes_agree():
-    cloud = manifolds.sample_uniform(manifolds.sphere2(), 256, seed=8)
-    scheme = calibrated_scheme("gaussian", manifolds.sphere2(), 256)
-    dense = build_laplacian(cloud, scheme, storage="cached-dense")
-    lazy = build_laplacian(cloud, scheme, storage="on-the-fly")
-    x = np.random.default_rng(1).standard_normal(256)
-    a, b = dense.matvec(x), lazy.matvec(x)
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(a).max())
-
-
 @pytest.mark.parametrize("tag", ["heat", "gaussian"])
-def test_storage_modes_agree_across_tiles(monkeypatch, tag):
+def test_kernel_matches_pairwise_reference_across_tiles(monkeypatch, tag):
     monkeypatch.setattr(graph, "TILE_ROWS", 64)
     m = manifolds.sphere2()
     n = 300  # five row tiles, the last one ragged
     cloud = manifolds.sample_uniform(m, n, seed=8)
     scheme = calibrated_scheme(tag, m, n)
-    dense = build_laplacian(cloud, scheme, storage="cached-dense")
-    lazy = build_laplacian(cloud, scheme, storage="on-the-fly")
-    assert len(list(lazy._tiles())) == 5
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(n)
-    a, b = dense.matvec(x), lazy.matvec(x)
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(a).max())
+    op = build_laplacian(cloud, scheme)
     # kernel from all n^2 pairwise distances
     p = cloud.points
     r2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
     k = scheme.kernel_prefactor() * np.exp(-r2 / scheme.kernel_denominator())
     np.fill_diagonal(k, 0.0)
+    # a row is written up to the end of its tile's diagonal block, the ragged
+    # last tile's included, and the rest of the upper triangle stays zero
+    ends = np.minimum((np.arange(n) // 64 + 1) * 64, n)
+    written = np.arange(n)[None, :] < ends[:, None]
+    assert not op._kernel[~written].any()
+    assert np.allclose(op._kernel[written], k[written], rtol=1e-10, atol=1e-12 * k.max())
     want = scheme.outer_scale(n) * (np.diag(k.sum(axis=1)) - k)
+    L = op.dense_matrix()
+    assert np.array_equal(L, L.T)
+    assert np.abs(L.sum(axis=1)).max() < 1e-10 * op.degree_bound()
+    assert np.allclose(L, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+    # a vector, a strided column of a C-order block, and the block itself
+    rng = np.random.default_rng(1)
     X = rng.standard_normal((n, 4))
-    for op in (dense, lazy):
-        L = op.dense_matrix()
-        assert np.array_equal(L, L.T)
-        assert np.abs(L.sum(axis=1)).max() < 1e-10 * op.degree_bound()
-        assert np.allclose(L, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
-        block = op.matvec(X)
-        single = np.column_stack([op.matvec(X[:, j]) for j in range(X.shape[1])])
-        assert np.allclose(block, single, rtol=1e-12, atol=1e-12 * np.abs(single).max())
+    assert not X[:, 1].flags.c_contiguous
+    for x in (rng.standard_normal(n), X[:, 1], X):
+        got = op.matvec(x)
+        assert got.shape == x.shape
+        assert np.allclose(got, want @ x, rtol=1e-10, atol=1e-12 * np.abs(want @ x).max())
+    block = op.matvec(X)
+    single = np.column_stack([op.matvec(X[:, j]) for j in range(X.shape[1])])
+    assert np.allclose(block, single, rtol=1e-12, atol=1e-12 * np.abs(single).max())
 
 
 def test_symmetric_sweep_matches_scipy_blas():
@@ -194,21 +190,6 @@ def test_symmetric_sweep_concurrent_threads():
         futures = [pool.submit(graph.symmetric_sweep, lower, x) for x in xs for _ in range(4)]
         got = [f.result(timeout=60) for f in futures]
     assert all(np.array_equal(g, serial[i // 4]) for i, g in enumerate(got))
-
-
-def test_dense_sweep_agrees_with_on_the_fly():
-    m = manifolds.sphere2()
-    n = 700
-    cloud = manifolds.sample_uniform(m, n, seed=9)
-    scheme = calibrated_scheme("gaussian", m, n)
-    dense = build_laplacian(cloud, scheme, storage="cached-dense")
-    lazy = build_laplacian(cloud, scheme, storage="on-the-fly")
-    rng = np.random.default_rng(2)
-    Q = rng.standard_normal((n, 5))
-    for x in (rng.standard_normal(n), Q[:, 1], Q):
-        a, b = dense.matvec(x), lazy.matvec(x)
-        assert a.shape == x.shape
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(a).max())
 
 
 def test_smallest_eigenvalue_zero_with_constant_vector(small_operator):

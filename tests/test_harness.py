@@ -2,12 +2,14 @@ import json
 import math
 import sys
 import threading
+import time
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from converge import harness, network, spectral
+from converge import graph, harness, network, spectral
 from converge.cli import main
 from converge.harness import (
     ConfigError,
@@ -291,6 +293,83 @@ def test_calibration_failure_is_not_a_failed_cell(name, monkeypatch, tmp_path, c
     assert len(err) == 1
     assert "calibration solve" in err[0] and "max residual 4.000e-04" in err[0]
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_memory_cap_limits_the_workers(monkeypatch, tmp_path):
+    # a budget for two of the largest cells: four threads hold at most two
+    # operators at once, and the result does not depend on it
+    cfg = ExperimentConfig.from_dict(dict(TINY_CONFIG, trials=4))
+    largest = max(spectral.peak_bytes(n, cfg.mode_count(n)) for n in cfg.n_grid)
+    monkeypatch.setattr(harness, "memory_budget", lambda: 2 * largest + 1)
+    build = graph.build_laplacian
+    lock = threading.Lock()
+    live, most = [0], [0]
+
+    def released():
+        with lock:
+            live[0] -= 1
+
+    def counted(cloud, scheme):
+        op = build(cloud, scheme)
+        if op.n in cfg.n_grid:  # not the calibration solve's operator
+            with lock:
+                live[0] += 1
+                most[0] = max(most[0], live[0])
+            weakref.finalize(op, released)
+            time.sleep(0.05)  # long enough for every free worker to start a cell
+        return op
+
+    monkeypatch.setattr(graph, "build_laplacian", counted)
+    runs = {t: run_convergence_experiment(cfg, threads=t) for t in (4, 1)}
+    assert most[0] == 2 and live[0] == 0
+    assert runs[4].metadata["workers"] == 2 and runs[1].metadata["workers"] == 1
+    for write, name in ((write_csv, "csv"), (write_summary, "json")):
+        for t, res in runs.items():
+            write(res, tmp_path / f"{t}.{name}")
+        assert (tmp_path / f"4.{name}").read_bytes() == (tmp_path / f"1.{name}").read_bytes()
+
+
+def _refuse_calibration(monkeypatch):
+    """Make a run that reaches the calibration solve fail loudly; return its call log."""
+    calls = []
+
+    def refused(config, **kwargs):
+        calls.append(config)
+        raise RuntimeError("calibration reached")
+
+    monkeypatch.setattr(harness, "resolve_calibration", refused)
+    return calls
+
+
+def test_cell_over_the_memory_budget_is_a_config_error(monkeypatch, tmp_path, capsys):
+    # K = n takes the dense method, at about 40 n^2 bytes, not Lanczos' 4 n^2
+    raw = dict(TINY_CONFIG, n_grid=[256, 512], truncation="full")
+    assert spectral.peak_bytes(512, 512) == 10 * spectral.peak_bytes(512, 3)
+    monkeypatch.setattr(harness, "memory_budget", lambda: 2 * spectral.peak_bytes(512, 3))
+    calls = _refuse_calibration(monkeypatch)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "memory budget" in err[0]
+    assert not calls and not list(tmp_path.glob("*.csv"))
+    # the same grid on Lanczos fits the budget and goes on to calibrate
+    lanczos = ExperimentConfig.from_dict(dict(raw, truncation=None))
+    with pytest.raises(RuntimeError, match="calibration reached"):
+        run_convergence_experiment(lanczos, threads=1)
+    assert calls == [lanczos]
+
+
+@pytest.mark.parametrize("threads", ["-1", "0"])
+def test_threads_below_one_is_a_config_error(threads, monkeypatch, tmp_path, capsys):
+    calls = _refuse_calibration(monkeypatch)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY_CONFIG))
+    argv = ["run", "--config", str(cfg_path), "--out-dir", str(tmp_path), "--threads", threads]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: need at least 1 thread, got {threads}"]
+    assert not calls and not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("truncation, expected", [(None, 10), (4, 10), (20, 20), ("full", 300)])
