@@ -37,7 +37,8 @@ from .network import NetworkSpec
 EIGEN_TOL = 1e-8
 MAX_FAILURE_FRACTION = 0.10
 THREADS_ENV_VAR = "CONVERGE_THREADS"
-MEMORY_FRACTION = 0.5  # of the memory free at start, for the cells running at once
+MEMORY_FRACTION = 0.5  # of the available memory, for the cells running at once
+PROC, CGROUP = Path("/proc"), Path("/sys/fs/cgroup")  # read by available_memory
 
 
 class ConfigError(ValueError):
@@ -52,7 +53,7 @@ def default_thread_count() -> int:
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
         try:
-            return max(1, int(env))
+            return int(env)  # below 1 is refused where the workers start
         except ValueError as exc:
             raise ConfigError(f"bad {THREADS_ENV_VAR} value: {env!r}") from exc
     if hasattr(os, "sched_getaffinity"):
@@ -61,9 +62,34 @@ def default_thread_count() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def memory_budget() -> int:
-    """Bytes the concurrently running cells may hold: a fixed share of free memory."""
-    return int(MEMORY_FRACTION * os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+def available_memory() -> int | None:
+    """Bytes this process may allocate: MemAvailable, which counts reclaimable
+    page cache, capped by every cgroup memory limit on the process's path.
+    None where /proc/meminfo cannot be read (not Linux): then nothing is capped."""
+    try:
+        meminfo = dict(line.split(":", 1) for line in (PROC / "meminfo").read_text().splitlines())
+        available = int(meminfo["MemAvailable"].split()[0]) << 10
+    except (OSError, KeyError, ValueError):
+        return None
+    try:
+        groups = [line.split(":", 2) for line in (PROC / "self/cgroup").read_text().splitlines()]
+    except OSError:  # a kernel without cgroups
+        groups = []
+    limits = {"": ("", "memory.max"), "memory": ("memory", "memory.limit_in_bytes")}  # v2, v1
+    for _, controllers, path in groups:
+        if controllers not in limits:
+            continue
+        mount, name = limits[controllers]
+        top = CGROUP / mount
+        leaf = top / path.lstrip("/")
+        for group in [leaf, *leaf.parents]:  # the process's group up to the mount
+            try:
+                available = min(available, int((group / name).read_text()))
+            except (OSError, ValueError):  # no such file, or "max"
+                pass
+            if group == top:
+                break
+    return available
 
 
 def derive_seed(master: int, n: int, trial: int) -> int:
@@ -344,22 +370,24 @@ def _run_cells(
     with a big cell while the others idle, and the records come back in grid
     order.
 
-    The workers are capped at memory_budget() // spectral.peak_bytes of the
-    largest cell, which never changes a result. A thread count below 1, or a
-    cell larger than the whole budget, raises ConfigError before calibration.
+    The workers are capped at MEMORY_FRACTION of available_memory() over
+    spectral.peak_bytes of the largest cell, and never below one; the count
+    never changes a result. A thread count below 1, or a cell larger than all
+    of the available memory, raises ConfigError before calibration.
     """
     start = time.perf_counter()
     m = config.manifold_model
     workers = default_thread_count() if threads is None else threads
     if workers < 1:
         raise ConfigError(f"need at least 1 thread, got {workers}")
-    budget = memory_budget()
+    available = available_memory()
     largest = max(spectral.peak_bytes(n, mode_count(n)) for n in config.n_grid)
-    if largest > budget:
-        raise ConfigError(f"a {largest >> 20} MiB cell exceeds a {budget >> 20} MiB memory budget")
-    if budget // largest < workers:
-        workers = budget // largest
-        msg = f"memory budget {budget >> 20} MiB, {largest >> 20} MiB a cell: {workers} workers"
+    if available is not None and largest > available:
+        raise ConfigError(f"a {largest >> 20} MiB cell exceeds {available >> 20} MiB of available memory")
+    fit = workers if available is None else max(1, int(MEMORY_FRACTION * available) // largest)
+    if fit < workers:
+        workers = fit
+        msg = f"available memory {available >> 20} MiB, {largest >> 20} MiB a cell: {workers} workers"
         print(msg, file=sys.stderr)
 
     def cell(n, trial, seed):

@@ -37,6 +37,8 @@ from .manifolds import (
     sample_uniform,
 )
 
+LANCZOS_STEPS = 40  # Lanczos iteration cap, per requested eigenpair
+
 
 def gn_inner(x: np.ndarray, y: np.ndarray) -> float:
     """<x, y>_{G_n} = (1/n) sum_i x_i y_i."""
@@ -138,9 +140,14 @@ def auto_method(n: int, K: int) -> str:
 
 
 def peak_bytes(n: int, K: int) -> int:
-    """Peak bytes of a kernel build plus an "auto" solve: the 4 n^2 touched triangle
-    for Lanczos, and about 40 n^2 with the dense method's matrix and eigh workspace."""
-    return (40 if auto_method(n, K) == "dense" else 4) * n * n
+    """Peak bytes of a kernel build plus an "auto" solve. Lanczos: the 4 n^2
+    touched triangle, 16 n a step for the basis and its sweeps over at most
+    min(LANCZOS_STEPS K, n) steps, and 32 n K for the Ritz vectors, their
+    sweeps and the tridiagonal eigenvectors. The dense method: about 40 n^2
+    with its matrix and eigh workspace."""
+    if auto_method(n, K) == "dense":
+        return 40 * n * n
+    return 4 * n * n + 16 * n * (min(LANCZOS_STEPS * K, n) + 2 * K)
 
 
 def smallest_eigenpairs(
@@ -155,7 +162,7 @@ def smallest_eigenpairs(
     method: "lanczos" (default for K << n), "dense" (full symmetric
     eigendecomposition of the materialized matrix), or "auto".
     Raises ConvergenceFailure if residuals do not reach tol within the
-    iteration cap (40 K matvecs), or if the returned pairs' residuals
+    iteration cap (LANCZOS_STEPS K matvecs), or if the returned pairs' residuals
     ||L v - lambda v||_{G_n} exceed tol * max(lambda_K, 1).
     """
     n = op.n
@@ -170,7 +177,7 @@ def smallest_eigenpairs(
         lam, vecs = scipy.linalg.eigh(op.dense_matrix())
         lam, vecs, lvecs = lam[:K], vecs[:, :K], None
     elif method == "lanczos":
-        lam, vecs, lvecs = _lanczos(op, K, tol, seed, max_iter=40 * K)
+        lam, vecs, lvecs = _lanczos(op, K, tol, seed, max_iter=LANCZOS_STEPS * K)
     else:
         raise ValueError(f"unknown method: {method!r}")
 

@@ -300,7 +300,7 @@ def test_memory_cap_limits_the_workers(monkeypatch, tmp_path):
     # operators at once, and the result does not depend on it
     cfg = ExperimentConfig.from_dict(dict(TINY_CONFIG, trials=4))
     largest = max(spectral.peak_bytes(n, cfg.mode_count(n)) for n in cfg.n_grid)
-    monkeypatch.setattr(harness, "memory_budget", lambda: 2 * largest + 1)
+    monkeypatch.setattr(harness, "available_memory", lambda: int(2 * largest / harness.MEMORY_FRACTION))
     build = graph.build_laplacian
     lock = threading.Lock()
     live, most = [0], [0]
@@ -341,31 +341,112 @@ def _refuse_calibration(monkeypatch):
     return calls
 
 
-def test_cell_over_the_memory_budget_is_a_config_error(monkeypatch, tmp_path, capsys):
-    # K = n takes the dense method, at about 40 n^2 bytes, not Lanczos' 4 n^2
+def test_cell_over_the_available_memory_is_a_config_error(monkeypatch, tmp_path, capsys):
+    # K = n takes the dense method, at about 40 n^2 bytes; the same grid on
+    # Lanczos is counted at its kernel, basis and Ritz vectors
     raw = dict(TINY_CONFIG, n_grid=[256, 512], truncation="full")
-    assert spectral.peak_bytes(512, 512) == 10 * spectral.peak_bytes(512, 3)
-    monkeypatch.setattr(harness, "memory_budget", lambda: 2 * spectral.peak_bytes(512, 3))
+    available = spectral.peak_bytes(512, 512) - 1
+    assert spectral.peak_bytes(512, 3) < harness.MEMORY_FRACTION * available
+    monkeypatch.setattr(harness, "available_memory", lambda: available)
     calls = _refuse_calibration(monkeypatch)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "memory budget" in err[0]
+    assert len(err) == 1 and "available memory" in err[0]
     assert not calls and not list(tmp_path.glob("*.csv"))
-    # the same grid on Lanczos fits the budget and goes on to calibrate
+    # the same grid on Lanczos fits and goes on to calibrate
     lanczos = ExperimentConfig.from_dict(dict(raw, truncation=None))
     with pytest.raises(RuntimeError, match="calibration reached"):
         run_convergence_experiment(lanczos, threads=1)
     assert calls == [lanczos]
 
 
+def test_cell_over_the_worker_share_runs_alone(monkeypatch, capsys):
+    # the fraction sizes concurrency only: a cell that fits the whole of the
+    # available memory runs, on one worker
+    cfg = ExperimentConfig.from_dict(TINY_CONFIG)
+    largest = max(spectral.peak_bytes(n, cfg.mode_count(n)) for n in cfg.n_grid)
+    monkeypatch.setattr(harness, "available_memory", lambda: largest + 1)
+    result = run_convergence_experiment(cfg, threads=4)
+    assert result.metadata["workers"] == 1 and result.metadata["failures"] == 0
+    assert "1 workers" in capsys.readouterr().err
+
+
+def _fake_system(root, meminfo_kib, cgroup_lines, limits):
+    """A /proc and a /sys/fs/cgroup under root; limits maps a group file to its text."""
+    free, available = meminfo_kib
+    proc = root / "proc"
+    (proc / "self").mkdir(parents=True)
+    (proc / "meminfo").write_text(
+        f"MemTotal:       8222320 kB\nMemFree:        {free} kB\nMemAvailable:   {available} kB\n"
+    )
+    (proc / "self" / "cgroup").write_text("".join(f"{line}\n" for line in cgroup_lines))
+    for name, text in limits.items():
+        (root / "cgroup" / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / "cgroup" / name).write_text(text)
+    return proc, root / "cgroup"
+
+
+GIB = 1 << 30
+V1_LINES = ["4:memory:/jobs/one", "3:cpuset:/jobs", "0::/"]
+
+
+@pytest.mark.parametrize(
+    "cgroup_lines, limits, expected",
+    [
+        # no limit set: MemAvailable (4 GiB), not MemFree (400 MiB)
+        (V1_LINES, {"memory/memory.limit_in_bytes": "9223372036854771712\n", "memory.max": "max\n"}, 4 * GIB),
+        # a cgroup v1 limit on an ancestor of the process's group
+        (V1_LINES, {"memory/jobs/memory.limit_in_bytes": f"{3 * GIB}\n",
+                    "memory/jobs/one/memory.limit_in_bytes": "9223372036854771712\n"}, 3 * GIB),
+        # a cgroup v2 limit on the process's group
+        (["0::/app"], {"app/memory.max": f"{2 * GIB}\n", "memory.max": "max\n"}, 2 * GIB),
+        # a limit outside the process's path is not its own
+        (["0::/app"], {"other/memory.max": f"{GIB}\n"}, 4 * GIB),
+    ],
+)
+def test_available_memory_counts_page_cache_and_cgroup_limits(
+    cgroup_lines, limits, expected, monkeypatch, tmp_path
+):
+    proc, cgroup = _fake_system(tmp_path, (409600, 4194304), cgroup_lines, limits)
+    monkeypatch.setattr(harness, "PROC", proc)
+    monkeypatch.setattr(harness, "CGROUP", cgroup)
+    assert harness.available_memory() == expected
+
+
+def test_low_free_memory_does_not_refuse_a_large_cell(monkeypatch, tmp_path):
+    # 400 MiB free, 4 GiB available once page cache is reclaimed: a pinned
+    # n = 8192 Lanczos cell fits and the run goes on to calibrate
+    proc, cgroup = _fake_system(tmp_path, (409600, 4194304), ["0::/"], {})
+    monkeypatch.setattr(harness, "PROC", proc)
+    monkeypatch.setattr(harness, "CGROUP", cgroup)
+    calls = _refuse_calibration(monkeypatch)
+    cfg = ExperimentConfig.from_dict(dict(TINY_CONFIG, n_grid=[8192], trials=1))
+    with pytest.raises(RuntimeError, match="calibration reached"):
+        run_convergence_experiment(cfg, threads=2)
+    assert calls == [cfg]
+
+
+def test_run_without_a_memory_reading_is_uncapped(monkeypatch, tmp_path):
+    # where /proc cannot be read (not Linux) the requested workers all run
+    monkeypatch.setattr(harness, "PROC", tmp_path / "missing")
+    assert harness.available_memory() is None
+    result = run_convergence_experiment(ExperimentConfig.from_dict(TINY_CONFIG), threads=2)
+    assert result.metadata["workers"] == 2 and result.metadata["failures"] == 0
+
+
+@pytest.mark.parametrize("source", ["option", "env"])
 @pytest.mark.parametrize("threads", ["-1", "0"])
-def test_threads_below_one_is_a_config_error(threads, monkeypatch, tmp_path, capsys):
+def test_threads_below_one_is_a_config_error(threads, source, monkeypatch, tmp_path, capsys):
     calls = _refuse_calibration(monkeypatch)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(TINY_CONFIG))
-    argv = ["run", "--config", str(cfg_path), "--out-dir", str(tmp_path), "--threads", threads]
+    argv = ["run", "--config", str(cfg_path), "--out-dir", str(tmp_path)]
+    if source == "option":
+        argv += ["--threads", threads]
+    else:
+        monkeypatch.setenv(harness.THREADS_ENV_VAR, threads)
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"config error: need at least 1 thread, got {threads}"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,21 @@ def test_lanczos_stops_near_the_converged_step(monkeypatch, manifold, K, n):
     smallest_eigenpairs(op, K=K, tol=1e-8, seed=3, method="lanczos")
     assert first <= len(calls) <= first + 2
     assert len(calls) <= fixed + 1
+
+
+def test_peak_bytes_bounds_a_large_integer_truncation():
+    # K just under n // 3 stays on Lanczos, whose basis then outgrows the
+    # kernel; the solve's own allocations fit what peak_bytes adds to it
+    n, K = 600, 199
+    assert spectral.auto_method(n, K) == "lanczos"
+    _, op = _operator(manifolds.sphere2(), n, seed=3)
+    tracemalloc.start()
+    try:
+        smallest_eigenpairs(op, K=K, tol=1e-8, seed=1)
+        solve = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 4 * n * n < solve <= spectral.peak_bytes(n, K) - 4 * n * n
 
 
 def test_circle_first_eigenvalue_near_one():
