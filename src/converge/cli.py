@@ -95,9 +95,10 @@ def _cmd_fit(args) -> int:
             for row in csv.DictReader(fh):
                 if row.get("error"):
                     rows.append((int(row["n"]), float(row["error"])))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except KeyError as exc:
+        raise ConfigError(f"{args.csv} has no {exc} column") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {args.csv}: {exc}") from exc
     by_n: dict[int, list[float]] = {}
     for n, e in rows:
         by_n.setdefault(n, []).append(e)

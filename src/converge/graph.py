@@ -31,8 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cython_blas
 
-from .manifolds import PointCloud
-
 TILE_ROWS = 256
 
 
@@ -228,9 +226,9 @@ class LaplacianOperator:
         return float(2.0 * self._scale * self._degrees.max())
 
 
-def build_laplacian(points: PointCloud | np.ndarray, scheme: KernelScheme) -> LaplacianOperator:
-    """Construct the calibrated graph Laplacian for a point cloud."""
-    x = points.points if isinstance(points, PointCloud) else np.asarray(points, float)
+def build_laplacian(points: np.ndarray, scheme: KernelScheme) -> LaplacianOperator:
+    """Construct the calibrated graph Laplacian for an (n, D) point array."""
+    x = np.asarray(points, float)
     if x.shape[0] < 2:
         raise ValueError(f"need at least 2 points, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import graph, manifolds, network, spectral
 from .filters import filter_from_config
-from .manifolds import BandlimitedSignal, ManifoldModel
+from .manifolds import BandlimitedSignal, Manifold
 from .network import NetworkSpec
 
 EIGEN_TOL = 1e-8
@@ -123,7 +123,7 @@ class ExperimentConfig:
     eigen_index: int = 1
 
     def __post_init__(self):
-        if self.manifold not in ("circle", "sphere2"):
+        if not isinstance(self.manifold, str) or self.manifold not in manifolds.MODELS:
             raise ConfigError(f"unknown manifold: {self.manifold!r}")
         if self.scheme_tag not in ("heat", "gaussian"):
             raise ConfigError(f"unknown graph scheme: {self.scheme_tag!r}")
@@ -138,10 +138,14 @@ class ExperimentConfig:
         if self.truncation is not None and self.truncation != "full":
             if not isinstance(self.truncation, int) or self.truncation < 1:
                 raise ConfigError("truncation must be a positive integer or 'full'")
+        try:
+            self.build_network()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad network: {exc}") from exc
 
     @property
-    def manifold_model(self) -> ManifoldModel:
-        return ManifoldModel(self.manifold)
+    def manifold_model(self) -> Manifold:
+        return manifolds.MODELS[self.manifold]
 
     @property
     def signal(self) -> BandlimitedSignal:
@@ -195,51 +199,67 @@ class ExperimentConfig:
                 raise ConfigError(f"missing required config key: {key!r}")
             return d.pop(key, default)
 
+        def number(kind, key: str, value):
+            try:
+                return kind(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from exc
+
+        def section(key: str) -> dict:
+            value = take(raw, key, default={}) or {}
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key} must be an object, got {value!r}")
+            return dict(value)
+
         manifold = take(raw, "manifold", required=True)
-        signal = dict(take(raw, "signal", default={}) or {})
+        signal = section("signal")
         coeffs = signal.pop("coefficients", None)
         if signal:
             raise ConfigError(f"unknown signal keys: {sorted(signal)}")
         if coeffs is None:
             # default: unit coefficients on modes 1..9
             coeffs = [0.0] + [1.0] * 9
+        elif not isinstance(coeffs, list):
+            raise ConfigError(f"signal coefficients must be a list, got {coeffs!r}")
         network = take(raw, "network", required=True)
         if not isinstance(network, dict) or "widths" not in network or "filters" not in network:
             raise ConfigError("network config needs 'widths' and 'filters'")
         unknown_net = set(network) - {"widths", "filters", "nonlinearity"}
         if unknown_net:
             raise ConfigError(f"unknown network keys: {sorted(unknown_net)}")
-        g = dict(take(raw, "graph", default={}) or {})
+        g = section("graph")
         scheme_tag = g.pop("scheme", "gaussian")
-        bandwidth_constant = float(g.pop("bandwidth_constant", 1.0))
+        bandwidth_constant = number(float, "bandwidth_constant", g.pop("bandwidth_constant", 1.0))
         if g:
             raise ConfigError(f"unknown graph keys: {sorted(g)}")
         ngrid_raw = take(raw, "n_grid", required=True)
         if isinstance(ngrid_raw, dict):
-            unknown = set(ngrid_raw) - {"start", "stop", "count"}
-            if unknown:
-                raise ConfigError(f"unknown n_grid keys: {sorted(unknown)}")
-            n_grid = log_spaced_grid(
-                int(ngrid_raw["start"]), int(ngrid_raw["stop"]), int(ngrid_raw["count"])
-            )
+            keys = ("start", "stop", "count")
+            if sorted(ngrid_raw) != sorted(keys):
+                raise ConfigError(f"an n_grid range needs exactly {keys}, got {sorted(ngrid_raw)}")
+            n_grid = log_spaced_grid(*(number(int, f"n_grid {k}", ngrid_raw[k]) for k in keys))
+        elif isinstance(ngrid_raw, list):
+            n_grid = [number(int, "an n_grid entry", v) for v in ngrid_raw]
         else:
-            n_grid = [int(v) for v in ngrid_raw]
-        trials = int(take(raw, "trials", default=20))
-        seed = int(take(raw, "seed", default=0))
+            raise ConfigError("n_grid must be a list or a {start, stop, count} range")
+        trials = number(int, "trials", take(raw, "trials", default=20))
+        seed = number(int, "seed", take(raw, "seed", default=0))
         truncation = take(raw, "truncation")
-        eigen_index = int(take(raw, "eigen_index", default=1))
+        if truncation not in (None, "full"):
+            truncation = number(int, "truncation", truncation)
+        eigen_index = number(int, "eigen_index", take(raw, "eigen_index", default=1))
         if raw:
             raise ConfigError(f"unknown config keys: {sorted(raw)}")
         return ExperimentConfig(
             manifold=manifold,
-            signal_coefficients=tuple(float(c) for c in coeffs),
+            signal_coefficients=tuple(number(float, "a signal coefficient", c) for c in coeffs),
             network_raw=network,
             scheme_tag=scheme_tag,
             bandwidth_constant=bandwidth_constant,
             n_grid=tuple(n_grid),
             trials=trials,
             seed=seed,
-            truncation=truncation if truncation in (None, "full") else int(truncation),
+            truncation=truncation,
             eigen_index=eigen_index,
         )
 
@@ -278,7 +298,7 @@ def resolve_calibration(config: ExperimentConfig, check_n: int = 2048) -> dict:
     so. The chosen path is recorded in the experiment metadata.
     """
     m = config.manifold_model
-    target = 1.0 if m.kind == "circle" else 2.0
+    target = m.eigenvalue(1)
     scheme = graph.calibrated_scheme(config.scheme_tag, m, check_n, config.bandwidth_constant)
     analytic = scheme.calibration
     cloud = manifolds.sample_uniform(m, check_n, derive_seed(config.seed, check_n, 10**6))
@@ -444,18 +464,18 @@ def run_convergence_experiment(
     sig = config.signal
     if net.widths[0] != 1:
         raise ConfigError("convergence experiment expects a single input feature")
-    pairs = manifolds.continuum_eigenpairs(m, sig.bandwidth + 1)
+    lam = m.eigenvalues(sig.bandwidth + 1)
     coeffs = sig.coefficients[None, :]
 
     def hidden_layers():
         # sample-independent: built once, beside the calibration solve
-        return network.continuum_hidden_layers(net, m, pairs, coeffs)
+        return network.continuum_hidden_layers(net, m, lam, coeffs)
 
     def measure(cloud, eig, hidden):
         tail, tail_coeffs, _ = hidden
         x0 = manifolds.evaluate_signal(sig, m, cloud)[None, :]
         disc = network.forward_discrete(net, eig, x0)
-        cont = network.forward_continuum(tail, m, pairs, tail_coeffs, cloud)
+        cont = network.forward_continuum(tail, m, lam, tail_coeffs, cloud)
         return {"error": network.mnn_error(disc, cont)}
 
     result = _run_cells(
@@ -471,21 +491,20 @@ def eigen_convergence_experiment(
     """Eigenvalue / aligned-eigenvector error versus n, with rate fits."""
     m = config.manifold_model
     idx = config.eigen_index
-    # pairs through the end of idx's multiplicity cluster, which ends before
-    # index 2 idx + 2 on both manifolds; a cut cluster would make the
+    # modes through the end of idx's level: a cut level would make the
     # Procrustes alignment pick an arbitrary slice of a near-degenerate space
-    pairs = manifolds.continuum_eigenpairs(m, 2 * idx + 2)
-    pairs = [p for p in pairs if p.multiplicity_group <= pairs[idx].multiplicity_group]
-    groups = spectral.multiplicity_groups([p.eigenvalue for p in pairs])
+    count = m.level_end(idx)
+    lam = m.eigenvalues(count)
+    groups = spectral.multiplicity_groups(lam)
 
     def measure(cloud, eig, _):
-        projected = spectral.project_eigenfunctions(pairs, cloud)
+        projected = spectral.project_eigenfunctions(m, cloud, count)
         aligned = spectral.align_to_continuum(eig, projected, groups)
-        lam_err, vec_err = spectral.eigen_errors(aligned, pairs, projected)
+        lam_err, vec_err = spectral.eigen_errors(aligned, lam, projected)
         return {"lambda_error": float(lam_err[idx]), "vector_error": float(vec_err[idx])}
 
     keys = ("lambda_error", "vector_error")
-    result = _run_cells(config, threads, keys, lambda n: len(pairs), measure)
+    result = _run_cells(config, threads, keys, lambda n: count, measure)
     result.fit = {key: _fit_or_none(result.per_n, key) for key in keys}
     return result
 

@@ -1,21 +1,22 @@
 """Manifold neural network forward passes, discrete and continuum.
 
 The discrete pass runs on a graph-Laplacian EigenSystem; the continuum pass
-runs on analytic eigenpairs and is exact for bandlimited inputs through the
-first nonlinearity. The continuum hidden layers of deeper networks run on a
-quadrature grid, re-expanded onto a truncated eigenbasis, and need no sample
-points: `continuum_hidden_layers` computes them once per experiment (the
-harness runs it beside the calibration solve), and `forward_continuum` on the
-one-layer tail it returns evaluates the exact last layer at any point cloud.
-Both evaluate the eigenbasis with one `manifolds.eigenbasis` call per point
-set. The two passes are compared by summing per-feature G_n norms of the
-difference at the sample points.
+runs on the manifold model's closed-form eigenbasis and eigenvalues
+(`manifolds.Manifold.eigenvalues`) and is exact for bandlimited inputs
+through the first nonlinearity. The continuum hidden layers of deeper
+networks run on a quadrature grid, re-expanded onto a truncated eigenbasis,
+and need no sample points: `continuum_hidden_layers` computes them once per
+experiment (the harness runs it beside the calibration solve), and
+`forward_continuum` on the one-layer tail it returns evaluates the exact
+last layer at any (n, D) point array. Both evaluate the eigenbasis with one
+`manifolds.eigenbasis` call per point set. The two passes are compared by
+summing per-feature G_n norms of the difference at the sample points.
 
 Truncation contract: both sides keep K modes at every layer, not
 DEFAULT_REEXPANSION_MODES. The discrete side keeps the eigensystem's K modes
 in `filter_apply_discrete`, after every nonlinearity too. The continuum side
-re-expands each hidden layer onto min(reexpansion_modes, len(eigenpairs))
-modes, and the rate experiment passes as many continuum eigenpairs as the
+re-expands each hidden layer onto min(reexpansion_modes, len(eigenvalues))
+modes, and the rate experiment passes as many continuum eigenvalues as the
 signal has coefficients, which is K = `ExperimentConfig.mode_count(n)` unless
 a config's `truncation` asks for more (10 modes on `sphere_rate.json`).
 Modes a hidden layer drops are what its quadrature residual measures.
@@ -24,18 +25,11 @@ Modes a hidden layer drops are what its quadrature residual measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .filters import SpectralFilter
-from .manifolds import (
-    ContinuumEigenpair,
-    ManifoldModel,
-    PointCloud,
-    eigenbasis,
-    quadrature_nodes,
-)
+from .manifolds import Manifold, eigenbasis, quadrature_nodes
 from .spectral import EigenSystem, gn_norm
 
 NONLINEARITIES = {
@@ -137,9 +131,9 @@ class ContinuumOutput:
     feature_sup_norms: list[float] = field(default_factory=list)
 
 
-def _apply_bank(bank, eigenpairs, coeffs):
+def _apply_bank(bank, eigenvalues, coeffs):
     """Filtered coefficients: row p is sum_q h^pq(lambda) * coeffs[q]."""
-    lam = np.array([p.eigenvalue for p in eigenpairs[: coeffs.shape[1]]])
+    lam = eigenvalues[: coeffs.shape[1]]
     return np.stack(
         [sum(row[q].evaluate(lam) * coeffs[q] for q in range(len(row))) for row in bank]
     )
@@ -147,8 +141,8 @@ def _apply_bank(bank, eigenpairs, coeffs):
 
 def continuum_hidden_layers(
     net: NetworkSpec,
-    manifold: ManifoldModel,
-    eigenpairs: Sequence[ContinuumEigenpair],
+    manifold: Manifold,
+    eigenvalues: np.ndarray,
     coefficients: np.ndarray,
     reexpansion_modes: int = DEFAULT_REEXPANSION_MODES,
 ) -> tuple[NetworkSpec, np.ndarray, ContinuumOutput]:
@@ -158,25 +152,24 @@ def continuum_hidden_layers(
     ContinuumOutput (values unset) with the hidden layers' quadrature
     residuals and norms. Filters act diagonally on coefficients with the
     continuum eigenvalues. A nonlinear hidden layer is re-expanded onto the
-    first `reexpansion_modes` eigenpairs by quadrature; the dropped mass is
-    its quadrature residual.
+    first `reexpansion_modes` modes by quadrature; the dropped mass is its
+    quadrature residual. eigenvalues[i] is the eigenvalue of mode i.
     """
     coeffs = np.atleast_2d(np.asarray(coefficients, dtype=float))
     if coeffs.shape[0] != net.widths[0]:
         raise ValueError(f"input has {coeffs.shape[0]} features, expected {net.widths[0]}")
-    if coeffs.shape[1] > len(eigenpairs):
+    if coeffs.shape[1] > len(eigenvalues):
         raise ValueError(
-            f"bandwidth {coeffs.shape[1] - 1} exceeds the {len(eigenpairs)} "
-            "available eigenpairs"
+            f"bandwidth {coeffs.shape[1] - 1} exceeds the {len(eigenvalues)} available modes"
         )
     out = ContinuumOutput(values=None)
     if net.depth > 1:
         grid, grid_w = quadrature_nodes(manifold)
-        k = min(reexpansion_modes, len(eigenpairs))
+        k = min(reexpansion_modes, len(eigenvalues))
         # every layer's input has either the signal's width or k coefficients
         grid_basis = eigenbasis(manifold, grid, max(k, coeffs.shape[1]))
     for bank in net.filters[:-1]:
-        filtered = _apply_bank(bank, eigenpairs, coeffs)
+        filtered = _apply_bank(bank, eigenvalues, coeffs)
         grid_vals = net.sigma(filtered @ grid_basis[:, : coeffs.shape[1]].T)
         if net.nonlinearity == "identity":
             coeffs = filtered  # still bandlimited, nothing to re-expand
@@ -196,26 +189,26 @@ def continuum_hidden_layers(
 
 def forward_continuum(
     net: NetworkSpec,
-    manifold: ManifoldModel,
-    eigenpairs: Sequence[ContinuumEigenpair],
+    manifold: Manifold,
+    eigenvalues: np.ndarray,
     coefficients: np.ndarray,
-    points: PointCloud,
+    points: np.ndarray,
     reexpansion_modes: int = DEFAULT_REEXPANSION_MODES,
 ) -> ContinuumOutput:
     """Exact continuum network evaluated at the sample points (P_n of Eq. output).
 
     coefficients has shape (F_0, kappa+1): each input feature is bandlimited
-    in the provided eigenbasis. After `continuum_hidden_layers`, the final
+    in the manifold's first modes, with the given eigenvalues. After `continuum_hidden_layers`, the final
     nonlinearity is applied pointwise at the sample points, which is exact.
     """
     tail, coeffs, out = continuum_hidden_layers(
-        net, manifold, eigenpairs, coefficients, reexpansion_modes
+        net, manifold, eigenvalues, coefficients, reexpansion_modes
     )
-    filtered = _apply_bank(tail.filters[0], eigenpairs, coeffs)
-    vals = filtered @ eigenbasis(manifold, points.points, coeffs.shape[1]).T
+    filtered = _apply_bank(tail.filters[0], eigenvalues, coeffs)
+    vals = filtered @ eigenbasis(manifold, points, coeffs.shape[1]).T
     out.values = tail.sigma(vals)
     out.feature_l2_norms.extend(
-        float(np.linalg.norm(v)) / np.sqrt(points.n) for v in out.values
+        float(np.linalg.norm(v)) / np.sqrt(len(points)) for v in out.values
     )
     out.feature_sup_norms.extend(float(np.max(np.abs(v))) for v in out.values)
     return out

@@ -28,14 +28,7 @@ import scipy.linalg
 
 from .bounds import hoeffding_bound
 from .graph import LaplacianOperator
-from .manifolds import (
-    ContinuumEigenpair,
-    ManifoldModel,
-    PointCloud,
-    eigenbasis,
-    quadrature_nodes,
-    sample_uniform,
-)
+from .manifolds import Manifold, eigenbasis, quadrature_nodes, sample_uniform
 
 LANCZOS_STEPS = 40  # Lanczos iteration cap, per requested eigenpair
 
@@ -216,18 +209,9 @@ def multiplicity_groups(
     return groups
 
 
-def project_eigenfunctions(
-    pairs: Sequence[ContinuumEigenpair], points: PointCloud | np.ndarray
-) -> np.ndarray:
-    """P_n phi_i for each continuum eigenfunction: row i holds phi_i at the samples.
-
-    The pairs are the lowest modes in order, as `continuum_eigenpairs` gives
-    them, so one `eigenbasis` call evaluates them all.
-    """
-    if [p.index for p in pairs] != list(range(len(pairs))):
-        raise ValueError("pairs must be the lowest eigenpairs, in index order")
-    x = points.points if isinstance(points, PointCloud) else points
-    return eigenbasis(pairs[0].manifold, x, len(pairs)).T
+def project_eigenfunctions(manifold: Manifold, points: np.ndarray, count: int) -> np.ndarray:
+    """P_n phi_i for the first `count` continuum modes: row i holds phi_i at the samples."""
+    return eigenbasis(manifold, points, count).T
 
 
 def align_to_continuum(
@@ -269,18 +253,19 @@ def align_to_continuum(
 
 def eigen_errors(
     aligned: EigenSystem,
-    continuum: Sequence[ContinuumEigenpair],
+    eigenvalues: np.ndarray,
     projected: Sequence[np.ndarray],
 ):
     """Per-index (|lambda_i - lambda_i^n|, ||P_n phi_i - phi_i^n||_{G_n}).
 
-    projected[i] is P_n phi_i, as `project_eigenfunctions` returns it.
+    eigenvalues[i] is the continuum eigenvalue of mode i, and projected[i] is
+    P_n phi_i, as `project_eigenfunctions` returns it.
     """
-    k = min(aligned.count, len(continuum))
+    k = min(aligned.count, len(eigenvalues))
     lam_err = np.empty(k)
     vec_err = np.empty(k)
     for i in range(k):
-        lam_err[i] = abs(continuum[i].eigenvalue - aligned.eigenvalues[i])
+        lam_err[i] = abs(eigenvalues[i] - aligned.eigenvalues[i])
         vec_err[i] = gn_norm(projected[i] - aligned.eigenvectors[:, i])
     return lam_err, vec_err
 
@@ -288,7 +273,7 @@ def eigen_errors(
 def hoeffding_check(
     f: Callable[[np.ndarray], np.ndarray],
     g: Callable[[np.ndarray], np.ndarray],
-    manifold: ManifoldModel,
+    manifold: Manifold,
     n: int,
     trials: int,
     seed: int,
@@ -308,7 +293,7 @@ def hoeffding_check(
     violations = 0
     for trial in range(trials):
         cloud = sample_uniform(manifold, n, seed + trial)
-        dev = abs(gn_inner(f(cloud.points), g(cloud.points)) - exact)
+        dev = abs(gn_inner(f(cloud), g(cloud)) - exact)
         if dev > bound:
             violations += 1
     return violations / trials

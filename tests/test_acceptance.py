@@ -146,7 +146,7 @@ def test_criterion_4_lanczos_vs_dense():
     ok = True
     details = []
     for tag in ("heat", "gaussian"):
-        m = manifolds.sphere2()
+        m = manifolds.Sphere2()
         cloud = manifolds.sample_uniform(m, 256, seed=4)
         op = build_laplacian(cloud, calibrated_scheme(tag, m, 256))
         lanczos = smallest_eigenpairs(op, K=10, tol=1e-9, method="lanczos")
@@ -198,7 +198,7 @@ def test_criterion_6_structural_invariants():
 
     # symmetry / PSD / zero row sum on 20 random operators
     for i in range(20):
-        m = manifolds.circle() if i % 2 else manifolds.sphere2()
+        m = manifolds.Circle() if i % 2 else manifolds.Sphere2()
         tag = "heat" if i % 3 == 0 else "gaussian"
         n = int(rng.integers(50, 200))
         cloud = manifolds.sample_uniform(m, n, seed=1000 + i)
@@ -208,7 +208,7 @@ def test_criterion_6_structural_invariants():
         ok = ok and scipy.linalg.eigvalsh(L).min() >= -1e-8
 
     # non-amplification of a sup<=1 filter on 50 random signals
-    m = manifolds.circle()
+    m = manifolds.Circle()
     cloud = manifolds.sample_uniform(m, 128, seed=5)
     op = build_laplacian(cloud, calibrated_scheme("gaussian", m, 128))
     full = smallest_eigenpairs(op, K=128, method="dense")
@@ -256,8 +256,8 @@ def test_criterion_7_bound_calculators():
 
 
 def test_criterion_8_hoeffding_violation_rate():
-    m = manifolds.circle()
-    phi1 = manifolds.continuum_eigenpairs(m, 2)[1].evaluate
+    m = manifolds.Circle()
+    phi1 = lambda x: manifolds.eigenbasis(m, x, 2)[:, 1]
     rate = spectral.hoeffding_check(phi1, phi1, m, n=4096, trials=200, seed=5)
     ok = rate <= 0.01
     _verdict(8, "empirical Hoeffding violation rate <= 1%", ok, f"rate={rate:.3f}")

@@ -76,8 +76,8 @@ def test_build_validation():
 
 @pytest.fixture(params=["heat", "gaussian"])
 def small_operator(request):
-    cloud = manifolds.sample_uniform(manifolds.circle(), 64, seed=5)
-    scheme = calibrated_scheme(request.param, manifolds.circle(), 64)
+    cloud = manifolds.sample_uniform(manifolds.Circle(), 64, seed=5)
+    scheme = calibrated_scheme(request.param, manifolds.Circle(), 64)
     return build_laplacian(cloud, scheme)
 
 
@@ -123,13 +123,12 @@ def test_matvec_against_hand_computed_3x3():
 @pytest.mark.parametrize("tag", ["heat", "gaussian"])
 def test_kernel_matches_pairwise_reference_across_tiles(monkeypatch, tag):
     monkeypatch.setattr(graph, "TILE_ROWS", 64)
-    m = manifolds.sphere2()
+    m = manifolds.Sphere2()
     n = 300  # five row tiles, the last one ragged
-    cloud = manifolds.sample_uniform(m, n, seed=8)
+    p = manifolds.sample_uniform(m, n, seed=8)
     scheme = calibrated_scheme(tag, m, n)
-    op = build_laplacian(cloud, scheme)
+    op = build_laplacian(p, scheme)
     # kernel from all n^2 pairwise distances
-    p = cloud.points
     r2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
     k = scheme.kernel_prefactor() * np.exp(-r2 / scheme.kernel_denominator())
     np.fill_diagonal(k, 0.0)
@@ -203,7 +202,7 @@ def test_smallest_eigenvalue_zero_with_constant_vector(small_operator):
 def test_calibration_empirical_circle():
     # first nonzero eigenvalue of the calibrated gaussian Laplacian on the
     # circle approaches 1 (= lambda of cos theta)
-    m = manifolds.circle()
+    m = manifolds.Circle()
     n = 8192
     cloud = manifolds.sample_uniform(m, n, seed=17)
     scheme = calibrated_scheme("gaussian", m, n)
@@ -214,7 +213,7 @@ def test_calibration_empirical_circle():
 
 @pytest.mark.slow
 def test_scheme_agreement_on_circle():
-    m = manifolds.circle()
+    m = manifolds.Circle()
     n = 8192
     cloud = manifolds.sample_uniform(m, n, seed=21)
     lam = {}

@@ -46,6 +46,9 @@ TWO_LAYER_CONFIG = dict(
         "nonlinearity": "abs",
     },
 )
+SPHERE_EIGEN_CONFIG = dict(
+    TINY_CONFIG, manifold="sphere2", graph={"scheme": "gaussian", "bandwidth_constant": 2.0}
+)
 EXPERIMENTS = {
     "run": (run_convergence_experiment, ("error",)),
     "eigen": (eigen_convergence_experiment, ("lambda_error", "vector_error")),
@@ -178,6 +181,9 @@ def test_run_determinism(tiny_result, two_layer_runs, tmp_path):
     again = run_convergence_experiment(ExperimentConfig.from_dict(TINY_CONFIG), threads=2)
     pairs = [(tiny_result, again)]
     pairs += [(two_layer_runs[1][0], two_layer_runs[t][0]) for t in (2, 4)]
+    eigen_cfg = ExperimentConfig.from_dict(SPHERE_EIGEN_CONFIG)
+    eigen = {t: eigen_convergence_experiment(eigen_cfg, threads=t) for t in (1, 2, 4)}
+    pairs += [(eigen[1], eigen[t]) for t in (2, 4)]
     for a, b in pairs:
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_csv(a, p1)
@@ -607,6 +613,47 @@ def test_cli_run_and_fit(tmp_path, capsys):
     code = main(["eigen", "--config", str(cfg_path), "--out-dir", str(tmp_path), "--threads", "1"])
     assert code == 0
     assert list(tmp_path.glob("eigen_*.csv"))
+
+
+def _network(widths, *families):
+    return {"widths": widths, "filters": [[[{"family": f}] for f in families]]}
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("run", dict(TINY_CONFIG, trials="x")),
+        ("run", dict(TINY_CONFIG, graph={"bandwidth_constant": "x"})),
+        ("run", dict(TINY_CONFIG, truncation="abc")),
+        ("run", dict(TINY_CONFIG, n_grid={"start": 200})),
+        ("run", dict(TINY_CONFIG, network=_network([1, 1], "wavelet"))),
+        ("run", dict(TINY_CONFIG, network=_network([1, 2], "exponential"))),  # incomplete bank
+        ("eigen", dict(TINY_CONFIG, manifold="torus")),
+        ("eigen", dict(TINY_CONFIG, manifold=["circle"])),
+        ("run", dict(TINY_CONFIG, graph=5)),
+        ("run", dict(TINY_CONFIG, signal={"coefficients": 5})),
+        ("fit", "trial,seed,error\n0,1,0.5\n"),  # no n column
+        ("fit", "n,trial,seed,error\n128,0,1,abc\n"),
+    ],
+    ids=[
+        "trials", "bandwidth", "truncation", "n_grid", "family", "bank",
+        "manifold", "manifold-list", "graph-scalar", "coefficients-scalar", "no-n", "error-nan",
+    ],
+)
+def test_bad_values_are_config_errors(command, content, monkeypatch, tmp_path, capsys):
+    calls = _refuse_calibration(monkeypatch)
+    if command == "fit":
+        path = tmp_path / "results.csv"
+        path.write_text(content)
+        argv = ["fit", "--csv", str(path)]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(content))
+        argv = [command, "--config", str(path), "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not calls and not list(tmp_path.glob("*_*.csv"))
 
 
 def test_cli_config_error(tmp_path):

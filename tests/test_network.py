@@ -24,7 +24,7 @@ from converge.spectral import gn_norm, smallest_eigenpairs
 
 @pytest.fixture(scope="module")
 def circle_system():
-    m = manifolds.circle()
+    m = manifolds.Circle()
     cloud = manifolds.sample_uniform(m, 128, seed=1)
     op = build_laplacian(cloud, calibrated_scheme("gaussian", m, 128))
     full = smallest_eigenpairs(op, K=128, tol=1e-7, method="dense")
@@ -153,101 +153,104 @@ def test_nonlinearities_nonexpansive(a, b, name):
 
 
 def test_continuum_single_layer_closed_form():
-    m = manifolds.sphere2()
+    m = manifolds.Sphere2()
     cloud = manifolds.sample_uniform(m, 500, seed=9)
-    pairs = manifolds.continuum_eigenpairs(m, 2)
+    lam = m.eigenvalues(2)
     net = single_filter_network(exponential_filter(), "abs")
     coeffs = np.array([[0.0, 1.0]])  # f = phi_1, lambda_1 = 2
-    out = forward_continuum(net, m, pairs, coeffs, cloud)
-    expected = np.abs(math.exp(-2.0) * pairs[1].evaluate(cloud.points))
+    out = forward_continuum(net, m, lam, coeffs, cloud)
+    expected = np.abs(math.exp(-2.0) * manifolds.eigenbasis(m, cloud, 2)[:, 1])
     assert np.allclose(out.values[0], expected, atol=1e-12)
 
 
 def test_continuum_identity_network():
-    m = manifolds.circle()
+    m = manifolds.Circle()
     cloud = manifolds.sample_uniform(m, 200, seed=10)
-    pairs = manifolds.continuum_eigenpairs(m, 4)
+    lam = m.eigenvalues(4)
     h = identity_filter()
     net = NetworkSpec(
         widths=(1, 1, 1), filters=(((h,),), ((h,),)), nonlinearity="identity"
     )
     coeffs = np.array([[0.5, -1.0, 2.0, 0.0]])
     sig = manifolds.BandlimitedSignal(coeffs[0])
-    out = forward_continuum(net, m, pairs, coeffs, cloud)
+    out = forward_continuum(net, m, lam, coeffs, cloud)
     assert np.allclose(out.values[0], manifolds.evaluate_signal(sig, m, cloud), atol=1e-10)
 
 
 def test_continuum_zero_input():
-    m = manifolds.circle()
+    m = manifolds.Circle()
     cloud = manifolds.sample_uniform(m, 50, seed=11)
-    pairs = manifolds.continuum_eigenpairs(m, 3)
+    lam = m.eigenvalues(3)
     net = single_filter_network(exponential_filter(), "abs")
-    out = forward_continuum(net, m, pairs, np.zeros((1, 3)), cloud)
+    out = forward_continuum(net, m, lam, np.zeros((1, 3)), cloud)
     assert np.array_equal(out.values, np.zeros((1, 50)))
 
 
 def test_continuum_bandwidth_check():
-    m = manifolds.circle()
+    m = manifolds.Circle()
     cloud = manifolds.sample_uniform(m, 50, seed=11)
-    pairs = manifolds.continuum_eigenpairs(m, 3)
+    lam = m.eigenvalues(3)
     net = single_filter_network(exponential_filter(), "abs")
     with pytest.raises(ValueError):
-        forward_continuum(net, m, pairs, np.zeros((1, 5)), cloud)
+        forward_continuum(net, m, lam, np.zeros((1, 5)), cloud)
 
 
 def test_continuum_single_layer_matches_quadrature_bruteforce():
     # brute-force oracle for the spectral convolution: recover the filtered
     # coefficients by quadrature inner products, then evaluate
-    m = manifolds.circle()
+    m = manifolds.Circle()
     cloud = manifolds.sample_uniform(m, 300, seed=12)
-    pairs = manifolds.continuum_eigenpairs(m, 5)
+    lam = m.eigenvalues(5)
     h = exponential_filter()
     net = single_filter_network(h, "abs")
     alpha = np.array([0.3, 1.0, -0.5, 0.2, 0.7])
-    out = forward_continuum(net, m, pairs, alpha[None, :], cloud)
+    out = forward_continuum(net, m, lam, alpha[None, :], cloud)
 
     grid, w = manifolds.quadrature_nodes(m)
-    f_grid = sum(a * p.evaluate(grid) for a, p in zip(alpha, pairs))
-    filtered = np.zeros(cloud.n)
-    for p in pairs:
-        coeff = float(np.sum(w * f_grid * p.evaluate(grid)))
-        filtered += h.evaluate(p.eigenvalue) * coeff * p.evaluate(cloud.points)
+    on_grid, at_cloud = manifolds.eigenbasis(m, grid, 5), manifolds.eigenbasis(m, cloud, 5)
+    f_grid = sum(a * on_grid[:, i] for i, a in enumerate(alpha))
+    filtered = np.zeros(len(cloud))
+    for i in range(5):
+        coeff = float(np.sum(w * f_grid * on_grid[:, i]))
+        filtered += h.evaluate(lam[i]) * coeff * at_cloud[:, i]
     assert np.allclose(out.values[0], np.abs(filtered), atol=1e-6)
 
 
 def test_continuum_two_layer_reexpansion():
     # hidden abs layer forces quadrature re-expansion; compare against an
     # explicit grid computation of the second layer
-    m = manifolds.circle()
+    m = manifolds.Circle()
     cloud = manifolds.sample_uniform(m, 150, seed=13)
     k_cont = 33
-    pairs = manifolds.continuum_eigenpairs(m, k_cont)
+    lam = m.eigenvalues(k_cont)
     h = exponential_filter()
     net = NetworkSpec(widths=(1, 1, 1), filters=(((h,),), ((h,),)), nonlinearity="abs")
     alpha = np.zeros(k_cont)
     alpha[1] = 1.0
-    out = forward_continuum(net, m, pairs, alpha[None, :], cloud, reexpansion_modes=k_cont)
+    out = forward_continuum(net, m, lam, alpha[None, :], cloud, reexpansion_modes=k_cont)
     # |cos| has a 1/k^2 coefficient tail; 33 modes leave a small residual
     assert out.quadrature_residuals and max(out.quadrature_residuals) < 0.05
 
     grid, w = manifolds.quadrature_nodes(m)
-    mid = np.abs(math.exp(-1.0) * pairs[1].evaluate(grid))
-    final = np.zeros(cloud.n)
-    for p in pairs:
-        coeff = float(np.sum(w * mid * p.evaluate(grid)))
-        final += h.evaluate(p.eigenvalue) * coeff * p.evaluate(cloud.points)
+    on_grid = manifolds.eigenbasis(m, grid, k_cont)
+    at_cloud = manifolds.eigenbasis(m, cloud, k_cont)
+    mid = np.abs(math.exp(-1.0) * on_grid[:, 1])
+    final = np.zeros(len(cloud))
+    for i in range(k_cont):
+        coeff = float(np.sum(w * mid * on_grid[:, i]))
+        final += h.evaluate(lam[i]) * coeff * at_cloud[:, i]
     assert np.allclose(out.values[0], np.abs(final), atol=1e-4)
 
 
 @pytest.mark.parametrize(
     "manifold, widths, nonlinearity",
-    [(manifolds.sphere2(), (1, 1, 1), "abs"), (manifolds.circle(), (1, 2, 2, 1), "relu")],
+    [(manifolds.Sphere2(), (1, 1, 1), "abs"), (manifolds.Circle(), (1, 2, 2, 1), "relu")],
 )
 def test_continuum_hidden_layers_split(manifold, widths, nonlinearity):
     # hidden layers once, then the one-layer tail at the points, must equal
     # the whole network at the points, bit for bit
     cloud = manifolds.sample_uniform(manifold, 200, seed=14)
-    pairs = manifolds.continuum_eigenpairs(manifold, 10)
+    lam = manifold.eigenvalues(10)
     bank = [exponential_filter(), tent_filter(2.0), identity_filter()]
     filters = tuple(
         tuple(tuple(bank[(l + p + q) % 3] for q in range(w_in)) for p in range(w_out))
@@ -255,11 +258,11 @@ def test_continuum_hidden_layers_split(manifold, widths, nonlinearity):
     )
     net = NetworkSpec(widths=widths, filters=filters, nonlinearity=nonlinearity)
     coeffs = np.random.default_rng(15).normal(size=(1, 10))
-    whole = forward_continuum(net, manifold, pairs, coeffs, cloud)
-    tail, tail_coeffs, hidden = continuum_hidden_layers(net, manifold, pairs, coeffs)
+    whole = forward_continuum(net, manifold, lam, coeffs, cloud)
+    tail, tail_coeffs, hidden = continuum_hidden_layers(net, manifold, lam, coeffs)
     assert tail.depth == 1 and tail.widths == widths[-2:]
     assert hidden.values is None
-    split = forward_continuum(tail, manifold, pairs, tail_coeffs, cloud)
+    split = forward_continuum(tail, manifold, lam, tail_coeffs, cloud)
     assert np.array_equal(split.values, whole.values)
     assert hidden.quadrature_residuals == whole.quadrature_residuals
     assert len(hidden.quadrature_residuals) == sum(widths[1:-1])

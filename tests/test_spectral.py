@@ -32,7 +32,7 @@ def test_gn_inner_product():
 
 
 def test_eigensystem_invariants():
-    _, op = _operator(manifolds.circle(), 300, seed=1)
+    _, op = _operator(manifolds.Circle(), 300, seed=1)
     eig = smallest_eigenpairs(op, K=7, tol=1e-9, method="lanczos")
     V = eig.eigenvectors
     gram = (V.T @ V) / eig.n
@@ -45,7 +45,7 @@ def test_eigensystem_invariants():
 
 
 def test_validation():
-    _, op = _operator(manifolds.circle(), 64, seed=1)
+    _, op = _operator(manifolds.Circle(), 64, seed=1)
     with pytest.raises(ValueError):
         smallest_eigenpairs(op, K=0)
     with pytest.raises(ValueError):
@@ -66,7 +66,7 @@ def _subspace_angle(A, B):
 
 @pytest.mark.parametrize("tag", ["heat", "gaussian"])
 def test_lanczos_matches_dense_oracle(tag):
-    cloud, op = _operator(manifolds.sphere2(), 256, seed=4, tag=tag)
+    cloud, op = _operator(manifolds.Sphere2(), 256, seed=4, tag=tag)
     lanczos = smallest_eigenpairs(op, K=10, tol=1e-9, method="lanczos")
     dense_lam, dense_vec = scipy.linalg.eigh(op.dense_matrix())
     assert np.allclose(lanczos.eigenvalues, np.maximum(dense_lam[:10], 0), atol=1e-8)
@@ -79,7 +79,7 @@ def test_lanczos_exhausted_krylov_space(monkeypatch):
     # "auto" sends n <= 128 to dense, so only an explicit method reaches this:
     # Lanczos runs until the Krylov space is the whole space, then the
     # residual gate decides on the sweeps already taken
-    _, op = _operator(manifolds.sphere2(), 24, seed=4)
+    _, op = _operator(manifolds.Sphere2(), 24, seed=4)
     matvec, calls = op.matvec, []
     monkeypatch.setattr(op, "matvec", lambda x: calls.append(1) or matvec(x))
     lanczos = smallest_eigenpairs(op, K=5, method="lanczos")
@@ -89,14 +89,14 @@ def test_lanczos_exhausted_krylov_space(monkeypatch):
     for g in multiplicity_groups(lanczos.eigenvalues):
         assert _subspace_angle(lanczos.eigenvectors[:, g], dense_vec[:, g]) <= 1e-6
     # coincident points: the start vector spans a 2-dimensional Krylov space
-    m = manifolds.circle()
-    pts = manifolds.PointCloud(np.tile([1.0, 0.0], (6, 1)), m)
+    m = manifolds.Circle()
+    pts = np.tile([1.0, 0.0], (6, 1))
     op = build_laplacian(pts, calibrated_scheme("gaussian", m, 6))
     with pytest.raises(ConvergenceFailure, match="exhausted at m=2"):
         smallest_eigenpairs(op, K=3, method="lanczos")
 
 
-@pytest.mark.parametrize("manifold,K", [(manifolds.sphere2(), 10), (manifolds.circle(), 3)])
+@pytest.mark.parametrize("manifold,K", [(manifolds.Sphere2(), 10), (manifolds.Circle(), 3)])
 def test_lanczos_reuses_its_sweeps_for_the_gate(manifold, K):
     # L (Q S) assembled from the raw sweeps L q_m equals sweeping Q S anew
     _, op = _operator(manifold, 2048, seed=9)
@@ -107,7 +107,7 @@ def test_lanczos_reuses_its_sweeps_for_the_gate(manifold, K):
 
 def test_gate_rejects_vectors_that_miss_their_sweeps(monkeypatch):
     # the gate must read the returned vectors, not only the stored sweeps
-    _, op = _operator(manifolds.sphere2(), 1024, seed=9)
+    _, op = _operator(manifolds.Sphere2(), 1024, seed=9)
     lanczos = spectral._lanczos
 
     def perturbed(*args, **kwargs):
@@ -143,7 +143,7 @@ def _first_converged_step(op, K, tol, seed):
 
 
 @pytest.mark.parametrize(
-    "manifold,K,n", [(manifolds.sphere2(), 10, 1024), (manifolds.circle(), 3, 2048)]
+    "manifold,K,n", [(manifolds.Sphere2(), 10, 1024), (manifolds.Circle(), 3, 2048)]
 )
 def test_lanczos_stops_near_the_converged_step(monkeypatch, manifold, K, n):
     _, op = _operator(manifold, n, seed=3)
@@ -165,7 +165,7 @@ def test_peak_bytes_bounds_a_large_integer_truncation():
     # kernel; the solve's own allocations fit what peak_bytes adds to it
     n, K = 600, 199
     assert spectral.auto_method(n, K) == "lanczos"
-    _, op = _operator(manifolds.sphere2(), n, seed=3)
+    _, op = _operator(manifolds.Sphere2(), n, seed=3)
     tracemalloc.start()
     try:
         smallest_eigenpairs(op, K=K, tol=1e-8, seed=1)
@@ -176,13 +176,13 @@ def test_peak_bytes_bounds_a_large_integer_truncation():
 
 
 def test_circle_first_eigenvalue_near_one():
-    _, op = _operator(manifolds.circle(), 4096, seed=2)
+    _, op = _operator(manifolds.Circle(), 4096, seed=2)
     eig = smallest_eigenpairs(op, K=2, tol=1e-8)
     assert 0.9 <= eig.eigenvalues[1] <= 1.1
 
 
 def test_convergence_failure_reports_residuals():
-    _, op = _operator(manifolds.circle(), 512, seed=3)
+    _, op = _operator(manifolds.Circle(), 512, seed=3)
     with pytest.raises(ConvergenceFailure):
         # absurdly tight tolerance cannot be met within the iteration cap
         smallest_eigenpairs(op, K=40, tol=1e-300, method="lanczos")
@@ -198,7 +198,7 @@ def test_multiplicity_groups():
 
 
 def test_alignment_sign_flip():
-    _, op = _operator(manifolds.circle(), 200, seed=6)
+    _, op = _operator(manifolds.Circle(), 200, seed=6)
     eig = smallest_eigenpairs(op, K=1, tol=1e-8)
     target = [np.ones(200)]
     flipped = eig.with_vectors(-np.abs(eig.eigenvectors))
@@ -210,7 +210,7 @@ def test_alignment_sign_flip():
 
 
 def test_alignment_validation():
-    _, op = _operator(manifolds.circle(), 100, seed=6)
+    _, op = _operator(manifolds.Circle(), 100, seed=6)
     eig = smallest_eigenpairs(op, K=2, tol=1e-8)
     with pytest.raises(ValueError):
         align_to_continuum(eig, [np.ones(100)], [[0]])
@@ -222,17 +222,17 @@ def test_alignment_validation():
 
 @pytest.fixture(scope="module")
 def sphere_triplet():
-    m = manifolds.sphere2()
+    m = manifolds.Sphere2()
     cloud, op = _operator(m, 4096, seed=12)
     eig = smallest_eigenpairs(op, K=4, tol=1e-8)
-    pairs = manifolds.continuum_eigenpairs(m, 4)
-    projected = project_eigenfunctions(pairs, cloud)
-    groups = multiplicity_groups([p.eigenvalue for p in pairs])
-    return cloud, eig, pairs, projected, groups
+    lam = m.eigenvalues(4)
+    projected = project_eigenfunctions(m, cloud, 4)
+    groups = multiplicity_groups(lam)
+    return cloud, eig, lam, projected, groups
 
 
 def test_procrustes_beats_random_rotations(sphere_triplet):
-    cloud, eig, pairs, projected, groups = sphere_triplet
+    cloud, eig, lam, projected, groups = sphere_triplet
     aligned = align_to_continuum(eig, projected, groups)
     g = groups[1]  # the l=1 triplet
     P = np.column_stack([projected[i] for i in g])
@@ -252,7 +252,7 @@ def test_procrustes_beats_random_rotations(sphere_triplet):
 
 
 def test_alignment_preserves_eigenvalues_and_span(sphere_triplet):
-    _, eig, pairs, projected, groups = sphere_triplet
+    _, eig, lam, projected, groups = sphere_triplet
     aligned = align_to_continuum(eig, projected, groups)
     assert np.array_equal(aligned.eigenvalues, eig.eigenvalues)
     for g in groups:
@@ -266,27 +266,27 @@ def test_alignment_preserves_eigenvalues_and_span(sphere_triplet):
 
 
 def test_eigen_errors_constant_mode(sphere_triplet):
-    cloud, eig, pairs, projected, groups = sphere_triplet
+    cloud, eig, lam, projected, groups = sphere_triplet
     aligned = align_to_continuum(eig, projected, groups)
-    lam_err, vec_err = eigen_errors(aligned, pairs, projected)
+    lam_err, vec_err = eigen_errors(aligned, lam, projected)
     assert lam_err[0] <= 1e-6
     assert vec_err[0] <= 1e-6
 
 
 def test_eigen_error_decreases_with_n():
     # 2/7 rate oracle predicts a ratio of about 0.67 between n=1024 and 4096
-    m = manifolds.circle()
-    pairs = manifolds.continuum_eigenpairs(m, 3)
-    groups = multiplicity_groups([p.eigenvalue for p in pairs])
+    m = manifolds.Circle()
+    lam = m.eigenvalues(3)
+    groups = multiplicity_groups(lam)
 
     def mean_errors(n, trials=10):
         lam_tot, vec_tot = 0.0, 0.0
         for trial in range(trials):
             cloud, op = _operator(m, n, seed=100 + trial)
             eig = smallest_eigenpairs(op, K=3, tol=1e-8)
-            projected = project_eigenfunctions(pairs, cloud)
+            projected = project_eigenfunctions(m, cloud, 3)
             aligned = align_to_continuum(eig, projected, groups)
-            lam_err, vec_err = eigen_errors(aligned, pairs, projected)
+            lam_err, vec_err = eigen_errors(aligned, lam, projected)
             lam_tot += lam_err[1]
             vec_tot += vec_err[1]
         return lam_tot / trials, vec_tot / trials
@@ -299,7 +299,7 @@ def test_eigen_error_decreases_with_n():
 
 def test_hoeffding_constant_function():
     one = lambda x: np.ones(x.shape[0])
-    rate = hoeffding_check(one, one, manifolds.circle(), n=256, trials=20, seed=0)
+    rate = hoeffding_check(one, one, manifolds.Circle(), n=256, trials=20, seed=0)
     assert rate == 0.0
 
 
@@ -308,7 +308,7 @@ def test_hoeffding_bound_value():
 
 
 def test_hoeffding_violation_rate_small():
-    m = manifolds.circle()
-    phi1 = manifolds.continuum_eigenpairs(m, 2)[1].evaluate
+    m = manifolds.Circle()
+    phi1 = lambda x: manifolds.eigenbasis(m, x, 2)[:, 1]
     rate = hoeffding_check(phi1, phi1, m, n=4096, trials=200, seed=5)
     assert rate <= 0.01
