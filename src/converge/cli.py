@@ -106,8 +106,7 @@ def _cmd_fit(args) -> int:
     try:
         slope, intercept, r2 = loglog_fit(means)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{args.csv}: {exc}") from exc
     print(json.dumps({"slope": slope, "intercept": intercept, "r2": r2}, indent=2))
     return EXIT_OK
 

@@ -1,14 +1,16 @@
 """Kernel graphs on point clouds and their Laplacians as linear operators.
 
-Two kernel schemes are supported: a heat-kernel weighting with unit zeroth
-moment, and a plain Gaussian weighting with an outer 1/(n t) scale. Both
-yield L = D - A up to scheme-dependent prefactors, multiplied by a
-calibration constant chosen so the spectrum targets the Laplace-Beltrami
-spectrum of the underlying unit-radius manifold.
+One kernel is built: at bandwidth t = c n^(-2/(d+6)) the weights are
+a_ij = t^(-d/2) exp(-|x_i - x_j|^2 / t), and L = calibration / (n t) (D - A),
+with the calibration constant chosen so the spectrum targets the
+Laplace-Beltrami spectrum of the underlying unit-radius manifold. The
+unit-moment heat-kernel weighting at c, (vol / n) exp(-r^2 / 4t) /
+(t (4 pi t)^(d/2)), is this operator at 4c, equal to rounding, so it is not
+offered as a second scheme.
 
 The kernel is symmetric, so only its lower triangle is computed and swept,
 one row tile K[lo:hi, :hi] of TILE_ROWS rows at a time. A tile takes five
-passes: one matmul against points pre-scaled by 2/denom, two broadcast adds
+passes: one matmul against points pre-scaled by 2/t, two broadcast adds
 of the log prefactor and squared norms, one `minimum` that clamps the
 exponent where roundoff makes r^2 negative, and one `exp`.
 
@@ -26,7 +28,6 @@ from __future__ import annotations
 import ctypes
 import math
 import mmap
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cython_blas
@@ -38,75 +39,21 @@ def scale_parameter(n: int, d: int, c: float) -> float:
     """Bandwidth schedule t = c * n^(-2/(d+6))."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"need c > 0, got {c}")
     return c * float(n) ** (-2.0 / (d + 6))
 
 
-def calibration_constant(scheme_tag: str, d: int, volume: float) -> float:
+def calibration_constant(manifold) -> float:
     """Multiplier making the calibrated Laplacian's spectrum match lambda_i.
 
-    Heat scheme: the kernel has unit zeroth moment and the uniform sampling
-    density contributes 1/vol, so the constant is vol. Gaussian scheme: the
-    kernel exp(-r^2/t) has per-coordinate second moment pi^{d/2} t / 2, and
-    the Taylor expansion contributes another 1/2, so after the outer 1/t the
-    graph Laplacian approximates pi^{d/2} / (4 vol) times the manifold
-    operator; the constant is therefore 4 vol / pi^{d/2}. Both constants are
-    verified empirically against the circle/sphere eigenvalue oracles.
+    The kernel exp(-r^2/t) has per-coordinate second moment pi^{d/2} t / 2,
+    and the Taylor expansion contributes another 1/2, so after the outer 1/t
+    the graph Laplacian approximates pi^{d/2} / (4 vol) times the manifold
+    operator; the constant is therefore 4 vol / pi^{d/2}. The harness gates
+    it against the model's lambda_1 on every run.
     """
-    if d not in (1, 2):
-        raise ValueError(f"unsupported intrinsic dimension: {d}")
-    if scheme_tag == "heat":
-        return volume
-    if scheme_tag == "gaussian":
-        return 4.0 * volume / math.pi ** (d / 2.0)
-    raise ValueError(f"unknown scheme tag: {scheme_tag!r}")
-
-
-@dataclass(frozen=True)
-class KernelScheme:
-    """Kernel choice plus bandwidth and spectral calibration."""
-
-    tag: str  # "heat" | "gaussian"
-    intrinsic_dim: int
-    bandwidth: float
-    calibration: float = 1.0
-
-    def __post_init__(self):
-        if self.tag not in ("heat", "gaussian"):
-            raise ValueError(f"unknown scheme tag: {self.tag!r}")
-        if self.bandwidth <= 0:
-            raise ValueError(f"need bandwidth > 0, got {self.bandwidth}")
-        if self.calibration <= 0:
-            raise ValueError(f"need calibration > 0, got {self.calibration}")
-
-    def kernel_prefactor(self) -> float:
-        """Multiplier on exp(-r^2 / denom) in the adjacency weights."""
-        t, d = self.bandwidth, self.intrinsic_dim
-        if self.tag == "heat":
-            return 1.0 / (t * (4.0 * math.pi * t) ** (d / 2.0))
-        return t ** (-d / 2.0)
-
-    def kernel_denominator(self) -> float:
-        t = self.bandwidth
-        return 4.0 * t if self.tag == "heat" else t
-
-    def outer_scale(self, n: int) -> float:
-        """Everything outside D - A: calibration and scheme normalization."""
-        if self.tag == "heat":
-            # the 1/n lives in the adjacency definition; keep it out here
-            return self.calibration / n
-        return self.calibration / (n * self.bandwidth)
-
-
-def calibrated_scheme(
-    tag: str, manifold, n: int, c: float = 1.0
-) -> KernelScheme:
-    """Convenience: scheduled bandwidth plus analytic calibration constant."""
-    d = manifold.intrinsic_dim
-    t = scale_parameter(n, d, c)
-    cal = calibration_constant(tag, d, manifold.volume)
-    return KernelScheme(tag=tag, intrinsic_dim=d, bandwidth=t, calibration=cal)
+    return 4.0 * manifold.volume / math.pi ** (manifold.intrinsic_dim / 2.0)
 
 
 def _lazy_matrix(n: int) -> np.ndarray:
@@ -180,16 +127,16 @@ class LaplacianOperator:
     Self-weights are never materialized: they cancel identically in D - A.
     """
 
-    def __init__(self, points: np.ndarray, scheme: KernelScheme):
+    def __init__(self, points: np.ndarray, d: int, t: float, calibration: float):
         self.n = n = points.shape[0]
-        self._scale = scheme.outer_scale(n)
-        # a weight, without calibration and outer scale, is exp(min(log pref +
-        # (2 x_i.x_j - |x_i|^2 - |x_j|^2) / denom, log pref)): the minimum is
+        self._scale = calibration / (n * t)
+        # a weight, without the outer scale, is exp(min(log t^{-d/2} +
+        # (2 x_i.x_j - |x_i|^2 - |x_j|^2) / t, log t^{-d/2})): the minimum is
         # the r^2 >= 0 clamp
-        inv_denom = 1.0 / scheme.kernel_denominator()
-        log_pref = math.log(scheme.kernel_prefactor())
-        scaled_points = points * (2.0 * inv_denom)
-        col_term = np.einsum("ij,ij->i", points, points) * -inv_denom
+        inv_t = 1.0 / t
+        log_pref = math.log(t ** (-d / 2.0))
+        scaled_points = points * (2.0 * inv_t)
+        col_term = np.einsum("ij,ij->i", points, points) * -inv_t
         row_term = col_term + log_pref
         # tiles land in place; above the diagonal blocks nothing is written
         self._kernel = _lazy_matrix(n)
@@ -226,11 +173,17 @@ class LaplacianOperator:
         return float(2.0 * self._scale * self._degrees.max())
 
 
-def build_laplacian(points: np.ndarray, scheme: KernelScheme) -> LaplacianOperator:
-    """Construct the calibrated graph Laplacian for an (n, D) point array."""
+def build_laplacian(
+    points: np.ndarray, manifold, c: float, calibration: float
+) -> LaplacianOperator:
+    """The calibrated graph Laplacian of an (n, D) point array sampled from
+    `manifold`, at bandwidth t = scale_parameter(n, d, c)."""
     x = np.asarray(points, float)
     if x.shape[0] < 2:
         raise ValueError(f"need at least 2 points, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):
         raise ValueError("point cloud contains non-finite coordinates")
-    return LaplacianOperator(x, scheme)
+    if not calibration > 0:
+        raise ValueError(f"need calibration > 0, got {calibration}")
+    d = manifold.intrinsic_dim
+    return LaplacianOperator(x, d, scale_parameter(x.shape[0], d, c), calibration)

@@ -24,7 +24,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ from .manifolds import BandlimitedSignal, Manifold
 from .network import NetworkSpec
 
 EIGEN_TOL = 1e-8
+CALIBRATION_N = 2048  # points in the sample that gates the calibration constant
 MAX_FAILURE_FRACTION = 0.10
 THREADS_ENV_VAR = "CONVERGE_THREADS"
 MEMORY_FRACTION = 0.5  # of the available memory, for the cells running at once
@@ -109,12 +110,11 @@ def log_spaced_grid(start: int, stop: int, count: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: manifold, signal, network, graph scheme, and schedule."""
+    """One experiment: manifold, signal, network, graph bandwidth, and schedule."""
 
     manifold: str
     signal_coefficients: tuple[float, ...]
     network_raw: dict  # as given in the config, kept for hashing
-    scheme_tag: str
     bandwidth_constant: float
     n_grid: tuple[int, ...]
     trials: int
@@ -125,8 +125,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.manifold, str) or self.manifold not in manifolds.MODELS:
             raise ConfigError(f"unknown manifold: {self.manifold!r}")
-        if self.scheme_tag not in ("heat", "gaussian"):
-            raise ConfigError(f"unknown graph scheme: {self.scheme_tag!r}")
         if self.bandwidth_constant <= 0:
             raise ConfigError("bandwidth_constant must be positive")
         if list(self.n_grid) != sorted(set(self.n_grid)) or len(self.n_grid) < 1:
@@ -176,7 +174,7 @@ class ExperimentConfig:
             "signal": {"coefficients": list(self.signal_coefficients)},
             "network": self.network_raw,
             "graph": {
-                "scheme": self.scheme_tag,
+                "scheme": "gaussian",  # the only scheme; kept so config hashes do not move
                 "bandwidth_constant": self.bandwidth_constant,
             },
             "truncation": self.truncation,
@@ -199,11 +197,19 @@ class ExperimentConfig:
                 raise ConfigError(f"missing required config key: {key!r}")
             return d.pop(key, default)
 
-        def number(kind, key: str, value):
-            try:
-                return kind(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from exc
+        def integer(key: str, value) -> int:
+            # a JSON integer only: int() would truncate 2.7, "3" and true
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            return value
+
+        def real(key: str, value) -> float:
+            # a JSON integer or float; the bounds refuse NaN and +-Infinity,
+            # which json reads, and an integer too large for a float
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not number or not -sys.float_info.max <= value <= sys.float_info.max:
+                raise ConfigError(f"{key} must be a finite number, got {value!r}")
+            return float(value)
 
         def section(key: str) -> dict:
             value = take(raw, key, default={}) or {}
@@ -228,8 +234,15 @@ class ExperimentConfig:
         if unknown_net:
             raise ConfigError(f"unknown network keys: {sorted(unknown_net)}")
         g = section("graph")
-        scheme_tag = g.pop("scheme", "gaussian")
-        bandwidth_constant = number(float, "bandwidth_constant", g.pop("bandwidth_constant", 1.0))
+        scheme = g.pop("scheme", "gaussian")
+        bandwidth_constant = real("bandwidth_constant", g.pop("bandwidth_constant", 1.0))
+        if scheme == "heat":
+            raise ConfigError(
+                "graph scheme 'heat' at bandwidth_constant c is 'gaussian' at 4c: use "
+                f'"scheme": "gaussian", "bandwidth_constant": {4 * bandwidth_constant!r}'
+            )
+        if scheme != "gaussian":
+            raise ConfigError(f"unknown graph scheme: {scheme!r}")
         if g:
             raise ConfigError(f"unknown graph keys: {sorted(g)}")
         ngrid_raw = take(raw, "n_grid", required=True)
@@ -237,24 +250,23 @@ class ExperimentConfig:
             keys = ("start", "stop", "count")
             if sorted(ngrid_raw) != sorted(keys):
                 raise ConfigError(f"an n_grid range needs exactly {keys}, got {sorted(ngrid_raw)}")
-            n_grid = log_spaced_grid(*(number(int, f"n_grid {k}", ngrid_raw[k]) for k in keys))
+            n_grid = log_spaced_grid(*(integer(f"n_grid {k}", ngrid_raw[k]) for k in keys))
         elif isinstance(ngrid_raw, list):
-            n_grid = [number(int, "an n_grid entry", v) for v in ngrid_raw]
+            n_grid = [integer("an n_grid entry", v) for v in ngrid_raw]
         else:
             raise ConfigError("n_grid must be a list or a {start, stop, count} range")
-        trials = number(int, "trials", take(raw, "trials", default=20))
-        seed = number(int, "seed", take(raw, "seed", default=0))
+        trials = integer("trials", take(raw, "trials", default=20))
+        seed = integer("seed", take(raw, "seed", default=0))
         truncation = take(raw, "truncation")
         if truncation not in (None, "full"):
-            truncation = number(int, "truncation", truncation)
-        eigen_index = number(int, "eigen_index", take(raw, "eigen_index", default=1))
+            truncation = integer("truncation", truncation)
+        eigen_index = integer("eigen_index", take(raw, "eigen_index", default=1))
         if raw:
             raise ConfigError(f"unknown config keys: {sorted(raw)}")
         return ExperimentConfig(
             manifold=manifold,
-            signal_coefficients=tuple(number(float, "a signal coefficient", c) for c in coeffs),
+            signal_coefficients=tuple(real("a signal coefficient", c) for c in coeffs),
             network_raw=network,
-            scheme_tag=scheme_tag,
             bandwidth_constant=bandwidth_constant,
             n_grid=tuple(n_grid),
             trials=trials,
@@ -277,8 +289,8 @@ def loglog_fit(points) -> tuple[float, float, float]:
     pts = [(float(n), float(e)) for n, e in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points for a fit")
-    if any(e <= 0 for _, e in pts):
-        raise ValueError("log-log fit requires positive errors")
+    if not all(0 < e < math.inf for _, e in pts):
+        raise ValueError("log-log fit requires positive finite errors")
     x = np.log([n for n, _ in pts])
     y = np.log([e for _, e in pts])
     slope, intercept = np.polyfit(x, y, 1)
@@ -288,31 +300,31 @@ def loglog_fit(points) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def resolve_calibration(config: ExperimentConfig, check_n: int = 2048) -> dict:
+def resolve_calibration(config: ExperimentConfig) -> dict:
     """Gate the analytic calibration constant against the eigenvalue oracle.
 
     Measures the first nonzero eigenvalue of the calibrated Laplacian on the
-    experiment's manifold at a moderate n. If it is within 20% of the
+    experiment's manifold at n = CALIBRATION_N. If it is within 20% of the
     continuum value the analytic constant is kept; otherwise the constant is
     rescaled empirically by the measured ratio, and one line on stderr says
     so. The chosen path is recorded in the experiment metadata.
     """
     m = config.manifold_model
     target = m.eigenvalue(1)
-    scheme = graph.calibrated_scheme(config.scheme_tag, m, check_n, config.bandwidth_constant)
-    analytic = scheme.calibration
-    cloud = manifolds.sample_uniform(m, check_n, derive_seed(config.seed, check_n, 10**6))
-    op = graph.build_laplacian(cloud, scheme)
+    analytic = graph.calibration_constant(m)
+    n = CALIBRATION_N
+    cloud = manifolds.sample_uniform(m, n, derive_seed(config.seed, n, 10**6))
+    op = graph.build_laplacian(cloud, m, config.bandwidth_constant, analytic)
     try:
         eig = spectral.smallest_eigenpairs(op, K=2, tol=EIGEN_TOL, seed=config.seed)
     except spectral.ConvergenceFailure as exc:
         raise spectral.ConvergenceFailure(
-            f"calibration solve (n = {check_n}, K = 2): {exc}", exc.residuals
+            f"calibration solve (n = {n}, K = 2): {exc}", exc.residuals
         ) from exc
     measured = float(eig.eigenvalues[1])
     info = {
         "analytic_constant": analytic,
-        "check_n": check_n,
+        "check_n": n,
         "measured_lambda1": measured,
         "target_lambda1": target,
     }
@@ -414,8 +426,7 @@ def _run_cells(
         record = {"n": n, "trial": trial, "seed": seed}
         try:
             cloud = manifolds.sample_uniform(m, n, seed)
-            scheme = graph.calibrated_scheme(config.scheme_tag, m, n, config.bandwidth_constant)
-            op = graph.build_laplacian(cloud, replace(scheme, calibration=calibration["constant"]))
+            op = graph.build_laplacian(cloud, m, config.bandwidth_constant, calibration["constant"])
             eig = spectral.smallest_eigenpairs(op, K=mode_count(n), tol=EIGEN_TOL, seed=seed)
             del op  # frees the kernel before measure, which may be long
             record.update(measure(cloud, eig, prepared.result()))

@@ -18,7 +18,7 @@ import scipy.linalg
 from converge import graph, manifolds, spectral
 from converge.bounds import error_recurrence, filter_count_factor, hoeffding_bound
 from converge.filters import exponential_filter, identity_filter
-from converge.graph import build_laplacian, calibrated_scheme
+from converge.graph import build_laplacian, calibration_constant
 from converge.harness import (
     ExperimentConfig,
     run_convergence_experiment,
@@ -145,10 +145,11 @@ def test_criterion_3_eigen_convergence():
 def test_criterion_4_lanczos_vs_dense():
     ok = True
     details = []
-    for tag in ("heat", "gaussian"):
+    # c = 4 is the operator of the heat-kernel scheme at c = 1
+    for c in (4.0, 1.0):
         m = manifolds.Sphere2()
         cloud = manifolds.sample_uniform(m, 256, seed=4)
-        op = build_laplacian(cloud, calibrated_scheme(tag, m, 256))
+        op = build_laplacian(cloud, m, c, calibration_constant(m))
         lanczos = smallest_eigenpairs(op, K=10, tol=1e-9, method="lanczos")
         dense_lam, dense_vec = scipy.linalg.eigh(op.dense_matrix())
         lam_err = float(
@@ -161,8 +162,8 @@ def test_criterion_4_lanczos_vs_dense():
             s = np.linalg.svd(qa.T @ qb, compute_uv=False)
             worst_angle = max(worst_angle, math.acos(min(1.0, s.min())))
         ok = ok and lam_err <= 1e-8 and worst_angle <= 1e-6
-        details.append(f"{tag}: dlam={lam_err:.1e}, angle={worst_angle:.1e}")
-    _verdict(4, "Lanczos matches dense eigh (n=256, K=10, both schemes)", ok, "; ".join(details))
+        details.append(f"c={c:g}: dlam={lam_err:.1e}, angle={worst_angle:.1e}")
+    _verdict(4, "Lanczos matches dense eigh (n=256, K=10, c = 1 and 4)", ok, "; ".join(details))
 
 
 def test_criterion_5_exact_identity():
@@ -199,10 +200,10 @@ def test_criterion_6_structural_invariants():
     # symmetry / PSD / zero row sum on 20 random operators
     for i in range(20):
         m = manifolds.Circle() if i % 2 else manifolds.Sphere2()
-        tag = "heat" if i % 3 == 0 else "gaussian"
+        c = 4.0 if i % 3 == 0 else 1.0  # 4: the heat-kernel scheme's operator at 1
         n = int(rng.integers(50, 200))
         cloud = manifolds.sample_uniform(m, n, seed=1000 + i)
-        L = build_laplacian(cloud, calibrated_scheme(tag, m, n)).dense_matrix()
+        L = build_laplacian(cloud, m, c, calibration_constant(m)).dense_matrix()
         ok = ok and np.abs(L - L.T).max() <= 1e-10
         ok = ok and np.abs(L @ np.ones(n)).max() <= 1e-8 * np.abs(L).max()
         ok = ok and scipy.linalg.eigvalsh(L).min() >= -1e-8
@@ -210,7 +211,7 @@ def test_criterion_6_structural_invariants():
     # non-amplification of a sup<=1 filter on 50 random signals
     m = manifolds.Circle()
     cloud = manifolds.sample_uniform(m, 128, seed=5)
-    op = build_laplacian(cloud, calibrated_scheme("gaussian", m, 128))
+    op = build_laplacian(cloud, m, 1.0, calibration_constant(m))
     full = smallest_eigenpairs(op, K=128, method="dense")
     h = exponential_filter()
     for _ in range(50):

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from scipy.linalg import blas
 
 from converge import graph, manifolds, spectral
-from converge.graph import (
-    KernelScheme,
-    build_laplacian,
-    calibrated_scheme,
-    calibration_constant,
-    scale_parameter,
-)
+from converge.graph import build_laplacian, calibration_constant, scale_parameter
+
+# bandwidth constants under the ids of the two schemes there once were: the
+# heat-kernel operator at c = 1 is the gaussian one at 4 (test_heat_scheme_is_gaussian_at_4c)
+SCHEME_C = {"gaussian": 1.0, "heat": 4.0}
+
+
+def _operator(points, manifold, c=1.0):
+    return build_laplacian(points, manifold, c, calibration_constant(manifold))
 
 
 def test_scale_parameter_exact_values():
@@ -32,53 +34,69 @@ def test_scale_parameter_validation():
 
 def test_gaussian_kernel_weight():
     # a_ij = t^{-d/2} exp(-r^2/t) at d=2, t=0.25, r=0.5 -> 4 e^{-1}
-    s = KernelScheme("gaussian", 2, 0.25, 1.0)
-    r2 = 0.25
-    a = s.kernel_prefactor() * math.exp(-r2 / s.kernel_denominator())
+    z = 1.0 - 0.25 / 2.0  # two points on the unit sphere at r^2 = 0.25
+    pts = np.array([[0.0, 0.0, 1.0], [math.sqrt(1.0 - z * z), 0.0, z]])
+    c = 0.25 * 2 ** 0.25  # t = 0.25 at n = 2
+    t = scale_parameter(2, 2, c)
+    op = build_laplacian(pts, manifolds.Sphere2(), c, 2 * t)  # outer scale 1
+    a = -op.dense_matrix()[0, 1]
     assert a == pytest.approx(4 * math.exp(-1), rel=1e-12)
     assert a == pytest.approx(1.471518, abs=1e-6)
 
 
 def test_heat_prefactor_at_reference_bandwidth():
-    # at 4 pi t = 1 the full heat weight prefactor is 4 pi / n
-    t = 1.0 / (4 * math.pi)
-    s = KernelScheme("heat", 2, t, 1.0)
-    n = 10
-    assert s.kernel_prefactor() * s.outer_scale(n) == pytest.approx(
-        4 * math.pi / n, rel=1e-12
-    )
+    # at 4 pi t = 1 the full heat weight prefactor is 4 pi / n; the heat
+    # operator at c with calibration 1 is the gaussian one at 4c with 4 / pi
+    m, n = manifolds.Sphere2(), 10
+    c = scale_parameter(n, 2, 1.0) ** -1 / (4 * math.pi)  # heat t = 1 / (4 pi)
+    p = manifolds.sample_uniform(m, n, seed=2)
+    L = build_laplacian(p, m, 4 * c, 4 / math.pi).dense_matrix()
+    r2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
+    off = ~np.eye(n, dtype=bool)
+    assert np.allclose(-L[off], 4 * math.pi / n * np.exp(-math.pi * r2[off]), rtol=1e-12, atol=0)
 
 
 def test_calibration_constants():
-    assert calibration_constant("heat", 2, 1.0) == 1.0
-    assert calibration_constant("heat", 1, 2 * math.pi) == 2 * math.pi
-    # gaussian: 4 vol / pi^{d/2}; the analytic value is gated by the circle
-    # and sphere eigenvalue oracles in test_calibration_empirical below
-    assert calibration_constant("gaussian", 1, 2 * math.pi) == pytest.approx(
-        8 * math.pi / math.sqrt(math.pi)
-    )
-    assert calibration_constant("gaussian", 2, 4 * math.pi) == pytest.approx(16.0)
-    with pytest.raises(ValueError):
-        calibration_constant("gaussian", 3, 1.0)
-    with pytest.raises(ValueError):
-        calibration_constant("knn", 2, 1.0)
+    # 4 vol / pi^{d/2}; the analytic value is gated by the circle and sphere
+    # eigenvalue oracles in test_calibration_empirical_circle and the harness
+    circle = 8 * math.pi / math.sqrt(math.pi)
+    assert calibration_constant(manifolds.Circle()) == pytest.approx(circle)
+    assert calibration_constant(manifolds.Sphere2()) == pytest.approx(16.0)
 
 
 def test_build_validation():
+    m = manifolds.Circle()
     pts = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        KernelScheme("gaussian", 1, -1.0, 1.0)
+        build_laplacian(pts, m, -1.0, 1.0)
     with pytest.raises(ValueError):
-        build_laplacian(np.array([[np.nan, 0.0], [0.0, 1.0]]), KernelScheme("gaussian", 1, 0.1))
+        build_laplacian(pts, m, 1.0, 0.0)
     with pytest.raises(ValueError):
-        build_laplacian(pts[:1], KernelScheme("gaussian", 1, 0.1))
+        build_laplacian(np.array([[np.nan, 0.0], [0.0, 1.0]]), m, 0.1, 1.0)
+    with pytest.raises(ValueError):
+        build_laplacian(pts[:1], m, 0.1, 1.0)
 
 
-@pytest.fixture(params=["heat", "gaussian"])
+@pytest.mark.parametrize("m", manifolds.MODELS.values(), ids=manifolds.MODELS.keys())
+def test_heat_scheme_is_gaussian_at_4c(m):
+    # the heat-kernel Laplacian at c, written out: weights
+    # (vol / n) exp(-r^2 / 4t) / (t (4 pi t)^{d/2}) off the diagonal
+    n, d = 300, m.intrinsic_dim
+    p = manifolds.sample_uniform(m, n, seed=9)
+    r2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
+    for c in (0.3, 1.0, 2.0):
+        t = scale_parameter(n, d, c)
+        w = m.volume / n * np.exp(-r2 / (4 * t)) / (t * (4 * math.pi * t) ** (d / 2))
+        np.fill_diagonal(w, 0.0)
+        heat = np.diag(w.sum(axis=1)) - w
+        got = _operator(p, m, 4 * c).dense_matrix()
+        assert np.linalg.norm(got - heat) <= 1e-12 * np.linalg.norm(heat)
+
+
+@pytest.fixture(params=list(SCHEME_C.values()), ids=list(SCHEME_C))
 def small_operator(request):
     cloud = manifolds.sample_uniform(manifolds.Circle(), 64, seed=5)
-    scheme = calibrated_scheme(request.param, manifolds.Circle(), 64)
-    return build_laplacian(cloud, scheme)
+    return _operator(cloud, manifolds.Circle(), request.param)
 
 
 def test_annihilates_constants(small_operator):
@@ -104,10 +122,11 @@ def test_matvec_length_check(small_operator):
 
 def test_matvec_against_hand_computed_3x3():
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    scheme = KernelScheme("gaussian", 1, 0.5, 2.0)
-    op = build_laplacian(pts, scheme)
+    c = 0.5 * 3 ** (2 / 7)  # t = 0.5 at n = 3, d = 1
+    op = build_laplacian(pts, manifolds.Circle(), c, 2.0)
     # hand-built kernel: a_ij = t^{-1/2} exp(-|xi-xj|^2 / t)
-    t = 0.5
+    t = scale_parameter(3, 1, c)
+    assert t == pytest.approx(0.5, rel=1e-14)
     a = np.zeros((3, 3))
     for i in range(3):
         for j in range(3):
@@ -120,17 +139,17 @@ def test_matvec_against_hand_computed_3x3():
     assert np.allclose(op.dense_matrix(), L, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("tag", ["heat", "gaussian"])
-def test_kernel_matches_pairwise_reference_across_tiles(monkeypatch, tag):
+@pytest.mark.parametrize("c", list(SCHEME_C.values()), ids=list(SCHEME_C))
+def test_kernel_matches_pairwise_reference_across_tiles(monkeypatch, c):
     monkeypatch.setattr(graph, "TILE_ROWS", 64)
     m = manifolds.Sphere2()
     n = 300  # five row tiles, the last one ragged
     p = manifolds.sample_uniform(m, n, seed=8)
-    scheme = calibrated_scheme(tag, m, n)
-    op = build_laplacian(p, scheme)
-    # kernel from all n^2 pairwise distances
+    op = _operator(p, m, c)
+    # kernel t^{-d/2} exp(-r^2/t) from all n^2 pairwise distances
+    t = scale_parameter(n, 2, c)
     r2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
-    k = scheme.kernel_prefactor() * np.exp(-r2 / scheme.kernel_denominator())
+    k = np.exp(-r2 / t) / t
     np.fill_diagonal(k, 0.0)
     # a row is written up to the end of its tile's diagonal block, the ragged
     # last tile's included, and the rest of the upper triangle stays zero
@@ -138,7 +157,7 @@ def test_kernel_matches_pairwise_reference_across_tiles(monkeypatch, tag):
     written = np.arange(n)[None, :] < ends[:, None]
     assert not op._kernel[~written].any()
     assert np.allclose(op._kernel[written], k[written], rtol=1e-10, atol=1e-12 * k.max())
-    want = scheme.outer_scale(n) * (np.diag(k.sum(axis=1)) - k)
+    want = calibration_constant(m) / (n * t) * (np.diag(k.sum(axis=1)) - k)
     L = op.dense_matrix()
     assert np.array_equal(L, L.T)
     assert np.abs(L.sum(axis=1)).max() < 1e-10 * op.degree_bound()
@@ -205,22 +224,23 @@ def test_calibration_empirical_circle():
     m = manifolds.Circle()
     n = 8192
     cloud = manifolds.sample_uniform(m, n, seed=17)
-    scheme = calibrated_scheme("gaussian", m, n)
-    op = build_laplacian(cloud, scheme)
+    op = _operator(cloud, m)
     eig = spectral.smallest_eigenpairs(op, K=2, tol=1e-8)
     assert eig.eigenvalues[1] == pytest.approx(1.0, rel=0.10)
 
 
 @pytest.mark.slow
 def test_scheme_agreement_on_circle():
+    # the analytic constant holds across bandwidths: c and 4c, the heat
+    # scheme's operator at c, give the same low spectrum
     m = manifolds.Circle()
     n = 8192
     cloud = manifolds.sample_uniform(m, n, seed=21)
     lam = {}
-    for tag in ("heat", "gaussian"):
-        op = build_laplacian(cloud, calibrated_scheme(tag, m, n))
-        lam[tag] = spectral.smallest_eigenpairs(op, K=5, tol=1e-8).eigenvalues
-    for a, b in zip(lam["heat"][1:], lam["gaussian"][1:]):
+    for c in (1.0, 4.0):
+        op = _operator(cloud, m, c)
+        lam[c] = spectral.smallest_eigenpairs(op, K=5, tol=1e-8).eigenvalues
+    for a, b in zip(lam[4.0][1:], lam[1.0][1:]):
         assert a == pytest.approx(b, rel=0.15)
 
 

@@ -81,6 +81,9 @@ def test_loglog_fit_validation():
         loglog_fit([(10, 1.0), (20, 2.0)])
     with pytest.raises(ValueError):
         loglog_fit([(10, 1.0), (20, 0.0), (30, 2.0)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            loglog_fit([(10, 1.0), (20, bad), (30, 2.0)])
 
 
 def test_derive_seed_stable_and_distinct():
@@ -123,7 +126,7 @@ def test_config_defaults():
     assert cfg.signal_coefficients == (0.0,) + (1.0,) * 9
     assert cfg.trials == 20
     assert len(cfg.n_grid) == 8
-    assert cfg.scheme_tag == "gaussian"
+    assert cfg.canonical_dict()["graph"] == {"scheme": "gaussian", "bandwidth_constant": 1.0}
 
 
 def test_config_hash_changes_with_content():
@@ -315,8 +318,8 @@ def test_memory_cap_limits_the_workers(monkeypatch, tmp_path):
         with lock:
             live[0] -= 1
 
-    def counted(cloud, scheme):
-        op = build(cloud, scheme)
+    def counted(*args):
+        op = build(*args)
         if op.n in cfg.n_grid:  # not the calibration solve's operator
             with lock:
                 live[0] += 1
@@ -634,10 +637,32 @@ def _network(widths, *families):
         ("run", dict(TINY_CONFIG, signal={"coefficients": 5})),
         ("fit", "trial,seed,error\n0,1,0.5\n"),  # no n column
         ("fit", "n,trial,seed,error\n128,0,1,abc\n"),
+        ("run", dict(TINY_CONFIG, trials=2.7)),
+        ("run", dict(TINY_CONFIG, trials="3")),
+        ("run", dict(TINY_CONFIG, seed=True)),
+        ("eigen", dict(TINY_CONFIG, eigen_index=1.5)),
+        ("run", dict(TINY_CONFIG, truncation=3.0)),
+        ("run", dict(TINY_CONFIG, n_grid=[128.9, 256])),
+        ("run", dict(TINY_CONFIG, n_grid={"start": 128, "stop": 256.0, "count": 3})),
+        ("run", dict(TINY_CONFIG, graph={"bandwidth_constant": math.nan})),
+        ("run", dict(TINY_CONFIG, graph={"bandwidth_constant": math.inf})),
+        ("run", dict(TINY_CONFIG, graph={"bandwidth_constant": True})),
+        ("run", dict(TINY_CONFIG, graph={"bandwidth_constant": "2"})),
+        ("run", dict(TINY_CONFIG, signal={"coefficients": [0.0, math.nan, 1.0]})),
+        ("run", dict(TINY_CONFIG, signal={"coefficients": [0.0, -math.inf, 1.0]})),
+        ("run", dict(TINY_CONFIG, signal={"coefficients": [0.0, True, 1.0]})),
+        ("run", dict(TINY_CONFIG, graph={"scheme": "heat", "bandwidth_constant": 1.0})),
+        ("run", dict(TINY_CONFIG, graph={"scheme": "knn"})),
+        ("fit", "n,trial,seed,error\n128,0,1,0.5\n256,0,1,nan\n512,0,1,0.2\n"),
+        ("fit", "n,trial,seed,error\n128,0,1,0.5\n256,0,1,inf\n512,0,1,0.2\n"),
     ],
     ids=[
         "trials", "bandwidth", "truncation", "n_grid", "family", "bank",
         "manifold", "manifold-list", "graph-scalar", "coefficients-scalar", "no-n", "error-nan",
+        "trials-fraction", "trials-string", "seed-bool", "eigen-index-fraction", "truncation-float",
+        "n_grid-fraction", "n_grid-range-float", "bandwidth-nan", "bandwidth-inf", "bandwidth-bool",
+        "bandwidth-string", "coefficient-nan", "coefficient-inf", "coefficient-bool", "scheme-heat",
+        "scheme-unknown", "fit-nan", "fit-inf",
     ],
 )
 def test_bad_values_are_config_errors(command, content, monkeypatch, tmp_path, capsys):
@@ -654,6 +679,34 @@ def test_bad_values_are_config_errors(command, content, monkeypatch, tmp_path, c
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert not calls and not list(tmp_path.glob("*_*.csv"))
+
+
+def test_heat_scheme_names_its_gaussian_equivalent(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    heat = {"scheme": "heat", "bandwidth_constant": 0.5}
+    path.write_text(json.dumps(dict(TINY_CONFIG, graph=heat)))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert '"scheme": "gaussian", "bandwidth_constant": 2.0' in err
+
+
+@pytest.mark.parametrize(
+    "name,digest",
+    [
+        ("sphere_rate.json", "8d3de3b3083c685a"),
+        ("circle_eigen.json", "f596313f6370b960"),
+        ("sphere_top.json", "fff4a4ea4dd1e4a1"),
+    ],
+)
+def test_pinned_config_hashes(name, digest):
+    # the hash names the artifacts: an absent scheme, or an integer
+    # bandwidth constant, must not rename them
+    raw = json.loads((PINNED / name).read_text())
+    assert ExperimentConfig.from_dict(raw).content_hash() == digest
+    del raw["graph"]["scheme"]
+    assert ExperimentConfig.from_dict(raw).content_hash() == digest
+    raw["graph"]["bandwidth_constant"] = int(raw["graph"]["bandwidth_constant"])
+    assert ExperimentConfig.from_dict(raw).content_hash() == digest
 
 
 def test_cli_config_error(tmp_path):

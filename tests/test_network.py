@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from converge import manifolds
 from converge.filters import exponential_filter, identity_filter, tent_filter
-from converge.graph import build_laplacian, calibrated_scheme
+from converge.graph import build_laplacian, calibration_constant
 from converge.network import (
     NONLINEARITIES,
     ContinuumOutput,
@@ -26,7 +26,7 @@ from converge.spectral import gn_norm, smallest_eigenpairs
 def circle_system():
     m = manifolds.Circle()
     cloud = manifolds.sample_uniform(m, 128, seed=1)
-    op = build_laplacian(cloud, calibrated_scheme("gaussian", m, 128))
+    op = build_laplacian(cloud, m, 1.0, calibration_constant(m))
     full = smallest_eigenpairs(op, K=128, tol=1e-7, method="dense")
     return m, cloud, full
 
