@@ -89,16 +89,17 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    rows = []
     try:
         with open(args.csv, newline="") as fh:
-            for row in csv.DictReader(fh):
-                if row.get("error"):
-                    rows.append((int(row["n"]), float(row["error"])))
-    except KeyError as exc:
-        raise ConfigError(f"{args.csv} has no {exc} column") from exc
+            reader = csv.DictReader(fh)
+            missing = [c for c in ("n", "error") if c not in (reader.fieldnames or ())]
+            rows = [] if missing else [
+                (int(row["n"]), float(row["error"])) for row in reader if row["error"]
+            ]
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {args.csv}: {exc}") from exc
+    if missing:
+        raise ConfigError(f"{args.csv} has no {' and no '.join(map(repr, missing))} column")
     by_n: dict[int, list[float]] = {}
     for n, e in rows:
         by_n.setdefault(n, []).append(e)

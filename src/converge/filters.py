@@ -1,13 +1,14 @@
-"""Spectral filters: frequency responses on [0, inf) with class checkers.
+"""Spectral filters: frequency responses on [0, inf).
 
-A filter is its frequency response plus declared metadata. The
-non-amplifying check (sup |h| <= 1) and the Lipschitz estimate are
-grid-based on [0, lambda_max]; only values at realized eigenvalues matter
-downstream, so a grid is adequate.
+A filter is its frequency response. The Lipschitz estimate is grid-based on
+[0, lambda_max]; only values at realized eigenvalues matter downstream, so a
+grid is adequate. A config builds a filter through `filter_from_config`,
+whose parameters must be finite JSON numbers.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,15 +17,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SpectralFilter:
-    """Frequency response lambda -> h(lambda) with declared bounds."""
+    """Frequency response lambda -> h(lambda)."""
 
     name: str
     response: Callable[[np.ndarray], np.ndarray]
-    declared_sup: float = 1.0
-    declared_lipschitz: float = 1.0
-
-    def __call__(self, lam):
-        return self.evaluate(lam)
 
     def evaluate(self, lam):
         """Evaluate the response; lam may be scalar or array, all >= 0."""
@@ -42,16 +38,11 @@ def exponential_filter() -> SpectralFilter:
 
 def identity_filter() -> SpectralFilter:
     """h(lambda) = 1; the all-pass filter."""
-    return SpectralFilter("identity", lambda lam: np.ones_like(lam), declared_lipschitz=0.0)
+    return SpectralFilter("identity", lambda lam: np.ones_like(lam))
 
 
 def constant_filter(value: float = 1.0) -> SpectralFilter:
-    return SpectralFilter(
-        f"constant({value})",
-        lambda lam, v=value: np.full_like(lam, v),
-        declared_sup=abs(value),
-        declared_lipschitz=0.0,
-    )
+    return SpectralFilter(f"constant({value})", lambda lam, v=value: np.full_like(lam, v))
 
 
 def tent_filter(center: float = 3.0) -> SpectralFilter:
@@ -74,16 +65,7 @@ def polynomial_filter(coeffs) -> SpectralFilter:
             out = out * lam + c
         return np.clip(out, -1.0, 1.0)
 
-    return SpectralFilter(f"poly{coeffs}", resp, declared_lipschitz=float("inf"))
-
-
-def check_nonamplifying(h: SpectralFilter, lam_max: float, grid_size: int = 2048):
-    """Grid check of sup |h| <= 1; returns (ok, measured_sup)."""
-    if grid_size < 2:
-        raise ValueError(f"need grid_size >= 2, got {grid_size}")
-    grid = np.linspace(0.0, lam_max, grid_size)
-    sup = float(np.max(np.abs(h.evaluate(grid))))
-    return sup <= 1.0 + 1e-12, sup
+    return SpectralFilter(f"poly{coeffs}", resp)
 
 
 def estimate_lipschitz(h: SpectralFilter, lam_max: float, grid_size: int = 2048) -> float:
@@ -95,23 +77,37 @@ def estimate_lipschitz(h: SpectralFilter, lam_max: float, grid_size: int = 2048)
     return float(np.max(np.abs(np.diff(vals)) / np.diff(grid)))
 
 
+def finite_number(name: str, value) -> float:
+    """value as a float, if it is a finite JSON number; ValueError otherwise.
+
+    float() would take "3" and true; the bounds refuse NaN and +-Infinity,
+    which json reads, and an integer too large for a float.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not number or not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def filter_from_config(spec: dict) -> SpectralFilter:
     """Build a filter from a config entry: {"family": ..., params...}."""
     spec = dict(spec)
     family = spec.pop("family", None)
     if family == "exponential":
-        builder = lambda: exponential_filter()
+        out = exponential_filter()
     elif family == "identity":
-        builder = lambda: identity_filter()
+        out = identity_filter()
     elif family == "constant":
-        builder = lambda: constant_filter(spec.pop("value", 1.0))
+        out = constant_filter(finite_number("a constant filter's value", spec.pop("value", 1.0)))
     elif family == "tent":
-        builder = lambda: tent_filter(spec.pop("center", 3.0))
+        out = tent_filter(finite_number("a tent filter's center", spec.pop("center", 3.0)))
     elif family == "polynomial":
-        builder = lambda: polynomial_filter(spec.pop("coefficients"))
+        coeffs = spec.pop("coefficients")
+        if not isinstance(coeffs, list):
+            raise ValueError(f"polynomial coefficients must be a list, got {coeffs!r}")
+        out = polynomial_filter([finite_number("a polynomial coefficient", c) for c in coeffs])
     else:
         raise ValueError(f"unknown filter family: {family!r}")
-    out = builder()
     if spec:
         raise ValueError(f"unknown filter parameters: {sorted(spec)}")
     return out

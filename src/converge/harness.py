@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import graph, manifolds, network, spectral
-from .filters import filter_from_config
+from .filters import filter_from_config, finite_number
 from .manifolds import BandlimitedSignal, Manifold
 from .network import NetworkSpec
 
@@ -108,6 +108,21 @@ def log_spaced_grid(start: int, stop: int, count: int) -> list[int]:
     return grid
 
 
+def integer(key: str, value) -> int:
+    """A JSON integer only: int() would truncate 2.7, "3" and true."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def real(key: str, value) -> float:
+    """A finite JSON number, as a float (`filters.finite_number`)."""
+    try:
+        return finite_number(key, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: manifold, signal, network, graph bandwidth, and schedule."""
@@ -151,7 +166,7 @@ class ExperimentConfig:
 
     def build_network(self) -> NetworkSpec:
         raw = self.network_raw
-        widths = tuple(int(w) for w in raw["widths"])
+        widths = tuple(integer("a network width", w) for w in raw["widths"])
         banks = tuple(
             tuple(tuple(filter_from_config(f) for f in row) for row in bank)
             for bank in raw["filters"]
@@ -197,20 +212,6 @@ class ExperimentConfig:
                 raise ConfigError(f"missing required config key: {key!r}")
             return d.pop(key, default)
 
-        def integer(key: str, value) -> int:
-            # a JSON integer only: int() would truncate 2.7, "3" and true
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-            return value
-
-        def real(key: str, value) -> float:
-            # a JSON integer or float; the bounds refuse NaN and +-Infinity,
-            # which json reads, and an integer too large for a float
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not number or not -sys.float_info.max <= value <= sys.float_info.max:
-                raise ConfigError(f"{key} must be a finite number, got {value!r}")
-            return float(value)
-
         def section(key: str) -> dict:
             value = take(raw, key, default={}) or {}
             if not isinstance(value, dict):
@@ -225,8 +226,8 @@ class ExperimentConfig:
         if coeffs is None:
             # default: unit coefficients on modes 1..9
             coeffs = [0.0] + [1.0] * 9
-        elif not isinstance(coeffs, list):
-            raise ConfigError(f"signal coefficients must be a list, got {coeffs!r}")
+        elif not isinstance(coeffs, list) or not coeffs:
+            raise ConfigError(f"signal coefficients must be a nonempty list, got {coeffs!r}")
         network = take(raw, "network", required=True)
         if not isinstance(network, dict) or "widths" not in network or "filters" not in network:
             raise ConfigError("network config needs 'widths' and 'filters'")
@@ -487,7 +488,7 @@ def run_convergence_experiment(
         x0 = manifolds.evaluate_signal(sig, m, cloud)[None, :]
         disc = network.forward_discrete(net, eig, x0)
         cont = network.forward_continuum(tail, m, lam, tail_coeffs, cloud)
-        return {"error": network.mnn_error(disc, cont)}
+        return {"error": network.mnn_error(disc, cont.values)}
 
     result = _run_cells(
         config, threads, ("error",), config.mode_count, measure, setup=hidden_layers

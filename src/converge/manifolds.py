@@ -172,10 +172,6 @@ class BandlimitedSignal:
     def bandwidth(self) -> int:
         return len(self.coefficients) - 1
 
-    def squared_l2_norm(self) -> float:
-        # Parseval under the orthonormal basis.
-        return float(np.dot(self.coefficients, self.coefficients))
-
 
 def sample_uniform(manifold: Manifold, n: int, seed: int) -> np.ndarray:
     """Draw n i.i.d. points, shape (n, D), uniform w.r.t. the Riemannian volume form.

@@ -12,14 +12,14 @@ last layer at any (n, D) point array. Both evaluate the eigenbasis with one
 `manifolds.eigenbasis` call per point set. The two passes are compared by
 summing per-feature G_n norms of the difference at the sample points.
 
-Truncation contract: both sides keep K modes at every layer, not
-DEFAULT_REEXPANSION_MODES. The discrete side keeps the eigensystem's K modes
-in `filter_apply_discrete`, after every nonlinearity too. The continuum side
-re-expands each hidden layer onto min(reexpansion_modes, len(eigenvalues))
-modes, and the rate experiment passes as many continuum eigenvalues as the
-signal has coefficients, which is K = `ExperimentConfig.mode_count(n)` unless
-a config's `truncation` asks for more (10 modes on `sphere_rate.json`).
-Modes a hidden layer drops are what its quadrature residual measures.
+Truncation contract: both sides keep K modes at every layer. The discrete
+side keeps the eigensystem's K modes in `filter_apply_discrete`, after every
+nonlinearity too. The continuum side re-expands each hidden layer onto
+len(eigenvalues) modes, and the rate experiment passes as many continuum
+eigenvalues as the signal has coefficients, which is K =
+`ExperimentConfig.mode_count(n)` unless a config's `truncation` asks for more
+(10 modes on `sphere_rate.json`). Modes a hidden layer drops are what its
+quadrature residual measures.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ NONLINEARITIES = {
     "relu": lambda x: np.maximum(x, 0.0),
     "identity": lambda x: x,
 }
-
-DEFAULT_REEXPANSION_MODES = 64
 
 
 @dataclass(frozen=True)
@@ -78,11 +76,6 @@ class NetworkSpec:
     @property
     def sigma(self):
         return NONLINEARITIES[self.nonlinearity]
-
-
-def single_filter_network(h: SpectralFilter, nonlinearity: str = "abs") -> NetworkSpec:
-    """One layer, one input feature, one output feature."""
-    return NetworkSpec(widths=(1, 1), filters=(((h,),),), nonlinearity=nonlinearity)
 
 
 def filter_apply_discrete(
@@ -144,7 +137,6 @@ def continuum_hidden_layers(
     manifold: Manifold,
     eigenvalues: np.ndarray,
     coefficients: np.ndarray,
-    reexpansion_modes: int = DEFAULT_REEXPANSION_MODES,
 ) -> tuple[NetworkSpec, np.ndarray, ContinuumOutput]:
     """Every continuum layer but the last, on the quadrature grid: no sample points.
 
@@ -152,7 +144,7 @@ def continuum_hidden_layers(
     ContinuumOutput (values unset) with the hidden layers' quadrature
     residuals and norms. Filters act diagonally on coefficients with the
     continuum eigenvalues. A nonlinear hidden layer is re-expanded onto the
-    first `reexpansion_modes` modes by quadrature; the dropped mass is its
+    first len(eigenvalues) modes by quadrature; the dropped mass is its
     quadrature residual. eigenvalues[i] is the eigenvalue of mode i.
     """
     coeffs = np.atleast_2d(np.asarray(coefficients, dtype=float))
@@ -165,9 +157,9 @@ def continuum_hidden_layers(
     out = ContinuumOutput(values=None)
     if net.depth > 1:
         grid, grid_w = quadrature_nodes(manifold)
-        k = min(reexpansion_modes, len(eigenvalues))
-        # every layer's input has either the signal's width or k coefficients
-        grid_basis = eigenbasis(manifold, grid, max(k, coeffs.shape[1]))
+        # every layer's input has at most k coefficients: the signal's or k
+        k = len(eigenvalues)
+        grid_basis = eigenbasis(manifold, grid, k)
     for bank in net.filters[:-1]:
         filtered = _apply_bank(bank, eigenvalues, coeffs)
         grid_vals = net.sigma(filtered @ grid_basis[:, : coeffs.shape[1]].T)
@@ -193,7 +185,6 @@ def forward_continuum(
     eigenvalues: np.ndarray,
     coefficients: np.ndarray,
     points: np.ndarray,
-    reexpansion_modes: int = DEFAULT_REEXPANSION_MODES,
 ) -> ContinuumOutput:
     """Exact continuum network evaluated at the sample points (P_n of Eq. output).
 
@@ -201,9 +192,7 @@ def forward_continuum(
     in the manifold's first modes, with the given eigenvalues. After `continuum_hidden_layers`, the final
     nonlinearity is applied pointwise at the sample points, which is exact.
     """
-    tail, coeffs, out = continuum_hidden_layers(
-        net, manifold, eigenvalues, coefficients, reexpansion_modes
-    )
+    tail, coeffs, out = continuum_hidden_layers(net, manifold, eigenvalues, coefficients)
     filtered = _apply_bank(tail.filters[0], eigenvalues, coeffs)
     vals = filtered @ eigenbasis(manifold, points, coeffs.shape[1]).T
     out.values = tail.sigma(vals)
@@ -214,11 +203,10 @@ def forward_continuum(
     return out
 
 
-def mnn_error(discrete_out: np.ndarray, continuum_out) -> float:
+def mnn_error(discrete_out: np.ndarray, continuum_out: np.ndarray) -> float:
     """Sum over output features of ||x_L^q - P_n f_L^q||_{G_n}."""
-    cont = continuum_out.values if isinstance(continuum_out, ContinuumOutput) else continuum_out
     disc = np.atleast_2d(np.asarray(discrete_out, dtype=float))
-    cont = np.atleast_2d(np.asarray(cont, dtype=float))
+    cont = np.atleast_2d(np.asarray(continuum_out, dtype=float))
     if disc.shape != cont.shape:
         raise ValueError(f"shape mismatch: {disc.shape} vs {cont.shape}")
     return float(sum(gn_norm(d - c) for d, c in zip(disc, cont)))

@@ -2,8 +2,8 @@
 
 Everything here lives in the G_n geometry: the inner product is the
 1/n-weighted dot product, the Monte Carlo surrogate for the manifold L2
-inner product. Eigenvectors returned by this module are G_n-orthonormal
-(Euclidean norm sqrt(n)).
+inner product, and `gn_norm` is its norm. Eigenvectors returned by this
+module are G_n-orthonormal (Euclidean norm sqrt(n)).
 
 The solver is Lanczos with full reorthogonalization applied to L itself:
 the K smallest Ritz values of the tridiagonal projection, taken in
@@ -21,24 +21,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .bounds import hoeffding_bound
 from .graph import LaplacianOperator
-from .manifolds import Manifold, eigenbasis, quadrature_nodes, sample_uniform
+from .manifolds import Manifold, eigenbasis
 
 LANCZOS_STEPS = 40  # Lanczos iteration cap, per requested eigenpair
 
 
-def gn_inner(x: np.ndarray, y: np.ndarray) -> float:
-    """<x, y>_{G_n} = (1/n) sum_i x_i y_i."""
-    return float(np.dot(x, y)) / len(x)
-
-
 def gn_norm(x: np.ndarray) -> float:
+    """||x||_{G_n} = sqrt((1/n) sum_i x_i^2)."""
     return float(np.linalg.norm(x)) / np.sqrt(len(x))
 
 
@@ -64,9 +59,6 @@ class EigenSystem:
     @property
     def n(self) -> int:
         return self.eigenvectors.shape[0]
-
-    def with_vectors(self, vectors: np.ndarray) -> "EigenSystem":
-        return EigenSystem(self.eigenvalues, vectors)
 
 
 def _start_vector(n: int, seed: int) -> np.ndarray:
@@ -248,7 +240,7 @@ def align_to_continuum(
             continue
         u, _, vt = np.linalg.svd(cross)
         vecs[:, g] = Q @ (u @ vt)
-    return discrete.with_vectors(vecs)
+    return EigenSystem(discrete.eigenvalues, vecs)
 
 
 def eigen_errors(
@@ -268,32 +260,3 @@ def eigen_errors(
         lam_err[i] = abs(eigenvalues[i] - aligned.eigenvalues[i])
         vec_err[i] = gn_norm(projected[i] - aligned.eigenvectors[:, i])
     return lam_err, vec_err
-
-
-def hoeffding_check(
-    f: Callable[[np.ndarray], np.ndarray],
-    g: Callable[[np.ndarray], np.ndarray],
-    manifold: Manifold,
-    n: int,
-    trials: int,
-    seed: int,
-) -> float:
-    """Empirical violation rate of the Monte Carlo inner-product bound.
-
-    The deviation |<P_n f, P_n g>_{G_n} - <f, g>_{L2}| is compared against
-    sqrt(18 ln n / n) * sup|fg| per trial; sup and the L2 inner product are
-    taken on the manifold's dense quadrature grid.
-    """
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    grid, w = quadrature_nodes(manifold)
-    fg = f(grid) * g(grid)
-    exact = float(np.sum(w * fg))
-    bound = hoeffding_bound(n, float(np.max(np.abs(fg))))
-    violations = 0
-    for trial in range(trials):
-        cloud = sample_uniform(manifold, n, seed + trial)
-        dev = abs(gn_inner(f(cloud), g(cloud)) - exact)
-        if dev > bound:
-            violations += 1
-    return violations / trials

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from converge import graph, manifolds, spectral
+from converge import manifolds
 from converge.bounds import error_recurrence, filter_count_factor, hoeffding_bound
 from converge.filters import exponential_filter, identity_filter
 from converge.graph import build_laplacian, calibration_constant
@@ -31,9 +31,10 @@ from converge.network import (
     NetworkSpec,
     filter_apply_discrete,
     forward_discrete,
-    single_filter_network,
 )
 from converge.spectral import EigenSystem, gn_norm, multiplicity_groups, smallest_eigenpairs
+
+from test_spectral import hoeffding_violation_rate
 
 pytestmark = pytest.mark.acceptance
 
@@ -219,7 +220,7 @@ def test_criterion_6_structural_invariants():
         ok = ok and gn_norm(filter_apply_discrete(h, full, x)) <= gn_norm(x) + 1e-10
 
     # sign-flip basis invariance of the forward pass
-    net = single_filter_network(h, "abs")
+    net = NetworkSpec((1, 1), (((h,),),), "abs")
     x = rng.standard_normal((1, 128))
     base = forward_discrete(net, full, x)
     signs = np.where(rng.random(128) < 0.5, -1.0, 1.0)
@@ -259,7 +260,7 @@ def test_criterion_7_bound_calculators():
 def test_criterion_8_hoeffding_violation_rate():
     m = manifolds.Circle()
     phi1 = lambda x: manifolds.eigenbasis(m, x, 2)[:, 1]
-    rate = spectral.hoeffding_check(phi1, phi1, m, n=4096, trials=200, seed=5)
+    rate = hoeffding_violation_rate(phi1, phi1, m, n=4096, trials=200, seed=5)
     ok = rate <= 0.01
     _verdict(8, "empirical Hoeffding violation rate <= 1%", ok, f"rate={rate:.3f}")
 

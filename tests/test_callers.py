@@ -1,0 +1,50 @@
+"""Every definition in `src/converge` has a caller in `src/`.
+
+A function, class or method counts as called when its name appears as a
+name or an attribute anywhere in `src/` outside its own body. Matching is
+by name alone, so a name shared with another definition can hide dead code,
+but a definition that only the tests reach fails.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "converge"
+
+# kept before their callers land; each entry must still be uncalled
+ALLOWED_FILES = {"bounds.py"}  # ROADMAP items 4 and 6: filter_count_factor, the bound columns
+ALLOWED_NAMES = {"estimate_lipschitz"}  # ROADMAP item 6: BoundInputs.lipschitz
+
+
+def uncalled_definitions():
+    """(file, line, name) of each definition that nothing in `src/` refers to."""
+    defs, refs = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((path.name, node))
+            elif isinstance(node, ast.Name):
+                refs.append((path.name, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path.name, node.attr, node.lineno))
+    uncalled = []
+    for path, node in defs:
+        name, inside = node.name, range(node.lineno, node.end_lineno + 1)
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if not any(n == name and not (p == path and line in inside) for p, n, line in refs):
+            uncalled.append((path, node.lineno, name))
+    return uncalled
+
+
+def test_every_definition_has_a_caller():
+    uncalled = uncalled_definitions()
+    unexpected = [
+        (path, line, name)
+        for path, line, name in uncalled
+        if path not in ALLOWED_FILES and name not in ALLOWED_NAMES
+    ]
+    assert not unexpected, f"definitions with no caller in src/: {unexpected}"
+    # an allowlist entry that gains a caller leaves the list
+    assert ALLOWED_NAMES <= {name for _, _, name in uncalled}
+    assert ALLOWED_FILES <= {path for path, _, _ in uncalled}

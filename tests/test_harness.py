@@ -622,6 +622,11 @@ def _network(widths, *families):
     return {"widths": widths, "filters": [[[{"family": f}] for f in families]]}
 
 
+def _filter(spec):
+    """TINY_CONFIG's one-filter network with the filter `spec`."""
+    return dict(TINY_CONFIG["network"], filters=[[[spec]]])
+
+
 @pytest.mark.parametrize(
     "command, content",
     [
@@ -655,6 +660,16 @@ def _network(widths, *families):
         ("run", dict(TINY_CONFIG, graph={"scheme": "knn"})),
         ("fit", "n,trial,seed,error\n128,0,1,0.5\n256,0,1,nan\n512,0,1,0.2\n"),
         ("fit", "n,trial,seed,error\n128,0,1,0.5\n256,0,1,inf\n512,0,1,0.2\n"),
+        ("run", dict(TINY_CONFIG, network=dict(TINY_CONFIG["network"], widths=[1.9, 1]))),
+        ("run", dict(TINY_CONFIG, network=_network([1, True], "exponential"))),
+        ("run", dict(TINY_CONFIG, network=_filter({"family": "tent", "center": math.nan}))),
+        ("run", dict(TINY_CONFIG, network=_filter({"family": "tent", "center": "3"}))),
+        ("run", dict(TINY_CONFIG, network=_filter({"family": "constant", "value": math.inf}))),
+        ("run", dict(TINY_CONFIG, network=_filter({"family": "constant", "value": False}))),
+        ("run", dict(TINY_CONFIG, network=_filter({"family": "polynomial", "coefficients": "12"}))),
+        ("run", dict(TINY_CONFIG, network=_filter({"family": "polynomial", "coefficients": [0, math.nan]}))),
+        ("run", dict(TINY_CONFIG, network=_filter({"family": "polynomial", "coefficients": [0, 0, 0, 0, 1]}))),
+        ("run", dict(TINY_CONFIG, signal={"coefficients": []})),
     ],
     ids=[
         "trials", "bandwidth", "truncation", "n_grid", "family", "bank",
@@ -662,7 +677,9 @@ def _network(widths, *families):
         "trials-fraction", "trials-string", "seed-bool", "eigen-index-fraction", "truncation-float",
         "n_grid-fraction", "n_grid-range-float", "bandwidth-nan", "bandwidth-inf", "bandwidth-bool",
         "bandwidth-string", "coefficient-nan", "coefficient-inf", "coefficient-bool", "scheme-heat",
-        "scheme-unknown", "fit-nan", "fit-inf",
+        "scheme-unknown", "fit-nan", "fit-inf", "width-fraction", "width-bool", "tent-nan",
+        "tent-string", "constant-inf", "constant-bool", "polynomial-string", "polynomial-nan",
+        "polynomial-degree", "coefficients-empty",
     ],
 )
 def test_bad_values_are_config_errors(command, content, monkeypatch, tmp_path, capsys):
@@ -679,6 +696,16 @@ def test_bad_values_are_config_errors(command, content, monkeypatch, tmp_path, c
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert not calls and not list(tmp_path.glob("*_*.csv"))
+
+
+def test_fit_names_the_missing_column(tmp_path, capsys):
+    path = tmp_path / "eigen.csv"
+    path.write_text("n,trial,seed,lambda_error,vector_error\n128,0,1,0.5,0.4\n")
+    assert main(["fit", "--csv", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {path} has no 'error' column\n"
+    path.write_text("trial,seed\n0,1\n")
+    assert main(["fit", "--csv", str(path)]) == 2
+    assert "has no 'n' and no 'error' column" in capsys.readouterr().err
 
 
 def test_heat_scheme_names_its_gaussian_equivalent(tmp_path, capsys):

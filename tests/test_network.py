@@ -10,16 +10,19 @@ from converge.filters import exponential_filter, identity_filter, tent_filter
 from converge.graph import build_laplacian, calibration_constant
 from converge.network import (
     NONLINEARITIES,
-    ContinuumOutput,
     NetworkSpec,
     continuum_hidden_layers,
     filter_apply_discrete,
     forward_continuum,
     forward_discrete,
     mnn_error,
-    single_filter_network,
 )
 from converge.spectral import gn_norm, smallest_eigenpairs
+
+
+def single_filter_network(h, nonlinearity):
+    """One layer, one input feature, one output feature."""
+    return NetworkSpec((1, 1), (((h,),),), nonlinearity)
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +230,7 @@ def test_continuum_two_layer_reexpansion():
     net = NetworkSpec(widths=(1, 1, 1), filters=(((h,),), ((h,),)), nonlinearity="abs")
     alpha = np.zeros(k_cont)
     alpha[1] = 1.0
-    out = forward_continuum(net, m, lam, alpha[None, :], cloud, reexpansion_modes=k_cont)
+    out = forward_continuum(net, m, lam, alpha[None, :], cloud)
     # |cos| has a 1/k^2 coefficient tail; 33 modes leave a small residual
     assert out.quadrature_residuals and max(out.quadrature_residuals) < 0.05
 
@@ -280,4 +283,3 @@ def test_mnn_error_contract():
     assert mnn_error(two_a, two_b) == pytest.approx(0.7)
     with pytest.raises(ValueError):
         mnn_error(np.ones((1, 10)), np.ones((2, 10)))
-    assert mnn_error(a, ContinuumOutput(values=a.copy())) == 0.0

@@ -6,14 +6,13 @@ import pytest
 import scipy.linalg
 
 from converge import graph, manifolds, spectral
+from converge.bounds import hoeffding_bound
 from converge.graph import build_laplacian, calibration_constant
 from converge.spectral import (
     ConvergenceFailure,
     align_to_continuum,
     eigen_errors,
-    gn_inner,
     gn_norm,
-    hoeffding_check,
     multiplicity_groups,
     project_eigenfunctions,
     smallest_eigenpairs,
@@ -26,8 +25,6 @@ def _operator(manifold, n, seed, c=1.0):
 
 
 def test_gn_inner_product():
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    assert gn_inner(x, x) == pytest.approx(30 / 4)
     assert gn_norm(np.full(10, 2.0)) == pytest.approx(2.0)
 
 
@@ -202,9 +199,9 @@ def test_alignment_sign_flip():
     _, op = _operator(manifolds.Circle(), 200, seed=6)
     eig = smallest_eigenpairs(op, K=1, tol=1e-8)
     target = [np.ones(200)]
-    flipped = eig.with_vectors(-np.abs(eig.eigenvectors))
+    flipped = spectral.EigenSystem(eig.eigenvalues, -np.abs(eig.eigenvectors))
     aligned = align_to_continuum(flipped, target, [[0]])
-    assert gn_inner(aligned.eigenvectors[:, 0], target[0]) >= 0
+    assert np.dot(aligned.eigenvectors[:, 0], target[0]) >= 0
     # already aligned: unchanged
     again = align_to_continuum(aligned, target, [[0]])
     assert np.array_equal(again.eigenvectors, aligned.eigenvectors)
@@ -298,9 +295,27 @@ def test_eigen_error_decreases_with_n():
     assert vec_big / vec_small <= 0.9
 
 
+def hoeffding_violation_rate(f, g, manifold, n, trials, seed):
+    """Share of trials whose Monte Carlo inner product misses the bound.
+
+    The deviation |<P_n f, P_n g>_{G_n} - <f, g>_{L2}| of each trial's sample
+    is compared against sqrt(18 ln n / n) * sup|fg|; sup and the L2 inner
+    product are taken on the manifold's quadrature grid.
+    """
+    grid, w = manifolds.quadrature_nodes(manifold)
+    fg = f(grid) * g(grid)
+    exact = float(np.sum(w * fg))
+    bound = hoeffding_bound(n, float(np.max(np.abs(fg))))
+    violations = 0
+    for trial in range(trials):
+        cloud = manifolds.sample_uniform(manifold, n, seed + trial)
+        violations += abs(float(np.dot(f(cloud), g(cloud))) / n - exact) > bound
+    return violations / trials
+
+
 def test_hoeffding_constant_function():
     one = lambda x: np.ones(x.shape[0])
-    rate = hoeffding_check(one, one, manifolds.Circle(), n=256, trials=20, seed=0)
+    rate = hoeffding_violation_rate(one, one, manifolds.Circle(), n=256, trials=20, seed=0)
     assert rate == 0.0
 
 
@@ -311,5 +326,5 @@ def test_hoeffding_bound_value():
 def test_hoeffding_violation_rate_small():
     m = manifolds.Circle()
     phi1 = lambda x: manifolds.eigenbasis(m, x, 2)[:, 1]
-    rate = hoeffding_check(phi1, phi1, m, n=4096, trials=200, seed=5)
+    rate = hoeffding_violation_rate(phi1, phi1, m, n=4096, trials=200, seed=5)
     assert rate <= 0.01
