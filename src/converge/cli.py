@@ -2,7 +2,7 @@
 
 converge run   --config cfg.json [--full] [--out-dir DIR] [--threads K]
 converge eigen --config cfg.json [--out-dir DIR] [--threads K]
-converge fit   --csv results.csv
+converge fit   --csv results.csv    (the summary's fit, from a run's CSV)
 
 Exit codes: 0 success, 2 config error, 3 eigensolver convergence abort.
 """
@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -20,8 +22,9 @@ from .harness import (
     ExperimentAborted,
     ExperimentConfig,
     eigen_convergence_experiment,
-    loglog_fit,
+    fit_or_none,
     run_convergence_experiment,
+    summarize,
     write_csv,
     write_plot_data,
     write_summary,
@@ -32,14 +35,15 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 
-# the large schedule offered behind --full: 2^10..2^14, 100 trials
-FULL_GRID = {"start": 1024, "stop": 16384, "count": 10}
+# the large schedule offered behind --full: 10 log-spaced n in 2^10..2^14
+# (harness.log_spaced_grid(1024, 16384, 10)), 100 trials
+FULL_GRID = (1024, 1393, 1896, 2580, 3511, 4778, 6502, 8848, 12040, 16384)
 FULL_TRIALS = 100
 
-# subcommand -> (experiment, the summary key its plot data shows, help)
+# subcommand -> (experiment, help)
 EXPERIMENTS = {
-    "run": (run_convergence_experiment, "error", "discrete-vs-continuum convergence experiment"),
-    "eigen": (eigen_convergence_experiment, "lambda_error", "eigen-convergence experiment"),
+    "run": (run_convergence_experiment, "discrete-vs-continuum convergence experiment"),
+    "eigen": (eigen_convergence_experiment, "eigen-convergence experiment"),
 }
 
 
@@ -47,7 +51,7 @@ def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="converge")
     sub = p.add_subparsers(dest="command", required=True)
 
-    for name, (_, _, help_text) in EXPERIMENTS.items():
+    for name, (_, help_text) in EXPERIMENTS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True)
         if name == "run":
@@ -60,55 +64,41 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_config(path: str, full: bool = False) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_json(path)
-    if full:
-        raw = cfg.canonical_dict()
-        raw["n_grid"] = FULL_GRID
-        raw["trials"] = FULL_TRIALS
-        cfg = ExperimentConfig.from_dict(raw)
-    return cfg
-
-
-def _emit(result, out_dir: str, prefix: str, plot_key: str):
-    out = Path(out_dir)
+def _cmd_experiment(args) -> int:
+    experiment, _ = EXPERIMENTS[args.command]
+    cfg = ExperimentConfig.from_json(args.config)
+    if getattr(args, "full", False):
+        cfg = dataclasses.replace(cfg, n_grid=FULL_GRID, trials=FULL_TRIALS)
+    result = experiment(cfg, threads=args.threads)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tag = f"{prefix}_{result.config.content_hash()}"
+    tag = f"{args.command}_{cfg.content_hash()}"
     write_csv(result, out / f"{tag}.csv")
     write_summary(result, out / f"{tag}.json")
-    write_plot_data(result, out / f"{tag}.dat", key=plot_key)
+    write_plot_data(result, out / f"{tag}.dat")
     print(json.dumps(result.summary_dict(), indent=2, sort_keys=True))
-
-
-def _cmd_experiment(args) -> int:
-    experiment, plot_key, _ = EXPERIMENTS[args.command]
-    cfg = _load_config(args.config, getattr(args, "full", False))
-    result = experiment(cfg, threads=args.threads)
-    _emit(result, args.out_dir, args.command, plot_key)
     return EXIT_OK
 
 
 def _cmd_fit(args) -> int:
+    """The summary's fit, from a run's CSV: the same per-n means and fit."""
     try:
         with open(args.csv, newline="") as fh:
             reader = csv.DictReader(fh)
             missing = [c for c in ("n", "error") if c not in (reader.fieldnames or ())]
-            rows = [] if missing else [
-                (int(row["n"]), float(row["error"])) for row in reader if row["error"]
-            ]
+            records = [] if missing else [
+                {"n": int(row["n"]), "error": float(row["error"])} for row in reader if row["error"]
+            ]  # an empty error is a failed trial
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {args.csv}: {exc}") from exc
     if missing:
         raise ConfigError(f"{args.csv} has no {' and no '.join(map(repr, missing))} column")
-    by_n: dict[int, list[float]] = {}
-    for n, e in rows:
-        by_n.setdefault(n, []).append(e)
-    means = sorted((n, sum(v) / len(v)) for n, v in by_n.items())
-    try:
-        slope, intercept, r2 = loglog_fit(means)
-    except ValueError as exc:
-        raise ConfigError(f"{args.csv}: {exc}") from exc
-    print(json.dumps({"slope": slope, "intercept": intercept, "r2": r2}, indent=2))
+    if not all(math.isfinite(r["error"]) for r in records):
+        raise ConfigError(f"{args.csv}: log-log fit requires finite errors")
+    fit = fit_or_none(summarize(records, ("error",)), "error")
+    if fit is None:
+        raise ConfigError(f"{args.csv}: need at least 3 n with a positive mean error for a fit")
+    print(json.dumps(fit, indent=2))
     return EXIT_OK
 
 

@@ -19,7 +19,6 @@ import numpy as np
 class SpectralFilter:
     """Frequency response lambda -> h(lambda)."""
 
-    name: str
     response: Callable[[np.ndarray], np.ndarray]
 
     def evaluate(self, lam):
@@ -33,24 +32,21 @@ class SpectralFilter:
 
 def exponential_filter() -> SpectralFilter:
     """h(lambda) = exp(-lambda); non-amplifying, 1-Lipschitz."""
-    return SpectralFilter("exponential", lambda lam: np.exp(-lam))
+    return SpectralFilter(lambda lam: np.exp(-lam))
 
 
 def identity_filter() -> SpectralFilter:
     """h(lambda) = 1; the all-pass filter."""
-    return SpectralFilter("identity", lambda lam: np.ones_like(lam))
+    return SpectralFilter(lambda lam: np.ones_like(lam))
 
 
 def constant_filter(value: float = 1.0) -> SpectralFilter:
-    return SpectralFilter(f"constant({value})", lambda lam, v=value: np.full_like(lam, v))
+    return SpectralFilter(lambda lam, v=value: np.full_like(lam, v))
 
 
 def tent_filter(center: float = 3.0) -> SpectralFilter:
     """h(lambda) = max(0, 1 - |lambda - center|)."""
-    return SpectralFilter(
-        f"tent({center})",
-        lambda lam, c=center: np.maximum(0.0, 1.0 - np.abs(lam - c)),
-    )
+    return SpectralFilter(lambda lam, c=center: np.maximum(0.0, 1.0 - np.abs(lam - c)))
 
 
 def polynomial_filter(coeffs) -> SpectralFilter:
@@ -65,7 +61,7 @@ def polynomial_filter(coeffs) -> SpectralFilter:
             out = out * lam + c
         return np.clip(out, -1.0, 1.0)
 
-    return SpectralFilter(f"poly{coeffs}", resp)
+    return SpectralFilter(resp)
 
 
 def estimate_lipschitz(h: SpectralFilter, lam_max: float, grid_size: int = 2048) -> float:

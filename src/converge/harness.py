@@ -9,6 +9,13 @@ does not depend on the sample runs once per experiment, beside the
 calibration solve: the rate experiment's continuum hidden layers are the
 worker pool's first task, and the cells read them from its future.
 
+A config is checked once, type and range, by `ExperimentConfig.from_dict`,
+which also parses its network; `_run_cells` checks before calibration only
+what depends on the experiment: n against the mode count, and memory. An
+experiment's measured keys are `ExperimentResult.keys`, the CSV columns after
+n, trial and seed, and `summarize` is the one path from records to per-n
+means, for the summary and `converge fit` alike.
+
 Determinism contract: per-trial seeds are derived by hashing
 (master seed, n, trial), trials are aggregated in a fixed order regardless
 of thread count, and all file output uses explicit float formatting, so two
@@ -31,7 +38,7 @@ import numpy as np
 
 from . import graph, manifolds, network, spectral
 from .filters import filter_from_config, finite_number
-from .manifolds import BandlimitedSignal, Manifold
+from .manifolds import Manifold
 from .network import NetworkSpec
 
 EIGEN_TOL = 1e-8
@@ -108,10 +115,12 @@ def log_spaced_grid(start: int, stop: int, count: int) -> list[int]:
     return grid
 
 
-def integer(key: str, value) -> int:
-    """A JSON integer only: int() would truncate 2.7, "3" and true."""
+def integer(key: str, value, least: int | None = None) -> int:
+    """A JSON integer only (int() would truncate 2.7, "3" and true), at least `least`."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value}")
     return value
 
 
@@ -125,11 +134,13 @@ def real(key: str, value) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: manifold, signal, network, graph bandwidth, and schedule."""
+    """One experiment: manifold, signal, network, graph bandwidth, and schedule.
+    `from_dict` checks every value; the constructor takes them as given."""
 
     manifold: str
     signal_coefficients: tuple[float, ...]
     network_raw: dict  # as given in the config, kept for hashing
+    network: NetworkSpec = field(compare=False)  # parsed from network_raw
     bandwidth_constant: float
     n_grid: tuple[int, ...]
     trials: int
@@ -137,45 +148,9 @@ class ExperimentConfig:
     truncation: int | str | None = None  # int, "full", or None (signal width)
     eigen_index: int = 1
 
-    def __post_init__(self):
-        if not isinstance(self.manifold, str) or self.manifold not in manifolds.MODELS:
-            raise ConfigError(f"unknown manifold: {self.manifold!r}")
-        if self.bandwidth_constant <= 0:
-            raise ConfigError("bandwidth_constant must be positive")
-        if list(self.n_grid) != sorted(set(self.n_grid)) or len(self.n_grid) < 1:
-            raise ConfigError("n_grid must be strictly increasing and nonempty")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.eigen_index < 0:
-            raise ConfigError("eigen_index must be >= 0")
-        if self.truncation is not None and self.truncation != "full":
-            if not isinstance(self.truncation, int) or self.truncation < 1:
-                raise ConfigError("truncation must be a positive integer or 'full'")
-        try:
-            self.build_network()
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad network: {exc}") from exc
-
     @property
     def manifold_model(self) -> Manifold:
         return manifolds.MODELS[self.manifold]
-
-    @property
-    def signal(self) -> BandlimitedSignal:
-        return BandlimitedSignal(np.array(self.signal_coefficients))
-
-    def build_network(self) -> NetworkSpec:
-        raw = self.network_raw
-        widths = tuple(integer("a network width", w) for w in raw["widths"])
-        banks = tuple(
-            tuple(tuple(filter_from_config(f) for f in row) for row in bank)
-            for bank in raw["filters"]
-        )
-        return NetworkSpec(
-            widths=widths,
-            filters=banks,
-            nonlinearity=raw.get("nonlinearity", "abs"),
-        )
 
     def mode_count(self, n: int) -> int:
         """Discrete eigenpairs per trial at point count n: never below the signal width."""
@@ -219,6 +194,8 @@ class ExperimentConfig:
             return dict(value)
 
         manifold = take(raw, "manifold", required=True)
+        if not isinstance(manifold, str) or manifold not in manifolds.MODELS:
+            raise ConfigError(f"unknown manifold: {manifold!r}")
         signal = section("signal")
         coeffs = signal.pop("coefficients", None)
         if signal:
@@ -234,6 +211,17 @@ class ExperimentConfig:
         unknown_net = set(network) - {"widths", "filters", "nonlinearity"}
         if unknown_net:
             raise ConfigError(f"unknown network keys: {sorted(unknown_net)}")
+        try:
+            spec = NetworkSpec(
+                widths=tuple(integer("a network width", w) for w in network["widths"]),
+                filters=tuple(
+                    tuple(tuple(filter_from_config(f) for f in row) for row in bank)
+                    for bank in network["filters"]
+                ),
+                nonlinearity=network.get("nonlinearity", "abs"),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad network: {exc}") from exc
         g = section("graph")
         scheme = g.pop("scheme", "gaussian")
         bandwidth_constant = real("bandwidth_constant", g.pop("bandwidth_constant", 1.0))
@@ -246,6 +234,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown graph scheme: {scheme!r}")
         if g:
             raise ConfigError(f"unknown graph keys: {sorted(g)}")
+        if bandwidth_constant <= 0:
+            raise ConfigError("bandwidth_constant must be positive")
         ngrid_raw = take(raw, "n_grid", required=True)
         if isinstance(ngrid_raw, dict):
             keys = ("start", "stop", "count")
@@ -256,18 +246,21 @@ class ExperimentConfig:
             n_grid = [integer("an n_grid entry", v) for v in ngrid_raw]
         else:
             raise ConfigError("n_grid must be a list or a {start, stop, count} range")
-        trials = integer("trials", take(raw, "trials", default=20))
-        seed = integer("seed", take(raw, "seed", default=0))
+        if not n_grid or n_grid != sorted(set(n_grid)):
+            raise ConfigError("n_grid must be strictly increasing and nonempty")
+        trials = integer("trials", take(raw, "trials", default=20), least=1)
+        seed = integer("seed", take(raw, "seed", default=0), least=0)
         truncation = take(raw, "truncation")
         if truncation not in (None, "full"):
-            truncation = integer("truncation", truncation)
-        eigen_index = integer("eigen_index", take(raw, "eigen_index", default=1))
+            truncation = integer("truncation", truncation, least=1)
+        eigen_index = integer("eigen_index", take(raw, "eigen_index", default=1), least=0)
         if raw:
             raise ConfigError(f"unknown config keys: {sorted(raw)}")
         return ExperimentConfig(
             manifold=manifold,
             signal_coefficients=tuple(real("a signal coefficient", c) for c in coeffs),
             network_raw=network,
+            network=spec,
             bandwidth_constant=bandwidth_constant,
             n_grid=tuple(n_grid),
             trials=trials,
@@ -346,6 +339,7 @@ class ExperimentResult:
     """Per-trial records plus per-n summaries and the fitted rate."""
 
     config: ExperimentConfig
+    keys: tuple[str, ...]  # measured per record: the CSV columns after n, trial, seed
     records: list[dict] = field(default_factory=list)
     per_n: list[dict] = field(default_factory=list)
     fit: dict | None = None
@@ -361,20 +355,23 @@ class ExperimentResult:
         }
 
 
-def _summarize(config, records, error_keys):
+def summarize(records, keys) -> list[dict]:
+    """Per n, in record order: the trials that did not fail, and the mean and
+    std of each key over them (None where every trial failed)."""
     per_n = []
-    for n in config.n_grid:
+    for n in dict.fromkeys(r["n"] for r in records):
         ok = [r for r in records if r["n"] == n and not r.get("failed")]
         entry = {"n": n, "trials_ok": len(ok)}
-        for key in error_keys:
-            vals = np.array([r[key] for r in ok]) if ok else np.array([])
-            entry[f"mean_{key}"] = float(vals.mean()) if len(vals) else None
-            entry[f"std_{key}"] = float(vals.std(ddof=0)) if len(vals) else None
+        for key in keys:
+            vals = np.array([r[key] for r in ok])
+            entry[f"mean_{key}"] = float(vals.mean()) if ok else None
+            entry[f"std_{key}"] = float(vals.std(ddof=0)) if ok else None
         per_n.append(entry)
     return per_n
 
 
-def _fit_or_none(per_n, key):
+def fit_or_none(per_n, key) -> dict | None:
+    """The log-log fit of key's positive per-n means, or None below 3 of them."""
     pts = [
         (e["n"], e[f"mean_{key}"])
         for e in per_n
@@ -405,14 +402,18 @@ def _run_cells(
 
     The workers are capped at MEMORY_FRACTION of available_memory() over
     spectral.peak_bytes of the largest cell, and never below one; the count
-    never changes a result. A thread count below 1, or a cell larger than all
-    of the available memory, raises ConfigError before calibration.
+    never changes a result. A thread count below 1, an n below 2 or below
+    mode_count(n), or a cell larger than all of the available memory, raises
+    ConfigError before calibration.
     """
     start = time.perf_counter()
     m = config.manifold_model
     workers = default_thread_count() if threads is None else threads
     if workers < 1:
         raise ConfigError(f"need at least 1 thread, got {workers}")
+    for n in config.n_grid:
+        if n < max(2, mode_count(n)):
+            raise ConfigError(f"n_grid entry {n} is below 2 or the {mode_count(n)} modes a cell takes")
     available = available_memory()
     largest = max(spectral.peak_bytes(n, mode_count(n)) for n in config.n_grid)
     if available is not None and largest > available:
@@ -456,8 +457,9 @@ def _run_cells(
         )
     return ExperimentResult(
         config=config,
+        keys=keys,
         records=records,
-        per_n=_summarize(config, records, keys),
+        per_n=summarize(records, keys),
         metadata={
             "calibration": calibration,
             "failures": failures,
@@ -472,20 +474,19 @@ def run_convergence_experiment(
 ) -> ExperimentResult:
     """The discrete-vs-continuum error experiment with a log-log rate fit."""
     m = config.manifold_model
-    net = config.build_network()
-    sig = config.signal
+    net = config.network
     if net.widths[0] != 1:
         raise ConfigError("convergence experiment expects a single input feature")
-    lam = m.eigenvalues(sig.bandwidth + 1)
-    coeffs = sig.coefficients[None, :]
+    coeffs = np.array(config.signal_coefficients)
+    lam = m.eigenvalues(len(coeffs))
 
     def hidden_layers():
         # sample-independent: built once, beside the calibration solve
-        return network.continuum_hidden_layers(net, m, lam, coeffs)
+        return network.continuum_hidden_layers(net, m, lam, coeffs[None, :])
 
     def measure(cloud, eig, hidden):
         tail, tail_coeffs, _ = hidden
-        x0 = manifolds.evaluate_signal(sig, m, cloud)[None, :]
+        x0 = manifolds.evaluate_signal(coeffs, m, cloud)[None, :]
         disc = network.forward_discrete(net, eig, x0)
         cont = network.forward_continuum(tail, m, lam, tail_coeffs, cloud)
         return {"error": network.mnn_error(disc, cont.values)}
@@ -493,7 +494,7 @@ def run_convergence_experiment(
     result = _run_cells(
         config, threads, ("error",), config.mode_count, measure, setup=hidden_layers
     )
-    result.fit = _fit_or_none(result.per_n, "error")
+    result.fit = fit_or_none(result.per_n, "error")
     return result
 
 
@@ -517,7 +518,7 @@ def eigen_convergence_experiment(
 
     keys = ("lambda_error", "vector_error")
     result = _run_cells(config, threads, keys, lambda n: count, measure)
-    result.fit = {key: _fit_or_none(result.per_n, key) for key in keys}
+    result.fit = {key: fit_or_none(result.per_n, key) for key in keys}
     return result
 
 
@@ -526,12 +527,11 @@ def _fmt(v) -> str:
 
 
 def write_csv(result: ExperimentResult, path) -> None:
-    """Trial records; columns depend on the experiment kind."""
-    keys = [k for k in ("error", "lambda_error", "vector_error") if k in result.records[0]]
-    lines = ["n,trial,seed," + ",".join(keys)]
+    """Trial records: n, trial, seed and the experiment's measured keys."""
+    lines = ["n,trial,seed," + ",".join(result.keys)]
     for r in result.records:
         lines.append(
-            f"{r['n']},{r['trial']},{r['seed']}," + ",".join(_fmt(r[k]) for k in keys)
+            f"{r['n']},{r['trial']},{r['seed']}," + ",".join(_fmt(r[k]) for k in result.keys)
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -542,8 +542,9 @@ def write_summary(result: ExperimentResult, path) -> None:
     )
 
 
-def write_plot_data(result: ExperimentResult, path, key: str = "error") -> None:
-    """Gnuplot-friendly columns: n, mean error, fitted value (if any)."""
+def write_plot_data(result: ExperimentResult, path) -> None:
+    """Gnuplot-friendly columns: n, the mean of the first key, fitted value (if any)."""
+    key = result.keys[0]
     fit = result.fit
     if fit is not None and "slope" not in fit:
         fit = fit.get(key)

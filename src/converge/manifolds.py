@@ -11,7 +11,8 @@ vol(M) != 1. Modes are 0-indexed, constant mode first, eigenvalues
 nondecreasing; a level is a set of modes that share an eigenvalue.
 
 The module functions `sample_uniform`, `eigenbasis`, `evaluate_signal` and
-`quadrature_nodes` dispatch on the model. `eigenbasis` evaluates the first
+`quadrature_nodes` dispatch on the model. A bandlimited signal is its
+coefficient array, alpha_i on mode i. `eigenbasis` evaluates the first
 `count` eigenfunctions at a set of points in one pass, sharing the angles
 and, on the sphere, the Legendre recurrence across modes. Every caller goes
 through it, so there is one evaluation path.
@@ -162,17 +163,6 @@ class Sphere2(Manifold):
 MODELS: dict[str, Manifold] = {"circle": Circle(), "sphere2": Sphere2()}
 
 
-@dataclass(frozen=True)
-class BandlimitedSignal:
-    """A finite generalized-Fourier expansion: f = sum_i alpha_i phi_i."""
-
-    coefficients: np.ndarray  # alpha_0 .. alpha_kappa
-
-    @property
-    def bandwidth(self) -> int:
-        return len(self.coefficients) - 1
-
-
 def sample_uniform(manifold: Manifold, n: int, seed: int) -> np.ndarray:
     """Draw n i.i.d. points, shape (n, D), uniform w.r.t. the Riemannian volume form.
 
@@ -198,9 +188,10 @@ def eigenbasis(manifold: Manifold, x: np.ndarray, count: int) -> np.ndarray:
     return out.T
 
 
-def evaluate_signal(f: BandlimitedSignal, manifold: Manifold, points: np.ndarray) -> np.ndarray:
-    """Evaluate f at the sample points: entry j is sum_i alpha_i phi_i(x_j)."""
-    return eigenbasis(manifold, points, f.bandwidth + 1) @ f.coefficients
+def evaluate_signal(coefficients: np.ndarray, manifold: Manifold, points: np.ndarray) -> np.ndarray:
+    """The bandlimited signal f = sum_i alpha_i phi_i, given by its coefficients
+    alpha_0..alpha_kappa, at the sample points: entry j is f(x_j)."""
+    return eigenbasis(manifold, points, len(coefficients)) @ coefficients
 
 
 def quadrature_nodes(manifold: Manifold, count: int | None = None):

@@ -1,9 +1,11 @@
 """Every definition in `src/converge` has a caller in `src/`.
 
 A function, class or method counts as called when its name appears as a
-name or an attribute anywhere in `src/` outside its own body. Matching is
-by name alone, so a name shared with another definition can hide dead code,
-but a definition that only the tests reach fails.
+name or an attribute anywhere in `src/` outside its own body. A class-level
+annotated field (a dataclass field) counts as read when its name appears as
+an attribute anywhere in `src/`. Matching is by name alone, so a name shared
+with another definition can hide dead code, but a definition that only the
+tests reach fails.
 """
 
 import ast
@@ -14,6 +16,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "converge"
 # kept before their callers land; each entry must still be uncalled
 ALLOWED_FILES = {"bounds.py"}  # ROADMAP items 4 and 6: filter_count_factor, the bound columns
 ALLOWED_NAMES = {"estimate_lipschitz"}  # ROADMAP item 6: BoundInputs.lipschitz
+ALLOWED_FIELDS = {"ambient_dim"}  # ROADMAP item 3: the D sweep reports it
 
 
 def uncalled_definitions():
@@ -35,6 +38,31 @@ def uncalled_definitions():
         if not any(n == name and not (p == path and line in inside) for p, n, line in refs):
             uncalled.append((path, node.lineno, name))
     return uncalled
+
+
+def unread_fields():
+    """(file, line, name) of each class-level annotated field that nothing in
+    `src/` reads as an attribute."""
+    fields, attrs = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                fields += [
+                    (path.name, item.lineno, item.target.id)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    return [(path, line, name) for path, line, name in fields if name not in attrs]
+
+
+def test_every_field_is_read():
+    unread = unread_fields()
+    unexpected = [entry for entry in unread if entry[2] not in ALLOWED_FIELDS]
+    assert not unexpected, f"fields nothing in src/ reads: {unexpected}"
+    # an allowlist entry that gains a reader leaves the list
+    assert ALLOWED_FIELDS <= {name for _, _, name in unread}
 
 
 def test_every_definition_has_a_caller():

@@ -15,6 +15,7 @@ from converge.harness import (
     ConfigError,
     ExperimentAborted,
     ExperimentConfig,
+    ExperimentResult,
     derive_seed,
     eigen_convergence_experiment,
     log_spaced_grid,
@@ -134,6 +135,7 @@ def test_config_hash_changes_with_content():
     b = ExperimentConfig.from_dict(dict(TINY_CONFIG, seed=8))
     assert a.content_hash() != b.content_hash()
     assert a.content_hash() == ExperimentConfig.from_dict(TINY_CONFIG).content_hash()
+    assert a == ExperimentConfig.from_dict(TINY_CONFIG)  # the parsed network follows network_raw
 
 
 @pytest.fixture(scope="module")
@@ -478,6 +480,19 @@ def test_csv_schema(tiny_result, tmp_path):
     assert len(lines) == 5
 
 
+def test_csv_columns_are_the_result_keys(tmp_path):
+    # every measured key is a column, in the result's order, and no other
+    keys = ("error", "error_mc", "error_graph")
+    records = [
+        {"n": 128, "trial": 0, "seed": 5, "error": 0.5, "error_mc": 0.25, "error_graph": 0.125, "x": 1},
+        {"n": 128, "trial": 1, "seed": 6, **dict.fromkeys(keys), "failed": True},
+    ]
+    cfg = ExperimentConfig.from_dict(TINY_CONFIG)
+    path = tmp_path / "out.csv"
+    write_csv(ExperimentResult(config=cfg, keys=keys, records=records), path)
+    assert path.read_text() == "n,trial,seed,error,error_mc,error_graph\n128,0,5,0.5,0.25,0.125\n128,1,6,,,\n"
+
+
 def test_summary_schema(tiny_result, tmp_path):
     path = tmp_path / "out.json"
     write_summary(tiny_result, path)
@@ -602,6 +617,27 @@ def test_sphere_eigen_experiment_aligns_whole_cluster():
     assert res.per_n[-1]["mean_vector_error"] <= 0.15
 
 
+def test_fit_prints_the_summary_fit(monkeypatch, tmp_path, capsys):
+    # 20-trial means whose fit moves in the last bits between sum/len and
+    # np.mean: `fit` on the run's CSV prints the summary's fit exactly
+    errors = iter(np.random.default_rng(3).lognormal(-2.0, 0.5, size=60))
+    monkeypatch.setattr(network, "mnn_error", lambda disc, cont: float(next(errors)))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(TINY_CONFIG, n_grid=[128, 160, 200], trials=20)))
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path), "--threads", "1"]) == 0
+    (csv_path,), (summary_path,) = tmp_path.glob("run_*.csv"), tmp_path.glob("run_*.json")
+    fit = json.loads(summary_path.read_text())["fit"]
+    capsys.readouterr()
+    assert main(["fit", "--csv", str(csv_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == fit
+    by_n = {}
+    for line in csv_path.read_text().splitlines()[1:]:
+        n, _, _, error = line.split(",")
+        by_n.setdefault(int(n), []).append(float(error))
+    sum_len = loglog_fit([(n, sum(v) / len(v)) for n, v in by_n.items()])
+    assert sum_len != (fit["slope"], fit["intercept"], fit["r2"])
+
+
 def test_cli_run_and_fit(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(TINY_CONFIG))
@@ -670,6 +706,19 @@ def _filter(spec):
         ("run", dict(TINY_CONFIG, network=_filter({"family": "polynomial", "coefficients": [0, math.nan]}))),
         ("run", dict(TINY_CONFIG, network=_filter({"family": "polynomial", "coefficients": [0, 0, 0, 0, 1]}))),
         ("run", dict(TINY_CONFIG, signal={"coefficients": []})),
+        ("run", dict(TINY_CONFIG, seed=-1)),
+        ("run", dict(TINY_CONFIG, n_grid=[1, 300, 400])),
+        ("run", dict(TINY_CONFIG, signal={"coefficients": [0.0] + [1.0] * 9}, n_grid=[8, 300, 400])),
+        ("run", dict(TINY_CONFIG, n_grid=[-5, 300, 400])),
+        ("run", dict(TINY_CONFIG, truncation="full", n_grid=[1, 300, 400])),
+        ("eigen", dict(TINY_CONFIG, n_grid=[1, 300, 400])),
+        ("eigen", dict(TINY_CONFIG, n_grid=[2, 300, 400])),  # eigen_index 1 takes 3 modes
+        ("run", dict(TINY_CONFIG, trials=0)),
+        ("eigen", dict(TINY_CONFIG, eigen_index=-1)),
+        ("run", dict(TINY_CONFIG, truncation=0)),
+        ("run", dict(TINY_CONFIG, graph={"bandwidth_constant": 0})),
+        ("run", dict(TINY_CONFIG, n_grid=[256, 128])),
+        ("run", dict(TINY_CONFIG, n_grid=[])),
     ],
     ids=[
         "trials", "bandwidth", "truncation", "n_grid", "family", "bank",
@@ -679,7 +728,10 @@ def _filter(spec):
         "bandwidth-string", "coefficient-nan", "coefficient-inf", "coefficient-bool", "scheme-heat",
         "scheme-unknown", "fit-nan", "fit-inf", "width-fraction", "width-bool", "tent-nan",
         "tent-string", "constant-inf", "constant-bool", "polynomial-string", "polynomial-nan",
-        "polynomial-degree", "coefficients-empty",
+        "polynomial-degree", "coefficients-empty", "seed-negative", "n_grid-one",
+        "n_grid-below-modes", "n_grid-negative", "n_grid-one-full", "eigen-n_grid-one",
+        "eigen-n_grid-below-modes", "trials-zero", "eigen-index-negative", "truncation-zero",
+        "bandwidth-zero", "n_grid-unsorted", "n_grid-empty",
     ],
 )
 def test_bad_values_are_config_errors(command, content, monkeypatch, tmp_path, capsys):
@@ -717,6 +769,9 @@ def test_heat_scheme_names_its_gaussian_equivalent(tmp_path, capsys):
     assert '"scheme": "gaussian", "bandwidth_constant": 2.0' in err
 
 
+FULL_DIGESTS = {"sphere_rate.json": "a7ac2817b45c1f69", "circle_eigen.json": "783895ae9d262514"}
+
+
 @pytest.mark.parametrize(
     "name,digest",
     [
@@ -725,7 +780,7 @@ def test_heat_scheme_names_its_gaussian_equivalent(tmp_path, capsys):
         ("sphere_top.json", "fff4a4ea4dd1e4a1"),
     ],
 )
-def test_pinned_config_hashes(name, digest):
+def test_pinned_config_hashes(name, digest, monkeypatch):
     # the hash names the artifacts: an absent scheme, or an integer
     # bandwidth constant, must not rename them
     raw = json.loads((PINNED / name).read_text())
@@ -734,6 +789,13 @@ def test_pinned_config_hashes(name, digest):
     assert ExperimentConfig.from_dict(raw).content_hash() == digest
     raw["graph"]["bandwidth_constant"] = int(raw["graph"]["bandwidth_constant"])
     assert ExperimentConfig.from_dict(raw).content_hash() == digest
+    if name in FULL_DIGESTS:
+        # the config `run --full` hands to the experiment
+        monkeypatch.setattr(harness, "available_memory", lambda: None)
+        calls = _refuse_calibration(monkeypatch)
+        with pytest.raises(RuntimeError, match="calibration reached"):
+            main(["run", "--full", "--config", str(PINNED / name), "--threads", "1"])
+        assert [cfg.content_hash() for cfg in calls] == [FULL_DIGESTS[name]]
 
 
 def test_cli_config_error(tmp_path):

@@ -175,9 +175,8 @@ def test_continuum_identity_network():
         widths=(1, 1, 1), filters=(((h,),), ((h,),)), nonlinearity="identity"
     )
     coeffs = np.array([[0.5, -1.0, 2.0, 0.0]])
-    sig = manifolds.BandlimitedSignal(coeffs[0])
     out = forward_continuum(net, m, lam, coeffs, cloud)
-    assert np.allclose(out.values[0], manifolds.evaluate_signal(sig, m, cloud), atol=1e-10)
+    assert np.allclose(out.values[0], manifolds.evaluate_signal(coeffs[0], m, cloud), atol=1e-10)
 
 
 def test_continuum_zero_input():
