@@ -21,23 +21,17 @@ class SpectralFilter:
 
     response: Callable[[np.ndarray], np.ndarray]
 
-    def evaluate(self, lam):
-        """Evaluate the response; lam may be scalar or array, all >= 0."""
-        arr = np.asarray(lam, dtype=float)
-        if np.any(arr < 0):
+    def evaluate(self, lam: np.ndarray) -> np.ndarray:
+        """The response at an array of frequencies, all >= 0."""
+        lam = np.asarray(lam, dtype=float)
+        if np.any(lam < 0):
             raise ValueError("filter evaluated at negative frequency")
-        out = self.response(arr)
-        return float(out) if np.isscalar(lam) or arr.ndim == 0 else np.asarray(out)
+        return self.response(lam)
 
 
 def exponential_filter() -> SpectralFilter:
     """h(lambda) = exp(-lambda); non-amplifying, 1-Lipschitz."""
     return SpectralFilter(lambda lam: np.exp(-lam))
-
-
-def identity_filter() -> SpectralFilter:
-    """h(lambda) = 1; the all-pass filter."""
-    return SpectralFilter(lambda lam: np.ones_like(lam))
 
 
 def constant_filter(value: float = 1.0) -> SpectralFilter:
@@ -91,8 +85,8 @@ def filter_from_config(spec: dict) -> SpectralFilter:
     family = spec.pop("family", None)
     if family == "exponential":
         out = exponential_filter()
-    elif family == "identity":
-        out = identity_filter()
+    elif family == "identity":  # the all-pass filter h = 1
+        out = constant_filter(1.0)
     elif family == "constant":
         out = constant_filter(finite_number("a constant filter's value", spec.pop("value", 1.0)))
     elif family == "tent":

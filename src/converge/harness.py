@@ -6,8 +6,8 @@ measure. The rate experiment measures the G_n error between the discrete and
 the continuum network; the eigen experiment measures eigenvalue and aligned
 eigenvector errors. Each fits log-log lines to the per-n means. Work that
 does not depend on the sample runs once per experiment, beside the
-calibration solve: the rate experiment's continuum hidden layers are the
-worker pool's first task, and the cells read them from its future.
+calibration solve: the rate experiment's `continuum_network` is the
+worker pool's first task, and the cells read it from its future.
 
 A config is checked once, type and range, by `ExperimentConfig.from_dict`,
 which also parses its network; `_run_cells` checks before calibration only
@@ -25,6 +25,7 @@ runs of the same config produce byte-identical artifacts.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -480,20 +481,16 @@ def run_convergence_experiment(
     coeffs = np.array(config.signal_coefficients)
     lam = m.eigenvalues(len(coeffs))
 
-    def hidden_layers():
+    def continuum():
         # sample-independent: built once, beside the calibration solve
-        return network.continuum_hidden_layers(net, m, lam, coeffs[None, :])
+        return network.continuum_network(net, m, lam, coeffs[None, :])
 
-    def measure(cloud, eig, hidden):
-        tail, tail_coeffs, _ = hidden
+    def measure(cloud, eig, cont):
         x0 = manifolds.evaluate_signal(coeffs, m, cloud)[None, :]
         disc = network.forward_discrete(net, eig, x0)
-        cont = network.forward_continuum(tail, m, lam, tail_coeffs, cloud)
-        return {"error": network.mnn_error(disc, cont.values)}
+        return {"error": network.mnn_error(disc, network.forward_continuum(net, m, cont, cloud))}
 
-    result = _run_cells(
-        config, threads, ("error",), config.mode_count, measure, setup=hidden_layers
-    )
+    result = _run_cells(config, threads, ("error",), config.mode_count, measure, setup=continuum)
     result.fit = fit_or_none(result.per_n, "error")
     return result
 
@@ -508,7 +505,7 @@ def eigen_convergence_experiment(
     # Procrustes alignment pick an arbitrary slice of a near-degenerate space
     count = m.level_end(idx)
     lam = m.eigenvalues(count)
-    groups = spectral.multiplicity_groups(lam)
+    groups = [list(g) for _, g in itertools.groupby(range(count), m.level)]
 
     def measure(cloud, eig, _):
         projected = spectral.project_eigenfunctions(m, cloud, count)
@@ -548,7 +545,7 @@ def write_plot_data(result: ExperimentResult, path) -> None:
     fit = result.fit
     if fit is not None and "slope" not in fit:
         fit = fit.get(key)
-    lines = ["# n mean_error fitted"]
+    lines = [f"# n mean_{key} fitted"]
     for e in result.per_n:
         mean = e.get(f"mean_{key}")
         if mean is None:

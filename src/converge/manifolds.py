@@ -194,11 +194,11 @@ def evaluate_signal(coefficients: np.ndarray, manifold: Manifold, points: np.nda
     return eigenbasis(manifold, points, len(coefficients)) @ coefficients
 
 
-def quadrature_nodes(manifold: Manifold, count: int | None = None):
+def quadrature_nodes(manifold: Manifold):
     """Quadrature grid (points, weights) for the normalized measure dV/vol.
 
-    Equal weights that sum to 1, so integrals are weighted means; `count`
-    nodes, or the model's quadrature_size.
+    The model's quadrature_size nodes with equal weights that sum to 1, so
+    integrals are weighted means.
     """
-    m = count or manifold.quadrature_size
+    m = manifold.quadrature_size
     return manifold.grid(m), np.full(m, 1.0 / m)

@@ -184,23 +184,6 @@ def smallest_eigenpairs(
     return EigenSystem(eigenvalues=lam, eigenvectors=vecs)
 
 
-def multiplicity_groups(
-    eigenvalues: Sequence[float], rel_gap: float = 1e-3
-) -> list[list[int]]:
-    """Group indices of (near-)repeated eigenvalues.
-
-    Consecutive eigenvalues join a group when their gap is below
-    rel_gap * max(1, lambda).
-    """
-    groups: list[list[int]] = []
-    for i, lam in enumerate(eigenvalues):
-        if groups and lam - eigenvalues[groups[-1][-1]] < rel_gap * max(1.0, lam):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
 def project_eigenfunctions(manifold: Manifold, points: np.ndarray, count: int) -> np.ndarray:
     """P_n phi_i for the first `count` continuum modes: row i holds phi_i at the samples."""
     return eigenbasis(manifold, points, count).T

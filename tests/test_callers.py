@@ -16,7 +16,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "converge"
 # kept before their callers land; each entry must still be uncalled
 ALLOWED_FILES = {"bounds.py"}  # ROADMAP items 4 and 6: filter_count_factor, the bound columns
 ALLOWED_NAMES = {"estimate_lipschitz"}  # ROADMAP item 6: BoundInputs.lipschitz
-ALLOWED_FIELDS = {"ambient_dim"}  # ROADMAP item 3: the D sweep reports it
+ALLOWED_FIELDS = {
+    "ambient_dim",  # ROADMAP item 3: the D sweep reports it
+    # the hidden layers' diagnostics of `network.ContinuumNetwork`
+    "quadrature_residuals",  # ROADMAP item 5: the propagated oracle bound
+    "feature_l2_norms",  # ROADMAP item 6: BoundInputs for delta_n
+    "feature_sup_norms",  # ROADMAP item 6: BoundInputs and the Hoeffding bound
+}
 
 
 def uncalled_definitions():

@@ -10,14 +10,12 @@ from converge.filters import (
     estimate_lipschitz,
     exponential_filter,
     filter_from_config,
-    identity_filter,
     polynomial_filter,
     tent_filter,
 )
 
 BUILTINS = [
     exponential_filter(),
-    identity_filter(),
     constant_filter(1.0),
     tent_filter(3.0),
     polynomial_filter([0.0, 0.1, 0.0, -0.01]),
@@ -26,20 +24,20 @@ BUILTINS = [
 
 def test_exponential_values():
     h = exponential_filter()
-    assert h.evaluate(0.0) == 1.0
-    assert h.evaluate(2.0) == pytest.approx(0.135335, abs=1e-6)
+    assert h.evaluate(np.array([0.0]))[0] == 1.0
+    assert h.evaluate(np.array([2.0]))[0] == pytest.approx(0.135335, abs=1e-6)
     assert np.allclose(h.evaluate(np.array([0.0, 1.0])), [1.0, math.exp(-1)])
 
 
 def test_identity_filter_is_one_everywhere():
-    h = identity_filter()
-    assert h.evaluate(0.0) == 1.0
-    assert h.evaluate(123.4) == 1.0
+    # the "identity" config family is the all-pass filter
+    lam = np.array([0.0, 1.0, 123.4])
+    assert np.array_equal(filter_from_config({"family": "identity"}).evaluate(lam), np.ones(3))
 
 
 def test_negative_frequency_rejected():
     with pytest.raises(ValueError):
-        exponential_filter().evaluate(-0.1)
+        exponential_filter().evaluate(np.array([1.0, -0.1]))
 
 
 def test_builtins_are_nonamplifying():
@@ -66,14 +64,13 @@ def test_lipschitz_estimate_monotone_in_grid_size():
 
 
 def test_filter_from_config():
-    h = filter_from_config({"family": "exponential"})
-    assert h.evaluate(1.0) == pytest.approx(math.exp(-1))
-    h = filter_from_config({"family": "constant", "value": 0.5})
-    assert h.evaluate(3.0) == 0.5
-    h = filter_from_config({"family": "tent", "center": 2.0})
-    assert h.evaluate(2.0) == 1.0
-    h = filter_from_config({"family": "polynomial", "coefficients": [0, 1]})
-    assert h.evaluate(0.25) == 0.25
+    def at(spec, lam):
+        return filter_from_config(spec).evaluate(np.array([lam]))[0]
+
+    assert at({"family": "exponential"}, 1.0) == pytest.approx(math.exp(-1))
+    assert at({"family": "constant", "value": 0.5}, 3.0) == 0.5
+    assert at({"family": "tent", "center": 2.0}, 2.0) == 1.0
+    assert at({"family": "polynomial", "coefficients": [0, 1]}, 0.25) == 0.25
     with pytest.raises(ValueError):
         filter_from_config({"family": "wavelet"})
     with pytest.raises(ValueError):

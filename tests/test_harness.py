@@ -11,6 +11,7 @@ import pytest
 
 from converge import graph, harness, network, spectral
 from converge.cli import main
+from converge.filters import SpectralFilter
 from converge.harness import (
     ConfigError,
     ExperimentAborted,
@@ -45,6 +46,17 @@ TWO_LAYER_CONFIG = dict(
         "widths": [1, 1, 1],
         "filters": [[[{"family": "exponential"}]], [[{"family": "exponential"}]]],
         "nonlinearity": "abs",
+    },
+)
+WIDE_CONFIG = dict(
+    TINY_CONFIG,
+    network={
+        "widths": [1, 2, 1],
+        "filters": [
+            [[{"family": "exponential"}], [{"family": "tent", "center": 2.0}]],
+            [[{"family": "exponential"}, {"family": "polynomial", "coefficients": [0.5, -0.1]}]],
+        ],
+        "nonlinearity": "relu",
     },
 )
 SPHERE_EIGEN_CONFIG = dict(
@@ -186,6 +198,8 @@ def test_run_determinism(tiny_result, two_layer_runs, tmp_path):
     again = run_convergence_experiment(ExperimentConfig.from_dict(TINY_CONFIG), threads=2)
     pairs = [(tiny_result, again)]
     pairs += [(two_layer_runs[1][0], two_layer_runs[t][0]) for t in (2, 4)]
+    wide_cfg = ExperimentConfig.from_dict(WIDE_CONFIG)
+    pairs += [tuple(run_convergence_experiment(wide_cfg, threads=t) for t in (1, 2))]
     eigen_cfg = ExperimentConfig.from_dict(SPHERE_EIGEN_CONFIG)
     eigen = {t: eigen_convergence_experiment(eigen_cfg, threads=t) for t in (1, 2, 4)}
     pairs += [(eigen[1], eigen[t]) for t in (2, 4)]
@@ -233,25 +247,42 @@ def test_hidden_layers_built_beside_calibration(two_layer_runs, monkeypatch, tmp
     # a calibration solve that waits for the hidden-layer pass finishes only
     # if the pass runs beside it, not inside the first trial's measure
     built = threading.Event()
-    hidden_layers = network.continuum_hidden_layers
+    continuum = network.continuum_network
     calibrate = harness.resolve_calibration
 
     def hidden_then_signal(*args, **kwargs):
-        out = hidden_layers(*args, **kwargs)
+        out = continuum(*args, **kwargs)
         built.set()
         return out
 
     def calibrate_after_hidden(config, **kwargs):
         if not built.wait(timeout=10.0):
-            pytest.fail("the hidden layers did not start beside the calibration solve")
+            pytest.fail("the continuum network did not start beside the calibration solve")
         return calibrate(config, **kwargs)
 
-    monkeypatch.setattr(network, "continuum_hidden_layers", hidden_then_signal)
+    monkeypatch.setattr(network, "continuum_network", hidden_then_signal)
     monkeypatch.setattr(harness, "resolve_calibration", calibrate_after_hidden)
     res = run_convergence_experiment(ExperimentConfig.from_dict(TWO_LAYER_CONFIG), threads=2)
     write_csv(res, tmp_path / "a.csv")
     write_csv(two_layer_runs[1][0], tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_filter_banks_evaluated_once_per_run_and_layer(monkeypatch):
+    # the continuum network evaluates both banks once per run; each cell
+    # evaluates them once more in its discrete pass: 2 + 2C for C cells
+    evaluate, calls = SpectralFilter.evaluate, []
+
+    def counted(self, lam):
+        calls.append(1)
+        return evaluate(self, lam)
+
+    monkeypatch.setattr(SpectralFilter, "evaluate", counted)
+    cfg = ExperimentConfig.from_dict(TWO_LAYER_CONFIG)
+    res = run_convergence_experiment(cfg, threads=2)
+    cells = len(res.records)
+    assert cells == len(cfg.n_grid) * cfg.trials == 4
+    assert len(calls) == 2 + 2 * cells
 
 
 def test_one_worker_runs_calibration_setup_cells_in_order(monkeypatch):
@@ -505,7 +536,13 @@ def test_plot_data(tiny_result, tmp_path):
     path = tmp_path / "out.dat"
     write_plot_data(tiny_result, path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("#")
+    assert lines[0] == "# n mean_error fitted"
+    assert len(lines) == 3
+    # the header names the column plotted: the eigen experiment's first key
+    eigen = eigen_convergence_experiment(ExperimentConfig.from_dict(TINY_CONFIG), threads=1)
+    write_plot_data(eigen, path)
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "# n mean_lambda_error fitted"
     assert len(lines) == 3
 
 

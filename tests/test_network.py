@@ -6,23 +6,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from converge import manifolds
-from converge.filters import exponential_filter, identity_filter, tent_filter
+from converge.filters import constant_filter, exponential_filter, polynomial_filter, tent_filter
 from converge.graph import build_laplacian, calibration_constant
 from converge.network import (
     NONLINEARITIES,
     NetworkSpec,
-    continuum_hidden_layers,
-    filter_apply_discrete,
+    continuum_network,
     forward_continuum,
     forward_discrete,
     mnn_error,
 )
-from converge.spectral import gn_norm, smallest_eigenpairs
+from converge.spectral import EigenSystem, gn_norm, smallest_eigenpairs
 
 
 def single_filter_network(h, nonlinearity):
     """One layer, one input feature, one output feature."""
     return NetworkSpec((1, 1), (((h,),),), nonlinearity)
+
+
+def filter_apply(h, eig, x):
+    """h(L_n) x on the eigensystem's modes: a one-filter identity network."""
+    return forward_discrete(single_filter_network(h, "identity"), eig, x)[0]
+
+
+def run_continuum(net, manifold, lam, coeffs, points):
+    return forward_continuum(net, manifold, continuum_network(net, manifold, lam, coeffs), points)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +57,7 @@ def test_network_spec_validation():
 def test_filter_identity_full_spectrum(circle_system):
     _, _, full = circle_system
     x = np.random.default_rng(0).standard_normal(128)
-    out = filter_apply_discrete(identity_filter(), full, x)
+    out = filter_apply(constant_filter(1.0), full, x)
     assert np.allclose(out, x, atol=1e-8)
 
 
@@ -57,26 +65,49 @@ def test_filter_on_eigenvector(circle_system):
     _, _, full = circle_system
     h = exponential_filter()
     phi2 = full.eigenvectors[:, 2]
-    out = filter_apply_discrete(h, full, phi2)
-    assert np.allclose(out, h.evaluate(full.eigenvalues[2]) * phi2, atol=1e-8)
+    out = filter_apply(h, full, phi2)
+    assert np.allclose(out, h.evaluate(full.eigenvalues)[2] * phi2, atol=1e-8)
 
 
 def test_filter_truncation_is_projection(circle_system):
     _, _, full = circle_system
-    from converge.spectral import EigenSystem
-
     trunc = EigenSystem(full.eigenvalues[:5], full.eigenvectors[:, :5])
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = rng.standard_normal(128)
-        out = filter_apply_discrete(identity_filter(), trunc, x)
+        out = filter_apply(constant_filter(1.0), trunc, x)
         assert gn_norm(out) <= gn_norm(x) + 1e-12
 
 
 def test_filter_size_mismatch(circle_system):
     _, _, full = circle_system
     with pytest.raises(ValueError):
-        filter_apply_discrete(identity_filter(), full, np.ones(64))
+        filter_apply(constant_filter(1.0), full, np.ones(64))
+
+
+def test_forward_multi_feature_matches_per_filter_sum(circle_system):
+    # x_l^p = sigma(sum_q V h_pq(Lambda) V^T x_q / n), one filter at a time
+    _, _, full = circle_system
+    V, lam, n = full.eigenvectors[:, :20], full.eigenvalues[:20], full.n
+    trunc = EigenSystem(lam, V)
+    hs = [exponential_filter(), tent_filter(2.0), polynomial_filter([0.5, -0.2, 0.01])]
+    filters = (
+        ((hs[0],), (hs[1],)),
+        ((hs[1], hs[2]), (hs[2], hs[0])),
+    )
+    net = NetworkSpec(widths=(1, 2, 2), filters=filters, nonlinearity="relu")
+    x = np.random.default_rng(8).standard_normal((1, n))
+    ref = x
+    for bank in filters:
+        ref = np.stack(
+            [
+                np.maximum(sum(V @ (h.evaluate(lam) * (V.T @ xq)) / n for h, xq in zip(row, ref)), 0)
+                for row in bank
+            ]
+        )
+    out = forward_discrete(net, trunc, x)
+    assert out.shape == (2, n)
+    assert np.allclose(out, ref, rtol=0, atol=1e-12)
 
 
 def test_forward_zero_input(circle_system):
@@ -89,7 +120,7 @@ def test_forward_zero_input(circle_system):
 
 def test_forward_identity_network(circle_system):
     _, _, full = circle_system
-    net = single_filter_network(identity_filter(), "identity")
+    net = single_filter_network(constant_filter(1.0), "identity")
     x = np.random.default_rng(1).standard_normal((1, 128))
     out = forward_discrete(net, full, x)
     assert np.allclose(out, x, atol=1e-8)
@@ -106,17 +137,15 @@ def test_forward_contraction(circle_system):
 def test_nonamplification_parseval(circle_system):
     _, _, full = circle_system
     rng = np.random.default_rng(4)
-    for h in (exponential_filter(), identity_filter(), tent_filter()):
+    for h in (exponential_filter(), constant_filter(1.0), tent_filter()):
         for _ in range(50):
             x = rng.standard_normal(128)
-            out = filter_apply_discrete(h, full, x)
+            out = filter_apply(h, full, x)
             assert gn_norm(out) <= gn_norm(x) + 1e-10
 
 
 def test_sign_flip_invariance(circle_system):
     _, _, full = circle_system
-    from converge.spectral import EigenSystem
-
     net = single_filter_network(exponential_filter(), "abs")
     x = np.random.default_rng(5).standard_normal((1, 128))
     base = forward_discrete(net, full, x)
@@ -161,22 +190,22 @@ def test_continuum_single_layer_closed_form():
     lam = m.eigenvalues(2)
     net = single_filter_network(exponential_filter(), "abs")
     coeffs = np.array([[0.0, 1.0]])  # f = phi_1, lambda_1 = 2
-    out = forward_continuum(net, m, lam, coeffs, cloud)
+    out = run_continuum(net, m, lam, coeffs, cloud)
     expected = np.abs(math.exp(-2.0) * manifolds.eigenbasis(m, cloud, 2)[:, 1])
-    assert np.allclose(out.values[0], expected, atol=1e-12)
+    assert np.allclose(out[0], expected, atol=1e-12)
 
 
 def test_continuum_identity_network():
     m = manifolds.Circle()
     cloud = manifolds.sample_uniform(m, 200, seed=10)
     lam = m.eigenvalues(4)
-    h = identity_filter()
+    h = constant_filter(1.0)
     net = NetworkSpec(
         widths=(1, 1, 1), filters=(((h,),), ((h,),)), nonlinearity="identity"
     )
     coeffs = np.array([[0.5, -1.0, 2.0, 0.0]])
-    out = forward_continuum(net, m, lam, coeffs, cloud)
-    assert np.allclose(out.values[0], manifolds.evaluate_signal(coeffs[0], m, cloud), atol=1e-10)
+    out = run_continuum(net, m, lam, coeffs, cloud)
+    assert np.allclose(out[0], manifolds.evaluate_signal(coeffs[0], m, cloud), atol=1e-10)
 
 
 def test_continuum_zero_input():
@@ -184,8 +213,8 @@ def test_continuum_zero_input():
     cloud = manifolds.sample_uniform(m, 50, seed=11)
     lam = m.eigenvalues(3)
     net = single_filter_network(exponential_filter(), "abs")
-    out = forward_continuum(net, m, lam, np.zeros((1, 3)), cloud)
-    assert np.array_equal(out.values, np.zeros((1, 50)))
+    out = run_continuum(net, m, lam, np.zeros((1, 3)), cloud)
+    assert np.array_equal(out, np.zeros((1, 50)))
 
 
 def test_continuum_bandwidth_check():
@@ -194,7 +223,7 @@ def test_continuum_bandwidth_check():
     lam = m.eigenvalues(3)
     net = single_filter_network(exponential_filter(), "abs")
     with pytest.raises(ValueError):
-        forward_continuum(net, m, lam, np.zeros((1, 5)), cloud)
+        run_continuum(net, m, lam, np.zeros((1, 5)), cloud)
 
 
 def test_continuum_single_layer_matches_quadrature_bruteforce():
@@ -206,7 +235,7 @@ def test_continuum_single_layer_matches_quadrature_bruteforce():
     h = exponential_filter()
     net = single_filter_network(h, "abs")
     alpha = np.array([0.3, 1.0, -0.5, 0.2, 0.7])
-    out = forward_continuum(net, m, lam, alpha[None, :], cloud)
+    out = run_continuum(net, m, lam, alpha[None, :], cloud)
 
     grid, w = manifolds.quadrature_nodes(m)
     on_grid, at_cloud = manifolds.eigenbasis(m, grid, 5), manifolds.eigenbasis(m, cloud, 5)
@@ -214,8 +243,8 @@ def test_continuum_single_layer_matches_quadrature_bruteforce():
     filtered = np.zeros(len(cloud))
     for i in range(5):
         coeff = float(np.sum(w * f_grid * on_grid[:, i]))
-        filtered += h.evaluate(lam[i]) * coeff * at_cloud[:, i]
-    assert np.allclose(out.values[0], np.abs(filtered), atol=1e-6)
+        filtered += h.evaluate(lam)[i] * coeff * at_cloud[:, i]
+    assert np.allclose(out[0], np.abs(filtered), atol=1e-6)
 
 
 def test_continuum_two_layer_reexpansion():
@@ -229,9 +258,10 @@ def test_continuum_two_layer_reexpansion():
     net = NetworkSpec(widths=(1, 1, 1), filters=(((h,),), ((h,),)), nonlinearity="abs")
     alpha = np.zeros(k_cont)
     alpha[1] = 1.0
-    out = forward_continuum(net, m, lam, alpha[None, :], cloud)
+    cont = continuum_network(net, m, lam, alpha[None, :])
+    out = forward_continuum(net, m, cont, cloud)
     # |cos| has a 1/k^2 coefficient tail; 33 modes leave a small residual
-    assert out.quadrature_residuals and max(out.quadrature_residuals) < 0.05
+    assert cont.quadrature_residuals and max(cont.quadrature_residuals) < 0.05
 
     grid, w = manifolds.quadrature_nodes(m)
     on_grid = manifolds.eigenbasis(m, grid, k_cont)
@@ -240,8 +270,8 @@ def test_continuum_two_layer_reexpansion():
     final = np.zeros(len(cloud))
     for i in range(k_cont):
         coeff = float(np.sum(w * mid * on_grid[:, i]))
-        final += h.evaluate(lam[i]) * coeff * at_cloud[:, i]
-    assert np.allclose(out.values[0], np.abs(final), atol=1e-4)
+        final += h.evaluate(lam)[i] * coeff * at_cloud[:, i]
+    assert np.allclose(out[0], np.abs(final), atol=1e-4)
 
 
 @pytest.mark.parametrize(
@@ -249,27 +279,23 @@ def test_continuum_two_layer_reexpansion():
     [(manifolds.Sphere2(), (1, 1, 1), "abs"), (manifolds.Circle(), (1, 2, 2, 1), "relu")],
 )
 def test_continuum_hidden_layers_split(manifold, widths, nonlinearity):
-    # hidden layers once, then the one-layer tail at the points, must equal
-    # the whole network at the points, bit for bit
+    # the sample-independent part holds one diagnostic per hidden feature and
+    # the last layer's filtered coefficients, one row per output feature
     cloud = manifolds.sample_uniform(manifold, 200, seed=14)
     lam = manifold.eigenvalues(10)
-    bank = [exponential_filter(), tent_filter(2.0), identity_filter()]
+    bank = [exponential_filter(), tent_filter(2.0), constant_filter(1.0)]
     filters = tuple(
         tuple(tuple(bank[(l + p + q) % 3] for q in range(w_in)) for p in range(w_out))
         for l, (w_in, w_out) in enumerate(zip(widths, widths[1:]))
     )
     net = NetworkSpec(widths=widths, filters=filters, nonlinearity=nonlinearity)
     coeffs = np.random.default_rng(15).normal(size=(1, 10))
-    whole = forward_continuum(net, manifold, lam, coeffs, cloud)
-    tail, tail_coeffs, hidden = continuum_hidden_layers(net, manifold, lam, coeffs)
-    assert tail.depth == 1 and tail.widths == widths[-2:]
-    assert hidden.values is None
-    split = forward_continuum(tail, manifold, lam, tail_coeffs, cloud)
-    assert np.array_equal(split.values, whole.values)
-    assert hidden.quadrature_residuals == whole.quadrature_residuals
-    assert len(hidden.quadrature_residuals) == sum(widths[1:-1])
-    assert hidden.feature_l2_norms + split.feature_l2_norms == whole.feature_l2_norms
-    assert hidden.feature_sup_norms + split.feature_sup_norms == whole.feature_sup_norms
+    cont = continuum_network(net, manifold, lam, coeffs)
+    hidden = sum(widths[1:-1])
+    assert len(cont.quadrature_residuals) == hidden
+    assert len(cont.feature_l2_norms) == len(cont.feature_sup_norms) == hidden
+    assert cont.coefficients.shape == (widths[-1], 10)
+    assert forward_continuum(net, manifold, cont, cloud).shape == (widths[-1], 200)
 
 
 def test_mnn_error_contract():

@@ -13,10 +13,24 @@ from converge.spectral import (
     align_to_continuum,
     eigen_errors,
     gn_norm,
-    multiplicity_groups,
     project_eigenfunctions,
     smallest_eigenpairs,
 )
+
+
+def multiplicity_groups(eigenvalues, rel_gap=1e-3):
+    """Group indices of (near-)repeated eigenvalues, such as Lanczos returns.
+
+    Consecutive eigenvalues join a group when their gap is below
+    rel_gap * max(1, lambda).
+    """
+    groups = []
+    for i, lam in enumerate(eigenvalues):
+        if groups and lam - eigenvalues[groups[-1][-1]] < rel_gap * max(1.0, lam):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
 
 
 def _operator(manifold, n, seed, c=1.0):
