@@ -16,7 +16,7 @@ exponent where roundoff makes r^2 negative, and one `exp`.
 
 The tiles fill an n x n array in place, so a worker touches about 4 n^2
 bytes (256 MiB at n = 8192, 1 GiB at n = 16384), and a matvec is one BLAS
-symmetric sweep over the triangle (`dsymv`, or `dsymm` for a block). It calls
+symmetric sweep over the triangle (`dsymv`) per vector. It calls
 scipy's BLAS through ctypes, which releases the GIL, so the sweeps of
 concurrent harness workers run in parallel; through scipy.linalg.blas, which
 holds the GIL, they would take turns. The harness bounds memory by capping
@@ -50,8 +50,9 @@ def calibration_constant(manifold) -> float:
     The kernel exp(-r^2/t) has per-coordinate second moment pi^{d/2} t / 2,
     and the Taylor expansion contributes another 1/2, so after the outer 1/t
     the graph Laplacian approximates pi^{d/2} / (4 vol) times the manifold
-    operator; the constant is therefore 4 vol / pi^{d/2}. The harness gates
-    it against the model's lambda_1 on every run.
+    operator; the constant is therefore 4 vol / pi^{d/2}. `build_laplacian`
+    applies it; the harness only checks it against the model's lambda_1, and
+    a miss refuses the run.
     """
     return 4.0 * manifold.volume / math.pi ** (manifold.intrinsic_dim / 2.0)
 
@@ -87,35 +88,29 @@ def _blas_routine(name: str, nargs: int):
 
 
 _DSYMV = _blas_routine("dsymv", 10)
-_DSYMM = _blas_routine("dsymm", 12)
 
 
 def symmetric_sweep(lower: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """S x for a vector (n,) or a block (n, k), where S is the symmetric matrix
-    whose lower triangle (diagonal included) is that of `lower`.
+    """S x for a vector x (n,), where S is the symmetric matrix whose lower
+    triangle (diagonal included) is that of `lower`.
 
     `lower` is a C-order (n, n) float array; its upper triangle is never read.
-    The result equals scipy.linalg.blas.dsymv/dsymm on lower.T with lower=0
-    bit for bit, and the GIL is released during the sweep.
+    The result equals scipy.linalg.blas.dsymv on lower.T with lower=0 bit for
+    bit, and the GIL is released during the sweep.
     """
     n = lower.shape[0]
     if lower.dtype != np.float64 or lower.shape != (n, n) or not lower.flags.c_contiguous:
         raise ValueError("expected a C-contiguous square float64 matrix")
-    x = np.asfortranarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[0] != n:
-        raise ValueError(f"expected {n} rows, got shape {x.shape}")
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.shape != (n,):
+        raise ValueError(f"expected a vector of {n}, got shape {x.shape}")
     # the C-order lower triangle is the Fortran-order upper one
-    out = np.zeros(x.shape, order="F")
+    out = np.zeros(n)
     a, b, c = (v.ctypes.data for v in (lower, x, out))
     ref = ctypes.byref
     rows, one, zero = ctypes.c_int(n), ctypes.c_double(1.0), ctypes.c_double(0.0)
-    if x.ndim == 1:
-        unit = ref(ctypes.c_int(1))
-        _DSYMV(b"U", ref(rows), ref(one), a, ref(rows), b, unit, ref(zero), c, unit)
-    else:
-        cols = ctypes.c_int(x.shape[1])
-        _DSYMM(b"L", b"U", ref(rows), ref(cols), ref(one), a, ref(rows), b, ref(rows),
-               ref(zero), c, ref(rows))
+    unit = ref(ctypes.c_int(1))
+    _DSYMV(b"U", ref(rows), ref(one), a, ref(rows), b, unit, ref(zero), c, unit)
     return out
 
 
@@ -154,13 +149,9 @@ class LaplacianOperator:
             self._degrees[:lo] += blk[:, :lo].sum(axis=0)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Return L x for a vector (n,) or a block of vectors (n, k)."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[0] != self.n:
-            raise ValueError(f"expected {self.n} rows, got shape {x.shape}")
+        """Return L x for a vector x (n,)."""
         ax = symmetric_sweep(self._kernel, x)
-        degrees = self._degrees if x.ndim == 1 else self._degrees[:, None]
-        return self._scale * (degrees * x - ax)
+        return self._scale * (self._degrees * x - ax)
 
     def dense_matrix(self) -> np.ndarray:
         """Materialize L as a dense symmetric matrix (oracle/testing path)."""
@@ -173,17 +164,13 @@ class LaplacianOperator:
         return float(2.0 * self._scale * self._degrees.max())
 
 
-def build_laplacian(
-    points: np.ndarray, manifold, c: float, calibration: float
-) -> LaplacianOperator:
-    """The calibrated graph Laplacian of an (n, D) point array sampled from
-    `manifold`, at bandwidth t = scale_parameter(n, d, c)."""
+def build_laplacian(points: np.ndarray, manifold, c: float) -> LaplacianOperator:
+    """The graph Laplacian of an (n, D) point array sampled from `manifold`,
+    at bandwidth t = scale_parameter(n, d, c), scaled by calibration_constant."""
     x = np.asarray(points, float)
     if x.shape[0] < 2:
         raise ValueError(f"need at least 2 points, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):
         raise ValueError("point cloud contains non-finite coordinates")
-    if not calibration > 0:
-        raise ValueError(f"need calibration > 0, got {calibration}")
     d = manifold.intrinsic_dim
-    return LaplacianOperator(x, d, scale_parameter(x.shape[0], d, c), calibration)
+    return LaplacianOperator(x, d, scale_parameter(x.shape[0], d, c), calibration_constant(manifold))

@@ -4,10 +4,10 @@ Both experiments run every (n, trial) cell through one pipeline: sample the
 manifold, build the calibrated kernel graph, compute the lowest eigenpairs,
 measure. The rate experiment measures the G_n error between the discrete and
 the continuum network; the eigen experiment measures eigenvalue and aligned
-eigenvector errors. Each fits log-log lines to the per-n means. Work that
-does not depend on the sample runs once per experiment, beside the
-calibration solve: the rate experiment's `continuum_network` is the
-worker pool's first task, and the cells read it from its future.
+eigenvector errors. Each fits log-log lines to the per-n means. The worker
+pool runs the calibration gate first, which refuses the run on a miss, and
+then the work that does not depend on the sample, once per experiment: the
+rate experiment's `continuum_network`, which the cells read from its future.
 
 A config is checked once, type and range, by `ExperimentConfig.from_dict`,
 which also parses its network; `_run_cells` checks before calibration only
@@ -298,18 +298,18 @@ def loglog_fit(points) -> tuple[float, float, float]:
 def resolve_calibration(config: ExperimentConfig) -> dict:
     """Gate the analytic calibration constant against the eigenvalue oracle.
 
-    Measures the first nonzero eigenvalue of the calibrated Laplacian on the
-    experiment's manifold at n = CALIBRATION_N. If it is within 20% of the
-    continuum value the analytic constant is kept; otherwise the constant is
-    rescaled empirically by the measured ratio, and one line on stderr says
-    so. The chosen path is recorded in the experiment metadata.
+    Measures the first nonzero eigenvalue of the graph Laplacian on the
+    experiment's manifold at n = CALIBRATION_N, K = 2. More than 20% off the
+    continuum value, it raises ConfigError with both values, the bandwidth
+    constant and the analytic constant: a miss refuses the run. A solve that
+    does not converge raises ConvergenceFailure. Returns what the gate saw.
     """
     m = config.manifold_model
     target = m.eigenvalue(1)
     analytic = graph.calibration_constant(m)
     n = CALIBRATION_N
     cloud = manifolds.sample_uniform(m, n, derive_seed(config.seed, n, 10**6))
-    op = graph.build_laplacian(cloud, m, config.bandwidth_constant, analytic)
+    op = graph.build_laplacian(cloud, m, config.bandwidth_constant)
     try:
         eig = spectral.smallest_eigenpairs(op, K=2, tol=EIGEN_TOL, seed=config.seed)
     except spectral.ConvergenceFailure as exc:
@@ -317,22 +317,18 @@ def resolve_calibration(config: ExperimentConfig) -> dict:
             f"calibration solve (n = {n}, K = 2): {exc}", exc.residuals
         ) from exc
     measured = float(eig.eigenvalues[1])
-    info = {
+    if not abs(measured - target) <= 0.20 * target:
+        raise ConfigError(
+            f"calibration: measured lambda_1 {measured:.6g} misses target {target:g} by more "
+            f"than 20% at bandwidth_constant {config.bandwidth_constant:g} and analytic "
+            f"constant {analytic:.6g}"
+        )
+    return {
         "analytic_constant": analytic,
         "check_n": n,
         "measured_lambda1": measured,
         "target_lambda1": target,
     }
-    if measured > 0 and abs(measured - target) <= 0.20 * target:
-        info.update(path="analytic", constant=analytic)
-    else:
-        info.update(path="empirical", constant=analytic * target / measured)
-        print(
-            f"calibration: measured lambda_1 {measured:.6g} misses target {target:g} "
-            "by more than 20%; rescaling the constant empirically",
-            file=sys.stderr,
-        )
-    return info
 
 
 @dataclass
@@ -389,14 +385,15 @@ def _run_cells(
 ) -> ExperimentResult:
     """Run every (n, trial) cell and summarize per n.
 
-    setup() is the experiment's sample-independent work. With more than one
-    worker it is the pool's first task, run beside the calibration solve on
-    the calling thread; with one worker the order is calibration, setup,
-    cells. Cells start once the calibration constant is known. A cell records
-    measure(cloud, eig, setup()) on its lowest mode_count(n) eigenpairs,
-    waiting for setup() if it is still running, or None for each of `keys`
-    and `failed: True` if the solve fails. A failed calibration solve raises
-    ConvergenceFailure and runs no cell. More than MAX_FAILURE_FRACTION failed
+    The pool's first task is the calibration gate, resolve_calibration, and
+    its second is setup(), the experiment's sample-independent work: one
+    worker runs calibration, setup, cells in that order, and more than one
+    run the setup while the gate solves. No cell starts before the gate
+    returns. A cell records measure(cloud, eig, setup()) on its lowest
+    mode_count(n) eigenpairs, waiting for setup() if it is still running, or
+    None for each of `keys` and `failed: True` if the solve fails. A gate
+    miss (ConfigError) or a failed calibration solve (ConvergenceFailure)
+    propagates and runs no cell. More than MAX_FAILURE_FRACTION failed
     cells abort the run. Cells start largest n first, so no worker is left
     with a big cell while the others idle, and the records come back in grid
     order.
@@ -429,7 +426,7 @@ def _run_cells(
         record = {"n": n, "trial": trial, "seed": seed}
         try:
             cloud = manifolds.sample_uniform(m, n, seed)
-            op = graph.build_laplacian(cloud, m, config.bandwidth_constant, calibration["constant"])
+            op = graph.build_laplacian(cloud, m, config.bandwidth_constant)
             eig = spectral.smallest_eigenpairs(op, K=mode_count(n), tol=EIGEN_TOL, seed=seed)
             del op  # frees the kernel before measure, which may be long
             record.update(measure(cloud, eig, prepared.result()))
@@ -444,11 +441,9 @@ def _run_cells(
     ]
     largest_first = sorted(cells, key=lambda c: -c[0])
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        beside = workers > 1  # a worker builds the setup while this thread calibrates
-        prepared = pool.submit(setup) if beside else None
-        calibration = resolve_calibration(config)
-        if not beside:
-            prepared = pool.submit(setup)  # one worker: calibration, setup, cells
+        gate = pool.submit(resolve_calibration, config)
+        prepared = pool.submit(setup)
+        calibration = gate.result()
         done = dict(zip(largest_first, pool.map(lambda c: cell(*c), largest_first)))
     records = [done[c] for c in cells]
     failures = sum(1 for r in records if r.get("failed"))
@@ -482,7 +477,7 @@ def run_convergence_experiment(
     lam = m.eigenvalues(len(coeffs))
 
     def continuum():
-        # sample-independent: built once, beside the calibration solve
+        # sample-independent: built once, while the calibration gate solves
         return network.continuum_network(net, m, lam, coeffs[None, :])
 
     def measure(cloud, eig, cont):

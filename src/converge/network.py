@@ -7,7 +7,7 @@ continuum pass on the manifold model's closed-form eigenbasis and eigenvalues
 (`manifolds.Manifold.eigenvalues`), exact for bandlimited inputs through the
 first nonlinearity. Everything continuum up to the last nonlinearity needs no
 sample points: `continuum_network` computes it once per experiment (the
-harness runs it beside the calibration solve), its hidden layers on a
+harness runs it while the calibration gate solves), its hidden layers on a
 quadrature grid re-expanded onto a truncated eigenbasis, and
 `forward_continuum` synthesizes its last coefficients at any (n, D) point
 array and applies sigma. The two passes are compared by summing per-feature

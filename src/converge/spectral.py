@@ -159,7 +159,8 @@ def smallest_eigenpairs(
         method = auto_method(n, K)
 
     if method == "dense":
-        lam, vecs = scipy.linalg.eigh(op.dense_matrix())
+        matrix = op.dense_matrix()
+        lam, vecs = scipy.linalg.eigh(matrix)
         lam, vecs, lvecs = lam[:K], vecs[:, :K], None
     elif method == "lanczos":
         lam, vecs, lvecs = _lanczos(op, K, tol, seed, max_iter=LANCZOS_STEPS * K)
@@ -169,8 +170,8 @@ def smallest_eigenpairs(
     # Euclidean-orthonormal Ritz vectors -> G_n-orthonormal columns
     unit = np.sqrt(n) / np.linalg.norm(vecs, axis=0)
     vecs = vecs * unit
-    # L V: Lanczos already swept every basis vector; dense takes one block product
-    lvecs = op.matvec(vecs) if lvecs is None else lvecs * unit
+    # L V: Lanczos already swept every basis vector; dense multiplies its matrix
+    lvecs = matrix @ vecs if lvecs is None else lvecs * unit
     lam = np.maximum(lam, 0.0)  # clip tiny negative roundoff in the kernel mode
 
     # G_n norms of the columns of L V - V diag(lam)

@@ -18,7 +18,7 @@ import scipy.linalg
 from converge import manifolds
 from converge.bounds import error_recurrence, filter_count_factor, hoeffding_bound
 from converge.filters import exponential_filter
-from converge.graph import build_laplacian, calibration_constant
+from converge.graph import build_laplacian
 from converge.harness import (
     ExperimentConfig,
     run_convergence_experiment,
@@ -149,7 +149,7 @@ def test_criterion_4_lanczos_vs_dense():
     for c in (4.0, 1.0):
         m = manifolds.Sphere2()
         cloud = manifolds.sample_uniform(m, 256, seed=4)
-        op = build_laplacian(cloud, m, c, calibration_constant(m))
+        op = build_laplacian(cloud, m, c)
         lanczos = smallest_eigenpairs(op, K=10, tol=1e-9, method="lanczos")
         dense_lam, dense_vec = scipy.linalg.eigh(op.dense_matrix())
         lam_err = float(
@@ -203,7 +203,7 @@ def test_criterion_6_structural_invariants():
         c = 4.0 if i % 3 == 0 else 1.0  # 4: the heat-kernel scheme's operator at 1
         n = int(rng.integers(50, 200))
         cloud = manifolds.sample_uniform(m, n, seed=1000 + i)
-        L = build_laplacian(cloud, m, c, calibration_constant(m)).dense_matrix()
+        L = build_laplacian(cloud, m, c).dense_matrix()
         ok = ok and np.abs(L - L.T).max() <= 1e-10
         ok = ok and np.abs(L @ np.ones(n)).max() <= 1e-8 * np.abs(L).max()
         ok = ok and scipy.linalg.eigvalsh(L).min() >= -1e-8
@@ -211,7 +211,7 @@ def test_criterion_6_structural_invariants():
     # non-amplification of a sup<=1 filter on 50 random signals
     m = manifolds.Circle()
     cloud = manifolds.sample_uniform(m, 128, seed=5)
-    op = build_laplacian(cloud, m, 1.0, calibration_constant(m))
+    op = build_laplacian(cloud, m, 1.0)
     full = smallest_eigenpairs(op, K=128, method="dense")
     h = exponential_filter()
     filtered = NetworkSpec((1, 1), (((h,),),), "identity")

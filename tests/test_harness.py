@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from converge import graph, harness, network, spectral
+from converge import graph, harness, manifolds, network, spectral
 from converge.cli import main
 from converge.filters import SpectralFilter
 from converge.harness import (
@@ -62,6 +62,7 @@ WIDE_CONFIG = dict(
 SPHERE_EIGEN_CONFIG = dict(
     TINY_CONFIG, manifold="sphere2", graph={"scheme": "gaussian", "bandwidth_constant": 2.0}
 )
+CALIBRATION_KEYS = {"analytic_constant", "check_n", "measured_lambda1", "target_lambda1"}
 EXPERIMENTS = {
     "run": (run_convergence_experiment, ("error",)),
     "eigen": (eigen_convergence_experiment, ("lambda_error", "vector_error")),
@@ -283,6 +284,32 @@ def test_filter_banks_evaluated_once_per_run_and_layer(monkeypatch):
     cells = len(res.records)
     assert cells == len(cfg.n_grid) * cfg.trials == 4
     assert len(calls) == 2 + 2 * cells
+
+
+def test_no_cell_starts_before_the_gate_returns(monkeypatch):
+    # two workers: the setup runs beside the gate, but a cell waits for it,
+    # however long the gate takes after its solve
+    cfg = ExperimentConfig.from_dict(TWO_LAYER_CONFIG)
+    calibration_seed = derive_seed(cfg.seed, 2048, 10**6)
+    calibrate, sample = harness.resolve_calibration, harness.manifolds.sample_uniform
+    order = []
+
+    def slow_calibration(config):
+        out = calibrate(config)
+        time.sleep(0.2)
+        order.append("calibration")
+        return out
+
+    def sampled(m, n, seed):
+        if seed != calibration_seed:
+            order.append("cell")
+        return sample(m, n, seed)
+
+    monkeypatch.setattr(harness, "resolve_calibration", slow_calibration)
+    monkeypatch.setattr(harness.manifolds, "sample_uniform", sampled)
+    result = run_convergence_experiment(cfg, threads=2)
+    assert result.metadata["workers"] == 2
+    assert order == ["calibration"] + ["cell"] * 4
 
 
 def test_one_worker_runs_calibration_setup_cells_in_order(monkeypatch):
@@ -529,7 +556,9 @@ def test_summary_schema(tiny_result, tmp_path):
     write_summary(tiny_result, path)
     summary = json.loads(path.read_text())
     assert set(summary) >= {"config_hash", "per_n", "fit", "calibration"}
-    assert summary["calibration"]["path"] in ("analytic", "empirical")
+    calibration = summary["calibration"]
+    assert set(calibration) == CALIBRATION_KEYS
+    assert calibration["measured_lambda1"] == pytest.approx(calibration["target_lambda1"], rel=0.20)
 
 
 def test_plot_data(tiny_result, tmp_path):
@@ -552,7 +581,7 @@ def test_failure_abort(name, monkeypatch):
         raise spectral.ConvergenceFailure("forced", np.array([1.0]))
 
     monkeypatch.setattr(
-        harness, "resolve_calibration", lambda cfg, **kw: {"path": "analytic", "constant": 1.0}
+        harness, "resolve_calibration", lambda cfg, **kw: dict.fromkeys(CALIBRATION_KEYS, 1.0)
     )
     monkeypatch.setattr(harness.spectral, "smallest_eigenpairs", always_fail)
     experiment, _ = EXPERIMENTS[name]
@@ -594,27 +623,64 @@ PINNED = Path(__file__).resolve().parent.parent / "scripts" / "configs"
     "name,measured,target", [("sphere_rate.json", 1.885, 2.0), ("circle_eigen.json", 0.984, 1.0)]
 )
 def test_pinned_configs_take_analytic_calibration(name, measured, target, capsys):
-    info = harness.resolve_calibration(ExperimentConfig.from_json(PINNED / name))
-    assert info["path"] == "analytic"
-    assert info["constant"] == info["analytic_constant"]
+    cfg = ExperimentConfig.from_json(PINNED / name)
+    info = harness.resolve_calibration(cfg)
+    assert set(info) == CALIBRATION_KEYS
+    assert info["analytic_constant"] == graph.calibration_constant(cfg.manifold_model)
+    assert info["check_n"] == harness.CALIBRATION_N
     assert info["measured_lambda1"] == pytest.approx(measured, abs=5e-4)
+    assert info["measured_lambda1"] == pytest.approx(target, rel=0.20)
     assert info["target_lambda1"] == target
     assert capsys.readouterr().err == ""
 
 
-def test_empirical_calibration_says_so_on_stderr(monkeypatch, capsys):
-    # doubling the analytic constant doubles lambda_1: 20% off, so rescaled
-    constant = harness.graph.calibration_constant
-    monkeypatch.setattr(
-        harness.graph, "calibration_constant", lambda *args: 2.0 * constant(*args)
-    )
-    info = harness.resolve_calibration(ExperimentConfig.from_dict(TINY_CONFIG))
-    assert info["path"] == "empirical"
-    assert info["measured_lambda1"] > 1.2
-    assert info["constant"] == pytest.approx(info["analytic_constant"] / info["measured_lambda1"])
+def _calibration_miss(monkeypatch, raw, tmp_path, capsys):
+    """Run `raw` through `converge run`, which must refuse it at the gate before
+    any trial samples; return (the gate's measured lambda_1, its stderr line)."""
+    solve, sample = spectral.smallest_eigenpairs, harness.manifolds.sample_uniform
+    measured, seeds = [], []
+
+    def solved(op, K, *args, **kwargs):
+        eig = solve(op, K, *args, **kwargs)
+        measured.append(float(eig.eigenvalues[1]))
+        return eig
+
+    def sampled(m, n, seed):
+        seeds.append(seed)
+        return sample(m, n, seed)
+
+    monkeypatch.setattr(spectral, "smallest_eigenpairs", solved)
+    monkeypatch.setattr(harness.manifolds, "sample_uniform", sampled)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    argv = ["run", "--config", str(cfg_path), "--out-dir", str(tmp_path), "--threads", "2"]
+    assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert f"{info['measured_lambda1']:.6g}" in err[0] and "target 1 " in err[0]
+    assert len(err) == 1 and err[0].startswith("config error: calibration: ")
+    assert not list(tmp_path.glob("*.csv"))
+    assert seeds == [derive_seed(raw["seed"], harness.CALIBRATION_N, 10**6)]  # no trial sampled
+    (lam,) = measured
+    return lam, err[0]
+
+
+def test_doubled_calibration_constant_exits_2(monkeypatch, tmp_path, capsys):
+    # doubling the analytic constant doubles lambda_1: 20% off, so refused
+    constant = graph.calibration_constant
+    monkeypatch.setattr(graph, "calibration_constant", lambda *args: 2.0 * constant(*args))
+    lam, err = _calibration_miss(monkeypatch, TINY_CONFIG, tmp_path, capsys)
+    assert lam > 1.2
+    assert f"measured lambda_1 {lam:.6g} misses target 1 " in err
+    assert "bandwidth_constant 1 " in err and f"analytic constant {2.0 * constant(manifolds.Circle()):.6g}" in err
+
+
+def test_oversmoothed_sphere_exits_2_before_any_cell(monkeypatch, tmp_path, capsys):
+    # sphere_rate.json at c = 16 reads lambda_1 of about 0.99 against 2
+    raw = json.loads((PINNED / "sphere_rate.json").read_text())
+    raw.update(graph={"scheme": "gaussian", "bandwidth_constant": 16.0}, n_grid=[128, 256], trials=1)
+    lam, err = _calibration_miss(monkeypatch, raw, tmp_path, capsys)
+    assert lam < 1.6
+    assert f"measured lambda_1 {lam:.6g} misses target 2 " in err and "bandwidth_constant 16 " in err
 
 
 def test_eigen_experiment_smoke():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from converge import manifolds
 from converge.filters import constant_filter, exponential_filter, polynomial_filter, tent_filter
-from converge.graph import build_laplacian, calibration_constant
+from converge.graph import build_laplacian
 from converge.network import (
     NONLINEARITIES,
     NetworkSpec,
@@ -37,7 +37,7 @@ def run_continuum(net, manifold, lam, coeffs, points):
 def circle_system():
     m = manifolds.Circle()
     cloud = manifolds.sample_uniform(m, 128, seed=1)
-    op = build_laplacian(cloud, m, 1.0, calibration_constant(m))
+    op = build_laplacian(cloud, m, 1.0)
     full = smallest_eigenpairs(op, K=128, tol=1e-7, method="dense")
     return m, cloud, full
 

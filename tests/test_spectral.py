@@ -7,7 +7,7 @@ import scipy.linalg
 
 from converge import graph, manifolds, spectral
 from converge.bounds import hoeffding_bound
-from converge.graph import build_laplacian, calibration_constant
+from converge.graph import build_laplacian
 from converge.spectral import (
     ConvergenceFailure,
     align_to_continuum,
@@ -35,7 +35,7 @@ def multiplicity_groups(eigenvalues, rel_gap=1e-3):
 
 def _operator(manifold, n, seed, c=1.0):
     cloud = manifolds.sample_uniform(manifold, n, seed)
-    return cloud, build_laplacian(cloud, manifold, c, calibration_constant(manifold))
+    return cloud, build_laplacian(cloud, manifold, c)
 
 
 def test_gn_inner_product():
@@ -103,7 +103,7 @@ def test_lanczos_exhausted_krylov_space(monkeypatch):
     # coincident points: the start vector spans a 2-dimensional Krylov space
     m = manifolds.Circle()
     pts = np.tile([1.0, 0.0], (6, 1))
-    op = build_laplacian(pts, m, 1.0, calibration_constant(m))
+    op = build_laplacian(pts, m, 1.0)
     with pytest.raises(ConvergenceFailure, match="exhausted at m=2"):
         smallest_eigenpairs(op, K=3, method="lanczos")
 
