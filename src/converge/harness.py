@@ -7,14 +7,17 @@ the continuum network; the eigen experiment measures eigenvalue and aligned
 eigenvector errors. Each fits log-log lines to the per-n means. The worker
 pool runs the calibration gate first, which refuses the run on a miss, and
 then the work that does not depend on the sample, once per experiment: the
-rate experiment's `continuum_network`, which the cells read from its future.
+rate experiment's `continuum_network`, the eigen experiment's continuum
+eigenvalues and levels, which the cells read from its future.
 
 A config is checked once, type and range, by `ExperimentConfig.from_dict`,
 which also parses its network; `_run_cells` checks before calibration only
-what depends on the experiment: n against the mode count, and memory. An
-experiment's measured keys are `ExperimentResult.keys`, the CSV columns after
-n, trial and seed, and `summarize` is the one path from records to per-n
-means, for the summary and `converge fit` alike.
+what depends on the experiment: n against its mode count K, and memory. A
+cell takes K modes on both sides: the signal's width for `run`, the end of
+`eigen_index`'s level for `eigen`. An experiment's measured keys are
+`ExperimentResult.keys`, the CSV columns after n, trial and seed, and
+`summarize` is the one path from records to per-n means, for the summary and
+`converge fit` alike.
 
 Determinism contract: per-trial seeds are derived by hashing
 (master seed, n, trial), trials are aggregated in a fixed order regardless
@@ -146,18 +149,11 @@ class ExperimentConfig:
     n_grid: tuple[int, ...]
     trials: int
     seed: int
-    truncation: int | str | None = None  # int, "full", or None (signal width)
     eigen_index: int = 1
 
     @property
     def manifold_model(self) -> Manifold:
         return manifolds.MODELS[self.manifold]
-
-    def mode_count(self, n: int) -> int:
-        """Discrete eigenpairs per trial at point count n: never below the signal width."""
-        if self.truncation == "full":
-            return n
-        return max(self.truncation or 0, len(self.signal_coefficients))
 
     def canonical_dict(self) -> dict:
         return {
@@ -168,7 +164,7 @@ class ExperimentConfig:
                 "scheme": "gaussian",  # the only scheme; kept so config hashes do not move
                 "bandwidth_constant": self.bandwidth_constant,
             },
-            "truncation": self.truncation,
+            "truncation": None,  # K is the signal's width; kept so config hashes do not move
             "eigen_index": self.eigen_index,
             "n_grid": list(self.n_grid),
             "trials": self.trials,
@@ -181,6 +177,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {raw!r}")
         raw = dict(raw)
 
         def take(d: dict, key: str, default=None, required=False):
@@ -251,9 +249,6 @@ class ExperimentConfig:
             raise ConfigError("n_grid must be strictly increasing and nonempty")
         trials = integer("trials", take(raw, "trials", default=20), least=1)
         seed = integer("seed", take(raw, "seed", default=0), least=0)
-        truncation = take(raw, "truncation")
-        if truncation not in (None, "full"):
-            truncation = integer("truncation", truncation, least=1)
         eigen_index = integer("eigen_index", take(raw, "eigen_index", default=1), least=0)
         if raw:
             raise ConfigError(f"unknown config keys: {sorted(raw)}")
@@ -266,7 +261,6 @@ class ExperimentConfig:
             n_grid=tuple(n_grid),
             trials=trials,
             seed=seed,
-            truncation=truncation,
             eigen_index=eigen_index,
         )
 
@@ -380,29 +374,26 @@ def fit_or_none(per_n, key) -> dict | None:
     return {"slope": slope, "intercept": intercept, "r2": r2}
 
 
-def _run_cells(
-    config, threads, keys, mode_count, measure, setup=lambda: None
-) -> ExperimentResult:
+def _run_cells(config, threads, keys, K, measure, setup) -> ExperimentResult:
     """Run every (n, trial) cell and summarize per n.
 
     The pool's first task is the calibration gate, resolve_calibration, and
     its second is setup(), the experiment's sample-independent work: one
     worker runs calibration, setup, cells in that order, and more than one
     run the setup while the gate solves. No cell starts before the gate
-    returns. A cell records measure(cloud, eig, setup()) on its lowest
-    mode_count(n) eigenpairs, waiting for setup() if it is still running, or
-    None for each of `keys` and `failed: True` if the solve fails. A gate
-    miss (ConfigError) or a failed calibration solve (ConvergenceFailure)
-    propagates and runs no cell. More than MAX_FAILURE_FRACTION failed
-    cells abort the run. Cells start largest n first, so no worker is left
-    with a big cell while the others idle, and the records come back in grid
-    order.
+    returns. A cell records measure(cloud, eig, setup()) on its lowest K
+    eigenpairs, waiting for setup() if it is still running, or None for each
+    of `keys` and `failed: True` if the solve fails. A gate miss
+    (ConfigError) or a failed calibration solve (ConvergenceFailure)
+    propagates and runs no cell. More than MAX_FAILURE_FRACTION failed cells
+    abort the run. Cells start largest n first, so no worker is left with a
+    big cell while the others idle, and the records come back in grid order.
 
     The workers are capped at MEMORY_FRACTION of available_memory() over
     spectral.peak_bytes of the largest cell, and never below one; the count
-    never changes a result. A thread count below 1, an n below 2 or below
-    mode_count(n), or a cell larger than all of the available memory, raises
-    ConfigError before calibration.
+    never changes a result. A thread count below 1, an n below 2 or below K,
+    or a cell larger than all of the available memory, raises ConfigError
+    before calibration and before setup.
     """
     start = time.perf_counter()
     m = config.manifold_model
@@ -410,10 +401,10 @@ def _run_cells(
     if workers < 1:
         raise ConfigError(f"need at least 1 thread, got {workers}")
     for n in config.n_grid:
-        if n < max(2, mode_count(n)):
-            raise ConfigError(f"n_grid entry {n} is below 2 or the {mode_count(n)} modes a cell takes")
+        if n < max(2, K):
+            raise ConfigError(f"n_grid entry {n} is below 2 or the {K} modes a cell takes")
     available = available_memory()
-    largest = max(spectral.peak_bytes(n, mode_count(n)) for n in config.n_grid)
+    largest = max(spectral.peak_bytes(n, K) for n in config.n_grid)
     if available is not None and largest > available:
         raise ConfigError(f"a {largest >> 20} MiB cell exceeds {available >> 20} MiB of available memory")
     fit = workers if available is None else max(1, int(MEMORY_FRACTION * available) // largest)
@@ -427,7 +418,7 @@ def _run_cells(
         try:
             cloud = manifolds.sample_uniform(m, n, seed)
             op = graph.build_laplacian(cloud, m, config.bandwidth_constant)
-            eig = spectral.smallest_eigenpairs(op, K=mode_count(n), tol=EIGEN_TOL, seed=seed)
+            eig = spectral.smallest_eigenpairs(op, K=K, tol=EIGEN_TOL, seed=seed)
             del op  # frees the kernel before measure, which may be long
             record.update(measure(cloud, eig, prepared.result()))
         except spectral.ConvergenceFailure:
@@ -474,18 +465,18 @@ def run_convergence_experiment(
     if net.widths[0] != 1:
         raise ConfigError("convergence experiment expects a single input feature")
     coeffs = np.array(config.signal_coefficients)
-    lam = m.eigenvalues(len(coeffs))
+    K = len(coeffs)  # both sides keep the signal's modes; zero coefficients add more
 
     def continuum():
         # sample-independent: built once, while the calibration gate solves
-        return network.continuum_network(net, m, lam, coeffs[None, :])
+        return network.continuum_network(net, m, m.eigenvalues(K), coeffs[None, :])
 
     def measure(cloud, eig, cont):
         x0 = manifolds.evaluate_signal(coeffs, m, cloud)[None, :]
         disc = network.forward_discrete(net, eig, x0)
         return {"error": network.mnn_error(disc, network.forward_continuum(net, m, cont, cloud))}
 
-    result = _run_cells(config, threads, ("error",), config.mode_count, measure, setup=continuum)
+    result = _run_cells(config, threads, ("error",), K, measure, continuum)
     result.fit = fit_or_none(result.per_n, "error")
     return result
 
@@ -498,18 +489,21 @@ def eigen_convergence_experiment(
     idx = config.eigen_index
     # modes through the end of idx's level: a cut level would make the
     # Procrustes alignment pick an arbitrary slice of a near-degenerate space
-    count = m.level_end(idx)
-    lam = m.eigenvalues(count)
-    groups = [list(g) for _, g in itertools.groupby(range(count), m.level)]
+    K = m.level_end(idx)
 
-    def measure(cloud, eig, _):
-        projected = spectral.project_eigenfunctions(m, cloud, count)
+    def levels():
+        # after _run_cells has checked K against the grid and memory
+        return m.eigenvalues(K), [list(g) for _, g in itertools.groupby(range(K), m.level)]
+
+    def measure(cloud, eig, prepared):
+        lam, groups = prepared
+        projected = spectral.project_eigenfunctions(m, cloud, K)
         aligned = spectral.align_to_continuum(eig, projected, groups)
         lam_err, vec_err = spectral.eigen_errors(aligned, lam, projected)
         return {"lambda_error": float(lam_err[idx]), "vector_error": float(vec_err[idx])}
 
     keys = ("lambda_error", "vector_error")
-    result = _run_cells(config, threads, keys, lambda n: count, measure)
+    result = _run_cells(config, threads, keys, K, measure, levels)
     result.fit = {key: fit_or_none(result.per_n, key) for key in keys}
     return result
 

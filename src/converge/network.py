@@ -13,13 +13,12 @@ quadrature grid re-expanded onto a truncated eigenbasis, and
 array and applies sigma. The two passes are compared by summing per-feature
 G_n norms of the difference at the sample points.
 
-Truncation contract: both sides keep K modes at every layer. The discrete
-side projects onto the eigensystem's K modes, after every nonlinearity too.
-The continuum side re-expands each hidden layer onto len(eigenvalues) modes,
-and the rate experiment passes as many continuum eigenvalues as the signal
-has coefficients, which is K = `ExperimentConfig.mode_count(n)` unless a
-config's `truncation` asks for more (10 modes on `sphere_rate.json`). Modes a
-hidden layer drops are what its quadrature residual measures.
+Truncation contract: both sides keep K modes at every layer, K the signal's
+width (10 modes on `sphere_rate.json`; a config lists zero coefficients to
+take more). The discrete side projects onto the eigensystem's K modes, after
+every nonlinearity too. The continuum side re-expands each hidden layer onto
+len(eigenvalues) = K modes. Modes a hidden layer drops are what its
+quadrature residual measures.
 """
 
 from __future__ import annotations

@@ -126,6 +126,9 @@ def test_config_rejects_unknown_keys():
 def test_config_requires_core_keys():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"manifold": "circle"})
+    # an empty list is not an object missing its keys
+    with pytest.raises(ConfigError, match=r"must be a JSON object, got \[\]"):
+        ExperimentConfig.from_dict([])
 
 
 def test_config_defaults():
@@ -368,7 +371,7 @@ def test_memory_cap_limits_the_workers(monkeypatch, tmp_path):
     # a budget for two of the largest cells: four threads hold at most two
     # operators at once, and the result does not depend on it
     cfg = ExperimentConfig.from_dict(dict(TINY_CONFIG, trials=4))
-    largest = max(spectral.peak_bytes(n, cfg.mode_count(n)) for n in cfg.n_grid)
+    largest = max(spectral.peak_bytes(n, len(cfg.signal_coefficients)) for n in cfg.n_grid)
     monkeypatch.setattr(harness, "available_memory", lambda: int(2 * largest / harness.MEMORY_FRACTION))
     build = graph.build_laplacian
     lock = threading.Lock()
@@ -411,10 +414,12 @@ def _refuse_calibration(monkeypatch):
 
 
 def test_cell_over_the_available_memory_is_a_config_error(monkeypatch, tmp_path, capsys):
-    # K = n takes the dense method, at about 40 n^2 bytes; the same grid on
-    # Lanczos is counted at its kernel, basis and Ritz vectors
-    raw = dict(TINY_CONFIG, n_grid=[256, 512], truncation="full")
-    available = spectral.peak_bytes(512, 512) - 1
+    # a 200-coefficient signal takes the dense method at n = 512, at about
+    # 40 n^2 bytes; the same grid on Lanczos is counted at its kernel, basis
+    # and Ritz vectors
+    raw = dict(TINY_CONFIG, n_grid=[256, 512], signal={"coefficients": [0.0, 1.0, 1.0] + [0.0] * 197})
+    assert spectral.auto_method(512, 200) == "dense"
+    available = spectral.peak_bytes(512, 200) - 1
     assert spectral.peak_bytes(512, 3) < harness.MEMORY_FRACTION * available
     monkeypatch.setattr(harness, "available_memory", lambda: available)
     calls = _refuse_calibration(monkeypatch)
@@ -425,7 +430,7 @@ def test_cell_over_the_available_memory_is_a_config_error(monkeypatch, tmp_path,
     assert len(err) == 1 and "available memory" in err[0]
     assert not calls and not list(tmp_path.glob("*.csv"))
     # the same grid on Lanczos fits and goes on to calibrate
-    lanczos = ExperimentConfig.from_dict(dict(raw, truncation=None))
+    lanczos = ExperimentConfig.from_dict(dict(raw, signal=TINY_CONFIG["signal"]))
     with pytest.raises(RuntimeError, match="calibration reached"):
         run_convergence_experiment(lanczos, threads=1)
     assert calls == [lanczos]
@@ -435,11 +440,48 @@ def test_cell_over_the_worker_share_runs_alone(monkeypatch, capsys):
     # the fraction sizes concurrency only: a cell that fits the whole of the
     # available memory runs, on one worker
     cfg = ExperimentConfig.from_dict(TINY_CONFIG)
-    largest = max(spectral.peak_bytes(n, cfg.mode_count(n)) for n in cfg.n_grid)
+    largest = max(spectral.peak_bytes(n, len(cfg.signal_coefficients)) for n in cfg.n_grid)
     monkeypatch.setattr(harness, "available_memory", lambda: largest + 1)
     result = run_convergence_experiment(cfg, threads=4)
     assert result.metadata["workers"] == 1 and result.metadata["failures"] == 0
     assert "1 workers" in capsys.readouterr().err
+
+
+def test_both_sides_keep_the_signal_width(monkeypatch):
+    # zero coefficients take more modes, on the discrete and the continuum side alike
+    run_cells, seen = harness._run_cells, []
+
+    def spied(config, threads, keys, K, measure, setup):
+        def spy(cloud, eig, cont):
+            seen.append((eig.count, cont.coefficients.shape[1]))
+            return measure(cloud, eig, cont)
+
+        return run_cells(config, threads, keys, K, spy, setup)
+
+    monkeypatch.setattr(harness, "_run_cells", spied)
+    padded = {"coefficients": TINY_CONFIG["signal"]["coefficients"] + [0.0] * 13}
+    cfg = ExperimentConfig.from_dict(dict(TWO_LAYER_CONFIG, signal=padded))
+    result = run_convergence_experiment(cfg, threads=2)
+    assert result.metadata["failures"] == 0
+    assert seen == [(16, 16)] * len(cfg.n_grid) * cfg.trials
+
+
+def test_eigen_modes_checked_before_they_are_built(monkeypatch, tmp_path, capsys):
+    # 10^7 modes exceed every n: refused before any eigenvalue is computed
+    calls, built = _refuse_calibration(monkeypatch), []
+    eigenvalues = manifolds.Manifold.eigenvalues
+
+    def counted(self, count):
+        built.append(count)
+        return eigenvalues(self, count)
+
+    monkeypatch.setattr(manifolds.Manifold, "eigenvalues", counted)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(TINY_CONFIG, eigen_index=10**7)))
+    assert main(["eigen", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "10000001 modes a cell takes" in err[0]
+    assert not built and not calls and not list(tmp_path.glob("*.csv"))
 
 
 def _fake_system(root, meminfo_kib, cgroup_lines, limits):
@@ -520,14 +562,6 @@ def test_threads_below_one_is_a_config_error(threads, source, monkeypatch, tmp_p
     err = capsys.readouterr().err.splitlines()
     assert err == [f"config error: need at least 1 thread, got {threads}"]
     assert not calls and not list(tmp_path.glob("*.csv"))
-
-
-@pytest.mark.parametrize("truncation, expected", [(None, 10), (4, 10), (20, 20), ("full", 300)])
-def test_mode_count(truncation, expected):
-    # default signal: 10 modes, a floor on the truncation
-    raw = {k: v for k, v in TINY_CONFIG.items() if k != "signal"}
-    cfg = ExperimentConfig.from_dict(dict(raw, truncation=truncation))
-    assert cfg.mode_count(300) == expected
 
 
 def test_csv_schema(tiny_result, tmp_path):
@@ -771,7 +805,7 @@ def _filter(spec):
     [
         ("run", dict(TINY_CONFIG, trials="x")),
         ("run", dict(TINY_CONFIG, graph={"bandwidth_constant": "x"})),
-        ("run", dict(TINY_CONFIG, truncation="abc")),
+        ("run", dict(TINY_CONFIG, truncation=16)),  # not a config key: K is the signal width
         ("run", dict(TINY_CONFIG, n_grid={"start": 200})),
         ("run", dict(TINY_CONFIG, network=_network([1, 1], "wavelet"))),
         ("run", dict(TINY_CONFIG, network=_network([1, 2], "exponential"))),  # incomplete bank
@@ -822,6 +856,11 @@ def _filter(spec):
         ("run", dict(TINY_CONFIG, graph={"bandwidth_constant": 0})),
         ("run", dict(TINY_CONFIG, n_grid=[256, 128])),
         ("run", dict(TINY_CONFIG, n_grid=[])),
+        ("run", [1, 2]),
+        ("run", "abc"),
+        ("run", 5),
+        ("eigen", None),
+        ("run", []),
     ],
     ids=[
         "trials", "bandwidth", "truncation", "n_grid", "family", "bank",
@@ -834,7 +873,8 @@ def _filter(spec):
         "polynomial-degree", "coefficients-empty", "seed-negative", "n_grid-one",
         "n_grid-below-modes", "n_grid-negative", "n_grid-one-full", "eigen-n_grid-one",
         "eigen-n_grid-below-modes", "trials-zero", "eigen-index-negative", "truncation-zero",
-        "bandwidth-zero", "n_grid-unsorted", "n_grid-empty",
+        "bandwidth-zero", "n_grid-unsorted", "n_grid-empty", "config-list", "config-string",
+        "config-number", "config-null", "config-empty-list",
     ],
 )
 def test_bad_values_are_config_errors(command, content, monkeypatch, tmp_path, capsys):
