@@ -10,12 +10,12 @@ formulas (k^2 on the circle, l(l+1) on the sphere) intact even though
 vol(M) != 1. Modes are 0-indexed, constant mode first, eigenvalues
 nondecreasing; a level is a set of modes that share an eigenvalue.
 
-The module functions `sample_uniform`, `eigenbasis`, `evaluate_signal` and
-`quadrature_nodes` dispatch on the model. A bandlimited signal is its
-coefficient array, alpha_i on mode i. `eigenbasis` evaluates the first
-`count` eigenfunctions at a set of points in one pass, sharing the angles
-and, on the sphere, the Legendre recurrence across modes. Every caller goes
-through it, so there is one evaluation path.
+The module functions `sample_uniform`, `eigenbasis` and `quadrature_nodes`
+dispatch on the model. `eigenbasis` evaluates the first `count`
+eigenfunctions at a set of points in one pass, sharing the angles and, on
+the sphere, the Legendre recurrence across modes. Every caller goes through
+it, so there is one evaluation path. A bandlimited signal is its coefficient
+array, alpha_i on mode i; `evaluate_signal` sums it over an evaluated basis.
 """
 
 from __future__ import annotations
@@ -188,10 +188,10 @@ def eigenbasis(manifold: Manifold, x: np.ndarray, count: int) -> np.ndarray:
     return out.T
 
 
-def evaluate_signal(coefficients: np.ndarray, manifold: Manifold, points: np.ndarray) -> np.ndarray:
+def evaluate_signal(coefficients: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """The bandlimited signal f = sum_i alpha_i phi_i, given by its coefficients
-    alpha_0..alpha_kappa, at the sample points: entry j is f(x_j)."""
-    return eigenbasis(manifold, points, len(coefficients)) @ coefficients
+    alpha_0..alpha_kappa, at the points of an `eigenbasis`: entry j is f(x_j)."""
+    return basis[:, : len(coefficients)] @ coefficients
 
 
 def quadrature_nodes(manifold: Manifold):

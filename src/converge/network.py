@@ -9,9 +9,9 @@ first nonlinearity. Everything continuum up to the last nonlinearity needs no
 sample points: `continuum_network` computes it once per experiment (the
 harness runs it while the calibration gate solves), its hidden layers on a
 quadrature grid re-expanded onto a truncated eigenbasis, and
-`forward_continuum` synthesizes its last coefficients at any (n, D) point
-array and applies sigma. The two passes are compared by summing per-feature
-G_n norms of the difference at the sample points.
+`forward_continuum` synthesizes its last coefficients at the eigenbasis of
+the sample points and applies sigma. The two passes are compared by summing
+per-feature G_n norms of the difference at the sample points.
 
 Truncation contract: both sides keep K modes at every layer, K the signal's
 width (10 modes on `sphere_rate.json`; a config lists zero coefficients to
@@ -162,15 +162,14 @@ def continuum_network(
     )
 
 
-def forward_continuum(
-    net: NetworkSpec, manifold: Manifold, cont: ContinuumNetwork, points: np.ndarray
-) -> np.ndarray:
+def forward_continuum(net: NetworkSpec, cont: ContinuumNetwork, basis: np.ndarray) -> np.ndarray:
     """Exact continuum network at the sample points (P_n of Eq. output), shape (F_L, n).
 
-    The last nonlinearity is applied pointwise at the points, which is exact.
+    basis is the `eigenbasis` at the points, at least as wide as the
+    coefficients. The last nonlinearity is applied pointwise, which is exact.
     """
     k = cont.coefficients.shape[1]
-    return net.sigma(cont.coefficients @ eigenbasis(manifold, points, k).T)
+    return net.sigma(cont.coefficients @ basis[:, :k].T)
 
 
 def mnn_error(discrete_out: np.ndarray, continuum_out: np.ndarray) -> float:

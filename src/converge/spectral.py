@@ -186,14 +186,13 @@ def smallest_eigenpairs(
 
 
 def project_eigenfunctions(manifold: Manifold, points: np.ndarray, count: int) -> np.ndarray:
-    """P_n phi_i for the first `count` continuum modes: row i holds phi_i at the samples."""
-    return eigenbasis(manifold, points, count).T
+    """P_n phi_i for the first `count` continuum modes, shape (n, count):
+    column i is P_n phi_i, phi_i at the samples."""
+    return eigenbasis(manifold, points, count)
 
 
 def align_to_continuum(
-    discrete: EigenSystem,
-    projected: Sequence[np.ndarray],
-    groups: Sequence[Sequence[int]],
+    discrete: EigenSystem, projected: np.ndarray, groups: Sequence[Sequence[int]]
 ) -> EigenSystem:
     """Rotate discrete eigenvectors toward the projected continuum basis.
 
@@ -202,9 +201,9 @@ def align_to_continuum(
     reduces to a sign flip making <phi^n, P_n phi>_{G_n} >= 0. Eigenvalues
     and the span of each group are unchanged.
     """
-    if len(projected) != discrete.count:
+    if projected.shape != discrete.eigenvectors.shape:
         raise ValueError(
-            f"projected count {len(projected)} != discrete count {discrete.count}"
+            f"projected shape {projected.shape} != eigenvectors {discrete.eigenvectors.shape}"
         )
     covered = sorted(i for g in groups for i in g)
     if covered != list(range(discrete.count)):
@@ -214,9 +213,7 @@ def align_to_continuum(
     for g in groups:
         g = list(g)
         Q = vecs[:, g]
-        P = np.column_stack([projected[i] for i in g])
-        if P.shape[0] != n:
-            raise ValueError("projected vector length mismatch")
+        P = projected[:, g]
         cross = (Q.T @ P) / n
         if len(g) == 1:
             if cross[0, 0] < 0:
@@ -227,20 +224,16 @@ def align_to_continuum(
     return EigenSystem(discrete.eigenvalues, vecs)
 
 
-def eigen_errors(
-    aligned: EigenSystem,
-    eigenvalues: np.ndarray,
-    projected: Sequence[np.ndarray],
-):
+def eigen_errors(aligned: EigenSystem, eigenvalues: np.ndarray, projected: np.ndarray):
     """Per-index (|lambda_i - lambda_i^n|, ||P_n phi_i - phi_i^n||_{G_n}).
 
-    eigenvalues[i] is the continuum eigenvalue of mode i, and projected[i] is
-    P_n phi_i, as `project_eigenfunctions` returns it.
+    eigenvalues[i] is the continuum eigenvalue of mode i, and column i of
+    projected is P_n phi_i, as `project_eigenfunctions` returns it.
     """
     k = min(aligned.count, len(eigenvalues))
     lam_err = np.empty(k)
     vec_err = np.empty(k)
     for i in range(k):
         lam_err[i] = abs(eigenvalues[i] - aligned.eigenvalues[i])
-        vec_err[i] = gn_norm(projected[i] - aligned.eigenvectors[:, i])
+        vec_err[i] = gn_norm(projected[:, i] - aligned.eigenvectors[:, i])
     return lam_err, vec_err

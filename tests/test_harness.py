@@ -452,9 +452,9 @@ def test_both_sides_keep_the_signal_width(monkeypatch):
     run_cells, seen = harness._run_cells, []
 
     def spied(config, threads, keys, K, measure, setup):
-        def spy(cloud, eig, cont):
+        def spy(basis, eig, cont):
             seen.append((eig.count, cont.coefficients.shape[1]))
-            return measure(cloud, eig, cont)
+            return measure(basis, eig, cont)
 
         return run_cells(config, threads, keys, K, spy, setup)
 
@@ -464,6 +464,46 @@ def test_both_sides_keep_the_signal_width(monkeypatch):
     result = run_convergence_experiment(cfg, threads=2)
     assert result.metadata["failures"] == 0
     assert seen == [(16, 16)] * len(cfg.n_grid) * cfg.trials
+
+
+def test_one_basis_evaluation_per_cell(monkeypatch):
+    # a cell evaluates the continuum eigenfunctions at its points once, for the
+    # signal and the continuum output alike; the setup once on its quadrature grid
+    basis, rows = manifolds.eigenbasis, []
+
+    def counted(manifold, x, count):
+        rows.append(x.shape[0])
+        return basis(manifold, x, count)
+
+    for module in (graph, harness, manifolds, network, spectral):
+        for attr, value in list(vars(module).items()):
+            if value is basis:
+                monkeypatch.setattr(module, attr, counted)
+    cfg = ExperimentConfig.from_dict(TWO_LAYER_CONFIG)
+    result = run_convergence_experiment(cfg, threads=2)
+    assert result.metadata["failures"] == 0
+    grid = cfg.manifold_model.quadrature_size
+    assert sorted(rows) == sorted([n for n in cfg.n_grid for _ in range(cfg.trials)] + [grid])
+
+
+def test_refused_run_builds_no_setup_at_one_worker(monkeypatch, tmp_path, capsys):
+    # one worker runs the gate before the setup, so a refused run builds no
+    # continuum network before it exits 2
+    constant, continuum, built = graph.calibration_constant, network.continuum_network, []
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return continuum(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "calibration_constant", lambda *args: 2.0 * constant(*args))
+    monkeypatch.setattr(network, "continuum_network", counted)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TWO_LAYER_CONFIG))
+    argv = ["run", "--config", str(cfg_path), "--out-dir", str(tmp_path), "--threads", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: calibration: ")
+    assert built == [] and not list(tmp_path.glob("*.csv"))
 
 
 def test_eigen_modes_checked_before_they_are_built(monkeypatch, tmp_path, capsys):

@@ -169,7 +169,7 @@ def test_sup_norm_growth(m):
 def test_parseval(alpha, m):
     sig = np.array(alpha)
     grid, w = m.grid(60_000), np.full(60_000, 1.0 / 60_000)
-    quad = float(np.sum(w * evaluate_signal(sig, m, grid) ** 2))
+    quad = float(np.sum(w * evaluate_signal(sig, eigenbasis(m, grid, len(sig))) ** 2))
     assert quad == pytest.approx(np.dot(alpha, alpha), abs=1e-4)
 
 
@@ -177,14 +177,14 @@ def test_evaluate_signal_constant_mode():
     m = Sphere2()
     x = sample_uniform(m, 20, seed=3)
     sig = np.array([1.0, 0.0, 0.0])
-    assert np.allclose(evaluate_signal(sig, m, x), 1.0)
+    assert np.allclose(evaluate_signal(sig, eigenbasis(m, x, 3)), 1.0)
 
 
 def test_evaluate_signal_zero():
     m = Circle()
     x = sample_uniform(m, 20, seed=3)
     sig = np.zeros(4)
-    assert np.array_equal(evaluate_signal(sig, m, x), np.zeros(20))
+    assert np.array_equal(evaluate_signal(sig, eigenbasis(m, x, 4)), np.zeros(20))
 
 
 def test_evaluate_signal_mode_norm_concentrates():
@@ -193,7 +193,7 @@ def test_evaluate_signal_mode_norm_concentrates():
     n = 4096
     x = sample_uniform(m, n, seed=9)
     sig = np.array([0.0, 1.0])
-    vals = evaluate_signal(sig, m, x)
+    vals = evaluate_signal(sig, eigenbasis(m, x, 2))
     sq_norm = float(np.dot(vals, vals)) / n
     assert abs(sq_norm - 1.0) <= 3 * math.sqrt(18 * math.log(n) / n)
 

@@ -30,7 +30,8 @@ def filter_apply(h, eig, x):
 
 
 def run_continuum(net, manifold, lam, coeffs, points):
-    return forward_continuum(net, manifold, continuum_network(net, manifold, lam, coeffs), points)
+    cont = continuum_network(net, manifold, lam, coeffs)
+    return forward_continuum(net, cont, manifolds.eigenbasis(manifold, points, len(lam)))
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +206,8 @@ def test_continuum_identity_network():
     )
     coeffs = np.array([[0.5, -1.0, 2.0, 0.0]])
     out = run_continuum(net, m, lam, coeffs, cloud)
-    assert np.allclose(out[0], manifolds.evaluate_signal(coeffs[0], m, cloud), atol=1e-10)
+    basis = manifolds.eigenbasis(m, cloud, 4)
+    assert np.allclose(out[0], manifolds.evaluate_signal(coeffs[0], basis), atol=1e-10)
 
 
 def test_continuum_zero_input():
@@ -259,13 +261,13 @@ def test_continuum_two_layer_reexpansion():
     alpha = np.zeros(k_cont)
     alpha[1] = 1.0
     cont = continuum_network(net, m, lam, alpha[None, :])
-    out = forward_continuum(net, m, cont, cloud)
+    at_cloud = manifolds.eigenbasis(m, cloud, k_cont)
+    out = forward_continuum(net, cont, at_cloud)
     # |cos| has a 1/k^2 coefficient tail; 33 modes leave a small residual
     assert cont.quadrature_residuals and max(cont.quadrature_residuals) < 0.05
 
     grid, w = manifolds.quadrature_nodes(m)
     on_grid = manifolds.eigenbasis(m, grid, k_cont)
-    at_cloud = manifolds.eigenbasis(m, cloud, k_cont)
     mid = np.abs(math.exp(-1.0) * on_grid[:, 1])
     final = np.zeros(len(cloud))
     for i in range(k_cont):
@@ -295,7 +297,8 @@ def test_continuum_hidden_layers_split(manifold, widths, nonlinearity):
     assert len(cont.quadrature_residuals) == hidden
     assert len(cont.feature_l2_norms) == len(cont.feature_sup_norms) == hidden
     assert cont.coefficients.shape == (widths[-1], 10)
-    assert forward_continuum(net, manifold, cont, cloud).shape == (widths[-1], 200)
+    basis = manifolds.eigenbasis(manifold, cloud, 10)
+    assert forward_continuum(net, cont, basis).shape == (widths[-1], 200)
 
 
 def test_mnn_error_contract():

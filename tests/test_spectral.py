@@ -212,10 +212,10 @@ def test_multiplicity_groups():
 def test_alignment_sign_flip():
     _, op = _operator(manifolds.Circle(), 200, seed=6)
     eig = smallest_eigenpairs(op, K=1, tol=1e-8)
-    target = [np.ones(200)]
+    target = np.ones((200, 1))
     flipped = spectral.EigenSystem(eig.eigenvalues, -np.abs(eig.eigenvectors))
     aligned = align_to_continuum(flipped, target, [[0]])
-    assert np.dot(aligned.eigenvectors[:, 0], target[0]) >= 0
+    assert np.dot(aligned.eigenvectors[:, 0], target[:, 0]) >= 0
     # already aligned: unchanged
     again = align_to_continuum(aligned, target, [[0]])
     assert np.array_equal(again.eigenvectors, aligned.eigenvectors)
@@ -224,12 +224,12 @@ def test_alignment_sign_flip():
 def test_alignment_validation():
     _, op = _operator(manifolds.Circle(), 100, seed=6)
     eig = smallest_eigenpairs(op, K=2, tol=1e-8)
-    with pytest.raises(ValueError):
-        align_to_continuum(eig, [np.ones(100)], [[0]])
-    with pytest.raises(ValueError):
-        align_to_continuum(eig, [np.ones(100)] * 2, [[0]])
-    with pytest.raises(ValueError):
-        align_to_continuum(eig, [np.ones(50)] * 2, [[0, 1]])
+    with pytest.raises(ValueError):  # one column for two eigenvectors
+        align_to_continuum(eig, np.ones((100, 1)), [[0]])
+    with pytest.raises(ValueError):  # groups that miss mode 1
+        align_to_continuum(eig, np.ones((100, 2)), [[0]])
+    with pytest.raises(ValueError):  # 50 points for 100
+        align_to_continuum(eig, np.ones((50, 2)), [[0, 1]])
 
 
 @pytest.fixture(scope="module")
@@ -247,7 +247,7 @@ def test_procrustes_beats_random_rotations(sphere_triplet):
     cloud, eig, lam, projected, groups = sphere_triplet
     aligned = align_to_continuum(eig, projected, groups)
     g = groups[1]  # the l=1 triplet
-    P = np.column_stack([projected[i] for i in g])
+    P = projected[:, g]
 
     def group_error(vectors):
         return sum(gn_norm(P[:, k] - vectors[:, i]) ** 2 for k, i in enumerate(g))
