@@ -2,10 +2,11 @@
 
 Both experiments run every (n, trial) cell through one pipeline: sample the
 manifold, build the calibrated kernel graph, compute the lowest eigenpairs,
-evaluate the continuum basis P_n phi_0..phi_{K-1} once, measure from it. The
-rate experiment measures the G_n error between the discrete and the
-continuum network; the eigen experiment measures eigenvalue and aligned
-eigenvector errors. Each fits log-log lines to the per-n means. The worker
+measure. A cell's measure evaluates the continuum basis P_n phi_0..phi_{K-1}
+at its points once and reads everything continuum from it. The rate
+experiment measures the G_n error between the discrete and the continuum
+network; the eigen experiment measures eigenvalue and aligned eigenvector
+errors. Each fits log-log lines to the per-n means. The worker
 pool runs the calibration gate first, which refuses the run on a miss, and
 then the work that does not depend on the sample, once per experiment: the
 rate experiment's `continuum_network`, the eigen experiment's continuum
@@ -382,14 +383,14 @@ def _run_cells(config, threads, keys, K, measure, setup) -> ExperimentResult:
     its second is setup(), the experiment's sample-independent work: one
     worker runs calibration, setup, cells in that order, and more than one
     run the setup while the gate solves. No cell starts before the gate
-    returns. A cell evaluates its continuum basis once, the (n, K)
-    project_eigenfunctions(m, cloud, K), and records measure(basis, eig,
-    setup()) on its lowest K eigenpairs, waiting for setup() if it is still
-    running, or None for each of `keys` and `failed: True` if the solve
-    fails. A gate miss (ConfigError) or a failed calibration solve
-    (ConvergenceFailure) propagates and runs no cell, nor with one worker the
-    setup. More than MAX_FAILURE_FRACTION failed cells abort the run. Cells start largest n first, so no worker is left with a
-    big cell while the others idle, and the records come back in grid order.
+    returns. A cell records measure(cloud, eig, setup()) on its lowest K
+    eigenpairs, waiting for setup() if it is still running, or None for each
+    of `keys` and `failed: True` if the solve fails. A gate miss
+    (ConfigError) or a failed calibration solve (ConvergenceFailure)
+    propagates and runs no cell, nor with one worker the setup. More than
+    MAX_FAILURE_FRACTION failed cells abort the run. Cells start largest n
+    first, so no worker is left with a big cell while the others idle, and
+    the records come back in grid order.
 
     The workers are capped at MEMORY_FRACTION of available_memory() over
     spectral.peak_bytes of the largest cell, and never below one; the count
@@ -422,8 +423,7 @@ def _run_cells(config, threads, keys, K, measure, setup) -> ExperimentResult:
             op = graph.build_laplacian(cloud, m, config.bandwidth_constant)
             eig = spectral.smallest_eigenpairs(op, K=K, tol=EIGEN_TOL, seed=seed)
             del op  # frees the kernel before measure, which may be long
-            basis = spectral.project_eigenfunctions(m, cloud, K)
-            record.update(measure(basis, eig, prepared.result()))
+            record.update(measure(cloud, eig, prepared.result()))
         except spectral.ConvergenceFailure:
             record.update(dict.fromkeys(keys), failed=True)
         return record
@@ -475,7 +475,8 @@ def run_convergence_experiment(
         # sample-independent: built once, while the calibration gate solves
         return network.continuum_network(net, m, m.eigenvalues(K), coeffs[None, :])
 
-    def measure(basis, eig, cont):
+    def measure(cloud, eig, cont):
+        basis = manifolds.eigenbasis(m, cloud, K)  # P_n phi_i, shared by both sides
         x0 = manifolds.evaluate_signal(coeffs, basis)[None, :]
         disc = network.forward_discrete(net, eig, x0)
         return {"error": network.mnn_error(disc, network.forward_continuum(net, cont, basis))}
@@ -499,8 +500,9 @@ def eigen_convergence_experiment(
         # after _run_cells has checked K against the grid and memory
         return m.eigenvalues(K), [list(g) for _, g in itertools.groupby(range(K), m.level)]
 
-    def measure(projected, eig, prepared):
+    def measure(cloud, eig, prepared):
         lam, groups = prepared
+        projected = spectral.project_eigenfunctions(m, cloud, K)
         aligned = spectral.align_to_continuum(eig, projected, groups)
         lam_err, vec_err = spectral.eigen_errors(aligned, lam, projected)
         return {"lambda_error": float(lam_err[idx]), "vector_error": float(vec_err[idx])}

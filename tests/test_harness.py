@@ -452,9 +452,9 @@ def test_both_sides_keep_the_signal_width(monkeypatch):
     run_cells, seen = harness._run_cells, []
 
     def spied(config, threads, keys, K, measure, setup):
-        def spy(basis, eig, cont):
+        def spy(cloud, eig, cont):
             seen.append((eig.count, cont.coefficients.shape[1]))
-            return measure(basis, eig, cont)
+            return measure(cloud, eig, cont)
 
         return run_cells(config, threads, keys, K, spy, setup)
 
