@@ -69,9 +69,12 @@ def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     if getattr(args, "full", False):
         cfg = dataclasses.replace(cfg, n_grid=FULL_GRID, trials=FULL_TRIALS)
-    result = experiment(cfg, threads=args.threads)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:  # before the run, so an unusable directory costs no cell
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out-dir {out}: {exc}") from exc
+    result = experiment(cfg, threads=args.threads)
     tag = f"{args.command}_{cfg.content_hash()}"
     write_csv(result, out / f"{tag}.csv")
     write_summary(result, out / f"{tag}.json")

@@ -5,16 +5,18 @@ Everything here lives in the G_n geometry: the inner product is the
 inner product, and `gn_norm` is its norm. Eigenvectors returned by this
 module are G_n-orthonormal (Euclidean norm sqrt(n)).
 
-The solver is Lanczos with full reorthogonalization applied to L itself:
-the K smallest Ritz values of the tridiagonal projection, taken in
-ascending order, converge to the smallest eigenpairs of L, so no spectral
-shift is needed. It uses only matvecs, no linear solves. The Ritz residual
-estimates are checked first at step max(2K, 8); after a miss, the next check
-extrapolates the estimates' geometric decay since the previous miss to the
-step where they meet the tolerance, at most max(K, 4) steps ahead. The
-residual gate ||L V - V Lambda|| is computed from the sweeps Lanczos already
-took (L applied to the Ritz vectors is the same combination of the stored
-L q_m), so a solve costs one kernel sweep per Lanczos step and no more.
+Every solve the program runs is Lanczos with full reorthogonalization
+applied to L itself: the K smallest Ritz values of the tridiagonal
+projection, taken in ascending order, converge to the smallest eigenpairs of
+L, so no spectral shift is needed. It uses only matvecs, no linear solves.
+The Ritz residual estimates are checked first at step max(2K, 8); after a
+miss, the next check extrapolates the estimates' geometric decay since the
+previous miss to the step where they meet the tolerance, at most max(K, 4)
+steps ahead. The residual gate ||L V - V Lambda|| is computed from the sweeps
+Lanczos already took (L applied to the Ritz vectors is the same combination
+of the stored L q_m), so a solve costs one kernel sweep per Lanczos step and
+no more. A dense `eigh` of the materialized matrix is kept only as the
+oracle, for a caller that names it.
 """
 
 from __future__ import annotations
@@ -66,15 +68,16 @@ def _start_vector(n: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _lanczos(op: LaplacianOperator, K: int, tol: float, seed: int, max_iter: int):
-    """Lanczos on L with full reorthogonalization; the K smallest Ritz pairs.
+def _lanczos(op: LaplacianOperator, K: int, tol: float, seed: int):
+    """Lanczos on L with full reorthogonalization; the K smallest Ritz pairs,
+    within min(LANCZOS_STEPS K, n) steps.
 
     Returns (theta, Q S, LQ S): the Ritz values, the Euclidean-unit Ritz
     vectors, and L applied to them, assembled from the sweeps already taken
     (column m of LQ is L q_m as the operator returned it).
     """
     n = op.n
-    m_cap = min(max_iter, n)
+    m_cap = min(LANCZOS_STEPS * K, n)
     # column-major: a column is contiguous, and unused columns are never touched
     Q = np.empty((n, m_cap), order="F")
     LQ = np.empty((n, m_cap), order="F")
@@ -119,19 +122,11 @@ def _lanczos(op: LaplacianOperator, K: int, tol: float, seed: int, max_iter: int
         Q[:, m] = r / beta
 
 
-def auto_method(n: int, K: int) -> str:
-    """The method "auto" picks: dense for a large share of the spectrum or a tiny n."""
-    return "dense" if (K > n // 3 or n <= 128) else "lanczos"
-
-
 def peak_bytes(n: int, K: int) -> int:
-    """Peak bytes of a kernel build plus an "auto" solve. Lanczos: the 4 n^2
-    touched triangle, 16 n a step for the basis and its sweeps over at most
-    min(LANCZOS_STEPS K, n) steps, and 32 n K for the Ritz vectors, their
-    sweeps and the tridiagonal eigenvectors. The dense method: about 40 n^2
-    with its matrix and eigh workspace."""
-    if auto_method(n, K) == "dense":
-        return 40 * n * n
+    """Peak bytes of a kernel build plus a solve: the 4 n^2 touched triangle,
+    16 n a step for the basis and its sweeps over at most min(LANCZOS_STEPS K, n)
+    steps, and 32 n K for the Ritz vectors, their sweeps and the tridiagonal
+    eigenvectors."""
     return 4 * n * n + 16 * n * (min(LANCZOS_STEPS * K, n) + 2 * K)
 
 
@@ -140,12 +135,13 @@ def smallest_eigenpairs(
     K: int,
     tol: float = 1e-8,
     seed: int = 0,
-    method: str = "auto",
+    method: str = "lanczos",
 ) -> EigenSystem:
     """The K algebraically smallest eigenpairs of the operator.
 
-    method: "lanczos" (default for K << n), "dense" (full symmetric
-    eigendecomposition of the materialized matrix), or "auto".
+    method: "lanczos", the one the program runs, or "dense", the full
+    symmetric eigendecomposition of the materialized matrix, kept as the
+    oracle that tests and benchmarks check Lanczos against.
     Raises ConvergenceFailure if residuals do not reach tol within the
     iteration cap (LANCZOS_STEPS K matvecs), or if the returned pairs' residuals
     ||L v - lambda v||_{G_n} exceed tol * max(lambda_K, 1).
@@ -155,15 +151,13 @@ def smallest_eigenpairs(
         raise ValueError(f"need 1 <= K <= {n}, got {K}")
     if tol <= 0:
         raise ValueError(f"need tol > 0, got {tol}")
-    if method == "auto":
-        method = auto_method(n, K)
 
     if method == "dense":
         matrix = op.dense_matrix()
         lam, vecs = scipy.linalg.eigh(matrix)
         lam, vecs, lvecs = lam[:K], vecs[:, :K], None
     elif method == "lanczos":
-        lam, vecs, lvecs = _lanczos(op, K, tol, seed, max_iter=LANCZOS_STEPS * K)
+        lam, vecs, lvecs = _lanczos(op, K, tol, seed)
     else:
         raise ValueError(f"unknown method: {method!r}")
 

@@ -414,11 +414,10 @@ def _refuse_calibration(monkeypatch):
 
 
 def test_cell_over_the_available_memory_is_a_config_error(monkeypatch, tmp_path, capsys):
-    # a 200-coefficient signal takes the dense method at n = 512, at about
-    # 40 n^2 bytes; the same grid on Lanczos is counted at its kernel, basis
-    # and Ritz vectors
+    # a 200-coefficient signal at n = 512 is counted at its kernel, a Krylov
+    # basis of all 512 steps and 200 Ritz vectors; the same grid at the tiny
+    # signal's 3 modes is counted at a basis of 120 steps
     raw = dict(TINY_CONFIG, n_grid=[256, 512], signal={"coefficients": [0.0, 1.0, 1.0] + [0.0] * 197})
-    assert spectral.auto_method(512, 200) == "dense"
     available = spectral.peak_bytes(512, 200) - 1
     assert spectral.peak_bytes(512, 3) < harness.MEMORY_FRACTION * available
     monkeypatch.setattr(harness, "available_memory", lambda: available)
@@ -429,11 +428,39 @@ def test_cell_over_the_available_memory_is_a_config_error(monkeypatch, tmp_path,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "available memory" in err[0]
     assert not calls and not list(tmp_path.glob("*.csv"))
-    # the same grid on Lanczos fits and goes on to calibrate
-    lanczos = ExperimentConfig.from_dict(dict(raw, signal=TINY_CONFIG["signal"]))
+    # the same grid at 3 modes fits and goes on to calibrate
+    narrow = ExperimentConfig.from_dict(dict(raw, signal=TINY_CONFIG["signal"]))
     with pytest.raises(RuntimeError, match="calibration reached"):
-        run_convergence_experiment(lanczos, threads=1)
-    assert calls == [lanczos]
+        run_convergence_experiment(narrow, threads=1)
+    assert calls == [narrow]
+
+
+def test_unusable_out_dir_is_a_config_error_before_the_run(tmp_path, monkeypatch, capsys):
+    # a directory under a file cannot be made: refused before calibration,
+    # not after every cell has run
+    calls = _refuse_calibration(monkeypatch)
+    (tmp_path / "file").write_text("")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY_CONFIG))
+    for command in EXPERIMENTS:
+        argv = [command, "--config", str(cfg_path), "--out-dir", str(tmp_path / "file" / "sub")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: cannot create --out-dir ")
+    assert not calls
+
+
+def test_no_harness_solve_takes_the_dense_path(monkeypatch):
+    # the oracle is for a caller that names it: the calibration gate and
+    # every cell, the n = 128 ones included, solve with Lanczos
+    dense, calls = graph.LaplacianOperator.dense_matrix, []
+    monkeypatch.setattr(
+        graph.LaplacianOperator, "dense_matrix", lambda self: calls.append(self.n) or dense(self)
+    )
+    cfg = ExperimentConfig.from_dict(TINY_CONFIG)
+    for experiment, _ in EXPERIMENTS.values():
+        assert experiment(cfg, threads=2).metadata["failures"] == 0
+    assert calls == []
 
 
 def test_cell_over_the_worker_share_runs_alone(monkeypatch, capsys):
