@@ -76,9 +76,12 @@ def _cmd_experiment(args) -> int:
         raise ConfigError(f"cannot create --out-dir {out}: {exc}") from exc
     result = experiment(cfg, threads=args.threads)
     tag = f"{args.command}_{cfg.content_hash()}"
-    write_csv(result, out / f"{tag}.csv")
-    write_summary(result, out / f"{tag}.json")
-    write_plot_data(result, out / f"{tag}.dat")
+    try:
+        write_csv(result, out / f"{tag}.csv")
+        write_summary(result, out / f"{tag}.json")
+        write_plot_data(result, out / f"{tag}.dat")
+    except OSError as exc:
+        raise ConfigError(f"cannot write to --out-dir {out}: {exc}") from exc
     print(json.dumps(result.summary_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -14,7 +14,8 @@ eigenvalues and levels, which the cells read from its future.
 
 A config is checked once, type and range, by `ExperimentConfig.from_dict`,
 which also parses its network; `_run_cells` checks before calibration only
-what depends on the experiment: n against its mode count K, and memory. A
+what depends on the experiment: n against its mode count K, and memory (the
+rate experiment checks its setup's quadrature basis, too). A
 cell takes K modes on both sides: the signal's width for `run`, the end of
 `eigen_index`'s level for `eigen`. An experiment's measured keys are
 `ExperimentResult.keys`, the CSV columns after n, trial and seed, and
@@ -470,10 +471,15 @@ def run_convergence_experiment(
         raise ConfigError("convergence experiment expects a single input feature")
     coeffs = np.array(config.signal_coefficients)
     K = len(coeffs)  # both sides keep the signal's modes; zero coefficients add more
+    available, grid = available_memory(), network.continuum_bytes(net, m, K)
+    if available is not None and grid > available:  # the cells' rule, for the setup
+        raise ConfigError(
+            f"a {grid >> 20} MiB quadrature basis exceeds {available >> 20} MiB of available memory"
+        )
 
     def continuum():
         # sample-independent: built once, while the calibration gate solves
-        return network.continuum_network(net, m, m.eigenvalues(K), coeffs[None, :])
+        return network.continuum_network(net, m, coeffs[None, :])
 
     def measure(cloud, eig, cont):
         basis = manifolds.eigenbasis(m, cloud, K)  # P_n phi_i, shared by both sides

@@ -189,9 +189,9 @@ def eigenbasis(manifold: Manifold, x: np.ndarray, count: int) -> np.ndarray:
 
 
 def evaluate_signal(coefficients: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The bandlimited signal f = sum_i alpha_i phi_i, given by its coefficients
-    alpha_0..alpha_kappa, at the points of an `eigenbasis`: entry j is f(x_j)."""
-    return basis[:, : len(coefficients)] @ coefficients
+    """The bandlimited signal f = sum_i alpha_i phi_i, given by its K coefficients
+    alpha_0..alpha_{K-1}, at the points of an (n, K) `eigenbasis`: entry j is f(x_j)."""
+    return basis @ coefficients
 
 
 def quadrature_nodes(manifold: Manifold):

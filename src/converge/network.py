@@ -16,9 +16,9 @@ per-feature G_n norms of the difference at the sample points.
 Truncation contract: both sides keep K modes at every layer, K the signal's
 width (10 modes on `sphere_rate.json`; a config lists zero coefficients to
 take more). The discrete side projects onto the eigensystem's K modes, after
-every nonlinearity too. The continuum side re-expands each hidden layer onto
-len(eigenvalues) = K modes. Modes a hidden layer drops are what its
-quadrature residual measures.
+every nonlinearity too; the continuum side takes K from its coefficients and
+re-expands each hidden layer onto the manifold's first K modes, dropping what
+its quadrature residual measures. No array of modes is cut to fit another.
 """
 
 from __future__ import annotations
@@ -79,10 +79,7 @@ class NetworkSpec:
 
 def _apply_bank(bank, eigenvalues, coeffs):
     """Filtered coefficients: row p is sum_q h^pq(lambda) * coeffs[q]."""
-    lam = eigenvalues[: coeffs.shape[1]]
-    return np.stack(
-        [sum(row[q].evaluate(lam) * coeffs[q] for q in range(len(row))) for row in bank]
-    )
+    return np.stack([sum(h.evaluate(eigenvalues) * c for h, c in zip(row, coeffs)) for row in bank])
 
 
 def forward_discrete(net: NetworkSpec, eig: EigenSystem, x0: np.ndarray) -> np.ndarray:
@@ -107,49 +104,44 @@ def forward_discrete(net: NetworkSpec, eig: EigenSystem, x0: np.ndarray) -> np.n
 class ContinuumNetwork:
     """The continuum network up to its last nonlinearity, with hidden-layer diagnostics."""
 
-    coefficients: np.ndarray  # (F_L, k): the last layer's filtered coefficients
+    coefficients: np.ndarray  # (F_L, K): the last layer's filtered coefficients
     quadrature_residuals: tuple[float, ...]
     feature_l2_norms: tuple[float, ...]
     feature_sup_norms: tuple[float, ...]
 
 
-def continuum_network(
-    net: NetworkSpec,
-    manifold: Manifold,
-    eigenvalues: np.ndarray,
-    coefficients: np.ndarray,
-) -> ContinuumNetwork:
+def continuum_bytes(net: NetworkSpec, manifold: Manifold, k: int) -> int:
+    """Bytes of the quadrature-grid eigenbasis `continuum_network` builds for k modes."""
+    return 8 * manifold.quadrature_size * k if net.depth > 1 else 0
+
+
+def continuum_network(net: NetworkSpec, manifold: Manifold, coefficients: np.ndarray) -> ContinuumNetwork:
     """Every continuum filter bank, and every nonlinearity but the last: no sample points.
 
-    coefficients has shape (F_0, kappa+1): each input feature is bandlimited
-    in the manifold's first modes, and eigenvalues[i] is the eigenvalue of
-    mode i. Filters act diagonally on coefficients with the continuum
-    eigenvalues. A nonlinear hidden layer is re-expanded onto the first
-    len(eigenvalues) modes by quadrature; the dropped mass is its quadrature
+    coefficients has shape (F_0, K): each input feature is bandlimited in the
+    manifold's first K modes, which the filters act on diagonally with
+    `manifold.eigenvalues(K)`. A nonlinear hidden layer is re-expanded onto
+    the same K modes by quadrature; the dropped mass is its quadrature
     residual. The hidden layers' residuals and norms are recorded in order.
     """
     coeffs = np.atleast_2d(np.asarray(coefficients, dtype=float))
     if coeffs.shape[0] != net.widths[0]:
         raise ValueError(f"input has {coeffs.shape[0]} features, expected {net.widths[0]}")
-    if coeffs.shape[1] > len(eigenvalues):
-        raise ValueError(
-            f"bandwidth {coeffs.shape[1] - 1} exceeds the {len(eigenvalues)} available modes"
-        )
+    k = coeffs.shape[1]
+    eigenvalues = manifold.eigenvalues(k)
     residuals, l2_norms, sup_norms = [], [], []
     if net.depth > 1:
         grid, grid_w = quadrature_nodes(manifold)
-        # every layer's input has at most k coefficients: the signal's or k
-        k = len(eigenvalues)
         grid_basis = eigenbasis(manifold, grid, k)
     for bank in net.filters[:-1]:
         filtered = _apply_bank(bank, eigenvalues, coeffs)
-        grid_vals = net.sigma(filtered @ grid_basis[:, : coeffs.shape[1]].T)
+        grid_vals = net.sigma(filtered @ grid_basis.T)
         if net.nonlinearity == "identity":
             coeffs = filtered  # still bandlimited, nothing to re-expand
             l2_norms.extend(float(np.linalg.norm(c)) for c in coeffs)
         else:
-            coeffs = (grid_vals * grid_w) @ grid_basis[:, :k]
-            recon = coeffs @ grid_basis[:, :k].T
+            coeffs = (grid_vals * grid_w) @ grid_basis
+            recon = coeffs @ grid_basis.T
             for gv, rv in zip(grid_vals, recon):
                 residuals.append(float(np.sqrt(np.sum(grid_w * (gv - rv) ** 2))))
                 l2_norms.append(float(np.sqrt(np.sum(grid_w * gv**2))))
@@ -165,11 +157,10 @@ def continuum_network(
 def forward_continuum(net: NetworkSpec, cont: ContinuumNetwork, basis: np.ndarray) -> np.ndarray:
     """Exact continuum network at the sample points (P_n of Eq. output), shape (F_L, n).
 
-    basis is the `eigenbasis` at the points, at least as wide as the
+    basis is the `eigenbasis` at the points, (n, K), as wide as the
     coefficients. The last nonlinearity is applied pointwise, which is exact.
     """
-    k = cont.coefficients.shape[1]
-    return net.sigma(cont.coefficients @ basis[:, :k].T)
+    return net.sigma(cont.coefficients @ basis.T)
 
 
 def mnn_error(discrete_out: np.ndarray, continuum_out: np.ndarray) -> float:

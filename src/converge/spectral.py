@@ -219,15 +219,14 @@ def align_to_continuum(
 
 
 def eigen_errors(aligned: EigenSystem, eigenvalues: np.ndarray, projected: np.ndarray):
-    """Per-index (|lambda_i - lambda_i^n|, ||P_n phi_i - phi_i^n||_{G_n}).
+    """Per-index (|lambda_i - lambda_i^n|, ||P_n phi_i - phi_i^n||_{G_n}) for aligned's K modes.
 
     eigenvalues[i] is the continuum eigenvalue of mode i, and column i of
     projected is P_n phi_i, as `project_eigenfunctions` returns it.
     """
-    k = min(aligned.count, len(eigenvalues))
-    lam_err = np.empty(k)
-    vec_err = np.empty(k)
-    for i in range(k):
-        lam_err[i] = abs(eigenvalues[i] - aligned.eigenvalues[i])
-        vec_err[i] = gn_norm(projected[:, i] - aligned.eigenvectors[:, i])
+    k = aligned.count
+    if len(eigenvalues) != k:
+        raise ValueError(f"{len(eigenvalues)} continuum eigenvalues for {k} modes")
+    lam_err = np.abs(eigenvalues - aligned.eigenvalues)
+    vec_err = np.array([gn_norm(projected[:, i] - aligned.eigenvectors[:, i]) for i in range(k)])
     return lam_err, vec_err

@@ -450,6 +450,45 @@ def test_unusable_out_dir_is_a_config_error_before_the_run(tmp_path, monkeypatch
     assert not calls
 
 
+def test_unwritable_artifact_is_a_config_error(tmp_path, capsys):
+    # a directory where the CSV goes fails the write after the run: one
+    # config error line, not a traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY_CONFIG))
+    (tmp_path / f"run_{ExperimentConfig.from_dict(TINY_CONFIG).content_hash()}.csv").mkdir()
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: cannot write to --out-dir ")
+
+
+def test_setup_basis_over_the_available_memory_is_a_config_error(monkeypatch, tmp_path, capsys):
+    # a two-layer run builds an 8 * quadrature_size * K byte basis on the
+    # quadrature grid in its setup, far above its cells' footprint: more than
+    # all of the available memory is refused before calibration
+    cfg = ExperimentConfig.from_dict(TWO_LAYER_CONFIG)
+    m, K = cfg.manifold_model, len(cfg.signal_coefficients)
+    grid = 8 * m.quadrature_size * K
+    available = grid - 1
+    assert spectral.peak_bytes(max(cfg.n_grid), K) < harness.MEMORY_FRACTION * available
+    monkeypatch.setattr(harness, "available_memory", lambda: available)
+    calls = _refuse_calibration(monkeypatch)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TWO_LAYER_CONFIG))
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert f"{grid >> 20} MiB quadrature basis" in err[0]
+    assert f"{available >> 20} MiB of available memory" in err[0]
+    assert not calls and not list(tmp_path.glob("*.csv"))
+    assert network.continuum_bytes(cfg.network, m, K) == grid
+    # a one-layer network builds no grid: the same memory goes on to calibrate
+    tiny = ExperimentConfig.from_dict(TINY_CONFIG)
+    assert network.continuum_bytes(tiny.network, m, K) == 0
+    with pytest.raises(RuntimeError, match="calibration reached"):
+        run_convergence_experiment(tiny, threads=1)
+    assert calls == [tiny]
+
+
 def test_no_harness_solve_takes_the_dense_path(monkeypatch):
     # the oracle is for a caller that names it: the calibration gate and
     # every cell, the n = 128 ones included, solve with Lanczos

@@ -16,7 +16,7 @@ from converge.network import (
     forward_discrete,
     mnn_error,
 )
-from converge.spectral import EigenSystem, gn_norm, smallest_eigenpairs
+from converge.spectral import EigenSystem, eigen_errors, gn_norm, smallest_eigenpairs
 
 
 def single_filter_network(h, nonlinearity):
@@ -29,9 +29,9 @@ def filter_apply(h, eig, x):
     return forward_discrete(single_filter_network(h, "identity"), eig, x)[0]
 
 
-def run_continuum(net, manifold, lam, coeffs, points):
-    cont = continuum_network(net, manifold, lam, coeffs)
-    return forward_continuum(net, cont, manifolds.eigenbasis(manifold, points, len(lam)))
+def run_continuum(net, manifold, coeffs, points):
+    cont = continuum_network(net, manifold, coeffs)
+    return forward_continuum(net, cont, manifolds.eigenbasis(manifold, points, coeffs.shape[1]))
 
 
 @pytest.fixture(scope="module")
@@ -188,10 +188,9 @@ def test_nonlinearities_nonexpansive(a, b, name):
 def test_continuum_single_layer_closed_form():
     m = manifolds.Sphere2()
     cloud = manifolds.sample_uniform(m, 500, seed=9)
-    lam = m.eigenvalues(2)
     net = single_filter_network(exponential_filter(), "abs")
     coeffs = np.array([[0.0, 1.0]])  # f = phi_1, lambda_1 = 2
-    out = run_continuum(net, m, lam, coeffs, cloud)
+    out = run_continuum(net, m, coeffs, cloud)
     expected = np.abs(math.exp(-2.0) * manifolds.eigenbasis(m, cloud, 2)[:, 1])
     assert np.allclose(out[0], expected, atol=1e-12)
 
@@ -199,13 +198,12 @@ def test_continuum_single_layer_closed_form():
 def test_continuum_identity_network():
     m = manifolds.Circle()
     cloud = manifolds.sample_uniform(m, 200, seed=10)
-    lam = m.eigenvalues(4)
     h = constant_filter(1.0)
     net = NetworkSpec(
         widths=(1, 1, 1), filters=(((h,),), ((h,),)), nonlinearity="identity"
     )
     coeffs = np.array([[0.5, -1.0, 2.0, 0.0]])
-    out = run_continuum(net, m, lam, coeffs, cloud)
+    out = run_continuum(net, m, coeffs, cloud)
     basis = manifolds.eigenbasis(m, cloud, 4)
     assert np.allclose(out[0], manifolds.evaluate_signal(coeffs[0], basis), atol=1e-10)
 
@@ -213,19 +211,33 @@ def test_continuum_identity_network():
 def test_continuum_zero_input():
     m = manifolds.Circle()
     cloud = manifolds.sample_uniform(m, 50, seed=11)
-    lam = m.eigenvalues(3)
     net = single_filter_network(exponential_filter(), "abs")
-    out = run_continuum(net, m, lam, np.zeros((1, 3)), cloud)
+    out = run_continuum(net, m, np.zeros((1, 3)), cloud)
     assert np.array_equal(out, np.zeros((1, 50)))
 
 
-def test_continuum_bandwidth_check():
+def _at_width(call, width):
+    """call on 3 modes of the circle, with a basis or eigenvalues of `width` modes."""
     m = manifolds.Circle()
     cloud = manifolds.sample_uniform(m, 50, seed=11)
-    lam = m.eigenvalues(3)
-    net = single_filter_network(exponential_filter(), "abs")
+    basis = manifolds.eigenbasis(m, cloud, width)
+    if call == "forward_continuum":
+        net = single_filter_network(exponential_filter(), "abs")
+        return forward_continuum(net, continuum_network(net, m, np.zeros((1, 3))), basis)
+    if call == "evaluate_signal":
+        return manifolds.evaluate_signal(np.zeros(3), basis)
+    eig = EigenSystem(m.eigenvalues(3), manifolds.eigenbasis(m, cloud, 3))
+    return eigen_errors(eig, m.eigenvalues(width), eig.eigenvectors)
+
+
+@pytest.mark.parametrize("width", [2, 5])
+@pytest.mark.parametrize("call", ["forward_continuum", "evaluate_signal", "eigen_errors"])
+def test_another_mode_width_is_a_shape_error(call, width):
+    # K is the coefficients' (or the eigensystem's) width: an array of modes
+    # of another width is refused, not cut to fit
+    assert _at_width(call, 3) is not None
     with pytest.raises(ValueError):
-        run_continuum(net, m, lam, np.zeros((1, 5)), cloud)
+        _at_width(call, width)
 
 
 def test_continuum_single_layer_matches_quadrature_bruteforce():
@@ -237,7 +249,7 @@ def test_continuum_single_layer_matches_quadrature_bruteforce():
     h = exponential_filter()
     net = single_filter_network(h, "abs")
     alpha = np.array([0.3, 1.0, -0.5, 0.2, 0.7])
-    out = run_continuum(net, m, lam, alpha[None, :], cloud)
+    out = run_continuum(net, m, alpha[None, :], cloud)
 
     grid, w = manifolds.quadrature_nodes(m)
     on_grid, at_cloud = manifolds.eigenbasis(m, grid, 5), manifolds.eigenbasis(m, cloud, 5)
@@ -260,7 +272,7 @@ def test_continuum_two_layer_reexpansion():
     net = NetworkSpec(widths=(1, 1, 1), filters=(((h,),), ((h,),)), nonlinearity="abs")
     alpha = np.zeros(k_cont)
     alpha[1] = 1.0
-    cont = continuum_network(net, m, lam, alpha[None, :])
+    cont = continuum_network(net, m, alpha[None, :])
     at_cloud = manifolds.eigenbasis(m, cloud, k_cont)
     out = forward_continuum(net, cont, at_cloud)
     # |cos| has a 1/k^2 coefficient tail; 33 modes leave a small residual
@@ -284,7 +296,6 @@ def test_continuum_hidden_layers_split(manifold, widths, nonlinearity):
     # the sample-independent part holds one diagnostic per hidden feature and
     # the last layer's filtered coefficients, one row per output feature
     cloud = manifolds.sample_uniform(manifold, 200, seed=14)
-    lam = manifold.eigenvalues(10)
     bank = [exponential_filter(), tent_filter(2.0), constant_filter(1.0)]
     filters = tuple(
         tuple(tuple(bank[(l + p + q) % 3] for q in range(w_in)) for p in range(w_out))
@@ -292,7 +303,7 @@ def test_continuum_hidden_layers_split(manifold, widths, nonlinearity):
     )
     net = NetworkSpec(widths=widths, filters=filters, nonlinearity=nonlinearity)
     coeffs = np.random.default_rng(15).normal(size=(1, 10))
-    cont = continuum_network(net, manifold, lam, coeffs)
+    cont = continuum_network(net, manifold, coeffs)
     hidden = sum(widths[1:-1])
     assert len(cont.quadrature_residuals) == hidden
     assert len(cont.feature_l2_norms) == len(cont.feature_sup_norms) == hidden
