@@ -8,19 +8,35 @@ unit-moment heat-kernel weighting at c, (vol / n) exp(-r^2 / 4t) /
 (t (4 pi t)^(d/2)), is this operator at 4c, equal to rounding, so it is not
 offered as a second scheme.
 
-The kernel is symmetric, so only its lower triangle is computed and swept,
-one row tile K[lo:hi, :hi] of TILE_ROWS rows at a time. A tile takes five
-passes: one matmul against points pre-scaled by 2/t, two broadcast adds
-of the log prefactor and squared norms, one `minimum` that clamps the
-exponent where roundoff makes r^2 negative, and one `exp`.
+The same matrix is stored in one of two ways, and `zonal_weights` picks it.
 
-The tiles fill an n x n array in place, so a worker touches about 4 n^2
-bytes (256 MiB at n = 8192, 1 GiB at n = 16384), and a matvec is one BLAS
-symmetric sweep over the triangle (`dsymv`) per vector. It calls
-scipy's BLAS through ctypes, which releases the GIL, so the sweeps of
+The triangle. The kernel is symmetric, so only its lower triangle is
+computed and swept, one row tile K[lo:hi, :hi] of TILE_ROWS rows at a time.
+A tile takes five passes: one matmul against points pre-scaled by 2/t, two
+broadcast adds of the log prefactor and squared norms, one `minimum` that
+clamps the exponent where roundoff makes r^2 negative, and one `exp`. The
+tiles fill an n x n array in place, so a worker touches about 4 n^2 bytes
+(256 MiB at n = 8192, 1 GiB at n = 16384), and a matvec is one BLAS
+symmetric sweep over the triangle (`dsymv`) per vector, 4 n^2 bytes read. It
+calls scipy's BLAS through ctypes, which releases the GIL, so the sweeps of
 concurrent harness workers run in parallel; through scipy.linalg.blas, which
-holds the GIL, they would take turns. The harness bounds memory by capping
-its worker count, not here.
+holds the GIL, they would take turns.
+
+The zonal factors. On unit-norm points |x - y|^2 = 2 - 2 x.y, so with
+z = 2/t a weight is t^(-d/2) e^(-z) exp(z x.y), a function of x.y alone. On
+the circle and the sphere the model's `kernel_levels` expands it over the
+levels of its own eigenbasis, A = t^(-d/2) Phi^T diag(mu) Phi, with Phi the
+(r, n) `eigenbasis` at the points and mu_i the coefficient of mode i's level.
+The expansion is cut after the first level whose tail, sum of size * mu over
+the levels past it, is verified below TAIL (2^-53) of the peak weight, which
+is the whole sum, 1. A matvec is two BLAS matrix-vector products over Phi
+(numpy `matmul`, which releases the GIL), 16 n r bytes read. The factors are
+stored where all of these hold: the model has an expansion, every point has
+||x|^2 - 1| <= UNIT_TOL, the tail is verified, and 16 n r < 4 n^2, that is
+4 r < n. Otherwise the triangle is.
+
+The harness bounds memory by capping its worker count, not here;
+`kernel_bytes` is the kernel's share of a cell, from the same choice.
 """
 
 from __future__ import annotations
@@ -32,7 +48,11 @@ import mmap
 import numpy as np
 from scipy.linalg import cython_blas
 
+from .manifolds import eigenbasis
+
 TILE_ROWS = 256
+TAIL = 2.0**-53  # the largest kept-out share of the peak weight
+UNIT_TOL = 1e-12  # the largest ||x|^2 - 1| at which the zonal factors hold
 
 
 def scale_parameter(n: int, d: int, c: float) -> float:
@@ -114,17 +134,81 @@ def symmetric_sweep(lower: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def zonal_weights(manifold, n: int, t: float, points: np.ndarray | None = None):
+    """Per-mode coefficients mu_i (r,) of the zonal factors an n-point kernel
+    at bandwidth t is stored as, or None where it is stored as the triangle.
+
+    None where the model has no expansion, a given point is off the unit
+    sphere by more than UNIT_TOL in |x|^2, no level's tail is verified below
+    TAIL, or 4 r >= n. Without `points` the model's own samples are assumed,
+    which are unit-norm to rounding.
+
+    The levels come from `manifold.kernel_levels` in doubling batches, so the
+    choice costs O(levels). Past the last computed level the tail is bounded
+    by the geometric series of the last computed ratio of size * mu terms: on
+    both models the ratios never grow (I_{v+1}(z) / I_v(z) falls as v grows,
+    and so does the ratio of consecutive level sizes). A batch whose last
+    ratio is not below 1 bounds nothing, and a batch whose levels fill n / 4
+    modes unverified means the triangle.
+    """
+    if points is not None:
+        norms = np.einsum("ij,ij->i", points, points)
+        if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):
+            return None
+    z, count = 2.0 / t, 8
+    while True:
+        levels = manifold.kernel_levels(z, count)
+        if levels is None:
+            return None
+        sizes, mu = levels
+        terms = sizes * mu
+        last, before = float(terms[-1]), float(terms[-2])
+        if last == 0.0:
+            beyond = 0.0
+        elif last < before:
+            beyond = last * last / (before - last)  # last * rho / (1 - rho)
+        else:
+            beyond = math.inf
+        # tail[l]: the computed terms past level l, smallest first, plus beyond
+        tail = np.append(np.cumsum(terms[::-1])[::-1][1:], 0.0) + beyond
+        verified = np.flatnonzero(tail < TAIL)
+        if verified.size:
+            kept = verified[0] + 1
+            weights = np.repeat(mu[:kept], sizes[:kept])
+            return weights if 4 * len(weights) < n else None
+        if 4 * int(sizes.sum()) >= n:
+            return None
+        count *= 2
+
+
+def kernel_bytes(manifold, n: int, c: float) -> int:
+    """Bytes of an n-point kernel at bandwidth constant c, as `build_laplacian`
+    stores it: 8 n r of zonal factors, or the 4 n^2 touched triangle."""
+    weights = zonal_weights(manifold, n, scale_parameter(n, manifold.intrinsic_dim, c))
+    return 4 * n * n if weights is None else 8 * n * len(weights)
+
+
 class LaplacianOperator:
     """Symmetric PSD graph Laplacian over n points, kernel cached at build.
 
-    Only the lower triangle of the kernel is computed, stored and swept, in
-    row tiles K[lo:hi, :hi]; the upper triangle follows by symmetry.
-    Self-weights are never materialized: they cancel identically in D - A.
+    Given a manifold whose `zonal_weights` hold at the points, the kernel is
+    stored as its zonal factors; otherwise, and always without a manifold,
+    only its lower triangle is computed, stored and swept, in row tiles
+    K[lo:hi, :hi], the upper triangle following by symmetry. Self-weights
+    cancel identically in D - A: the triangle never materializes them, and
+    the factors keep them in both D and A.
     """
 
-    def __init__(self, points: np.ndarray, d: int, t: float, calibration: float):
+    def __init__(self, points: np.ndarray, d: int, t: float, calibration: float, manifold=None):
         self.n = n = points.shape[0]
         self._scale = calibration / (n * t)
+        weights = None if manifold is None else zonal_weights(manifold, n, t, points)
+        self._kernel = self._factors = None
+        if weights is not None:
+            self._factors = eigenbasis(manifold, points, len(weights)).T  # (r, n), C-order
+            self._weights = t ** (-d / 2.0) * weights
+            self._degrees = self._factored_sweep(np.ones(n))
+            return
         # a weight, without the outer scale, is exp(min(log t^{-d/2} +
         # (2 x_i.x_j - |x_i|^2 - |x_j|^2) / t, log t^{-d/2})): the minimum is
         # the r^2 >= 0 clamp
@@ -148,15 +232,27 @@ class LaplacianOperator:
             self._degrees[lo:hi] += blk.sum(axis=1)
             self._degrees[:lo] += blk[:, :lo].sum(axis=0)
 
+    def _factored_sweep(self, x: np.ndarray) -> np.ndarray:
+        """A x = Phi^T (w * Phi x) for a vector x (n,)."""
+        if x.shape != (self.n,):
+            raise ValueError(f"expected a vector of {self.n}, got shape {x.shape}")
+        return self._factors.T @ (self._weights * (self._factors @ x))
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Return L x for a vector x (n,)."""
-        ax = symmetric_sweep(self._kernel, x)
+        if self._factors is None:
+            ax = symmetric_sweep(self._kernel, x)
+        else:
+            ax = self._factored_sweep(x)
         return self._scale * (self._degrees * x - ax)
 
     def dense_matrix(self) -> np.ndarray:
         """Materialize L as a dense symmetric matrix (oracle/testing path)."""
-        k = np.tril(self._kernel, -1)
-        k += k.T
+        if self._factors is None:
+            k = np.tril(self._kernel, -1)
+            k += k.T
+        else:
+            k = self._factors.T @ (self._weights[:, None] * self._factors)
         return self._scale * (np.diag(self._degrees) - k)
 
     def degree_bound(self) -> float:
@@ -166,11 +262,13 @@ class LaplacianOperator:
 
 def build_laplacian(points: np.ndarray, manifold, c: float) -> LaplacianOperator:
     """The graph Laplacian of an (n, D) point array sampled from `manifold`,
-    at bandwidth t = scale_parameter(n, d, c), scaled by calibration_constant."""
+    at bandwidth t = scale_parameter(n, d, c), scaled by calibration_constant,
+    its kernel stored as `zonal_weights` picks."""
     x = np.asarray(points, float)
     if x.shape[0] < 2:
         raise ValueError(f"need at least 2 points, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):
         raise ValueError("point cloud contains non-finite coordinates")
     d = manifold.intrinsic_dim
-    return LaplacianOperator(x, d, scale_parameter(x.shape[0], d, c), calibration_constant(manifold))
+    t = scale_parameter(x.shape[0], d, c)
+    return LaplacianOperator(x, d, t, calibration_constant(manifold), manifold)

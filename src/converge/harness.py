@@ -377,6 +377,13 @@ def fit_or_none(per_n, key) -> dict | None:
     return {"slope": slope, "intercept": intercept, "r2": r2}
 
 
+def cell_bytes(config: ExperimentConfig, n: int, K: int) -> int:
+    """Peak bytes of one cell at n points and K modes: its kernel, stored as
+    `graph.kernel_bytes` says, plus its solve, `spectral.peak_bytes`."""
+    kernel = graph.kernel_bytes(config.manifold_model, n, config.bandwidth_constant)
+    return kernel + spectral.peak_bytes(n, K)
+
+
 def _run_cells(config, threads, keys, K, measure, setup) -> ExperimentResult:
     """Run every (n, trial) cell and summarize per n.
 
@@ -394,7 +401,7 @@ def _run_cells(config, threads, keys, K, measure, setup) -> ExperimentResult:
     the records come back in grid order.
 
     The workers are capped at MEMORY_FRACTION of available_memory() over
-    spectral.peak_bytes of the largest cell, and never below one; the count
+    cell_bytes of the largest cell, and never below one; the count
     never changes a result. A thread count below 1, an n below 2 or below K,
     or a cell larger than all of the available memory, raises ConfigError
     before calibration and before setup.
@@ -408,7 +415,7 @@ def _run_cells(config, threads, keys, K, measure, setup) -> ExperimentResult:
         if n < max(2, K):
             raise ConfigError(f"n_grid entry {n} is below 2 or the {K} modes a cell takes")
     available = available_memory()
-    largest = max(spectral.peak_bytes(n, K) for n in config.n_grid)
+    largest = max(cell_bytes(config, n, K) for n in config.n_grid)
     if available is not None and largest > available:
         raise ConfigError(f"a {largest >> 20} MiB cell exceeds {available >> 20} MiB of available memory")
     fit = workers if available is None else max(1, int(MEMORY_FRACTION * available) // largest)

@@ -16,6 +16,11 @@ eigenfunctions at a set of points in one pass, sharing the angles and, on
 the sphere, the Legendre recurrence across modes. Every caller goes through
 it, so there is one evaluation path. A bandlimited signal is its coefficient
 array, alpha_i on mode i; `evaluate_signal` sums it over an evaluated basis.
+
+Both models are zonal: on them the Gaussian exp(z x.y) at unit-norm x, y
+expands over the levels of the eigenbasis (Jacobi-Anger on the circle,
+Funk-Hecke on the sphere), and `kernel_levels` gives that expansion's
+per-level coefficients in closed form.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ive
 
 
 class Manifold:
@@ -32,7 +38,7 @@ class Manifold:
     A model sets intrinsic_dim, ambient_dim, volume and quadrature_size (the
     default grid's node count), and supplies sample(rng, n), level(i),
     eigenvalue(i), fill_basis(x, out) (rows 1.. of `eigenbasis`, row 0 being
-    the constant mode) and grid(m).
+    the constant mode) and grid(m). A model may supply kernel_levels(z, count).
     """
 
     intrinsic_dim: int
@@ -43,6 +49,13 @@ class Manifold:
     def eigenvalues(self, count: int) -> np.ndarray:
         """Eigenvalues of modes 0..count-1."""
         return np.array([self.eigenvalue(i) for i in range(count)])
+
+    def kernel_levels(self, z: float, count: int):
+        """(sizes, mu) over levels 0..count-1, such that e^{-z} exp(z x.y) =
+        sum_l mu_l sum_{i in level l} phi_i(x) phi_i(y) for unit-norm x, y,
+        where level l has sizes[l] modes; or None, where the model has no such
+        expansion. Here there is none."""
+        return None
 
     def level_end(self, i: int) -> int:
         """The number of modes through the end of mode i's level."""
@@ -70,6 +83,12 @@ class Circle(Manifold):
 
     def eigenvalue(self, i: int) -> float:
         return float(self.level(i) ** 2)
+
+    def kernel_levels(self, z: float, count: int):
+        """Jacobi-Anger: exp(z cos a) = I_0(z) + 2 sum_k I_k(z) cos(k a), and
+        2 cos(k (a - b)) is the sum of level k's two modes at a and b."""
+        k = np.arange(count)
+        return np.minimum(2 * k + 1, 2), ive(k, z)
 
     def fill_basis(self, x: np.ndarray, out: np.ndarray) -> None:
         count, root2 = out.shape[0], math.sqrt(2.0)
@@ -104,6 +123,13 @@ class Sphere2(Manifold):
     def eigenvalue(self, i: int) -> float:
         l = self.level(i)
         return float(l * (l + 1))
+
+    def kernel_levels(self, z: float, count: int):
+        """Funk-Hecke: exp(z x.y) = sum_l (2l+1) i_l(z) P_l(x.y), where i_l(z) =
+        sqrt(pi / 2z) I_{l+1/2}(z), and (2l+1) P_l(x.y) is the sum of level l's
+        2l+1 modes at x and y (the addition theorem)."""
+        l = np.arange(count)
+        return 2 * l + 1, ive(l + 0.5, z) * math.sqrt(math.pi / (2.0 * z))
 
     def fill_basis(self, x: np.ndarray, out: np.ndarray) -> None:
         """The real harmonic (l, m) is sqrt(2l+1) P_l(cos theta) for m = 0 and

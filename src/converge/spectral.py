@@ -123,11 +123,11 @@ def _lanczos(op: LaplacianOperator, K: int, tol: float, seed: int):
 
 
 def peak_bytes(n: int, K: int) -> int:
-    """Peak bytes of a kernel build plus a solve: the 4 n^2 touched triangle,
-    16 n a step for the basis and its sweeps over at most min(LANCZOS_STEPS K, n)
+    """Peak bytes of a solve, beside the kernel (`graph.kernel_bytes`): 16 n a
+    step for the basis and its sweeps over at most min(LANCZOS_STEPS K, n)
     steps, and 32 n K for the Ritz vectors, their sweeps and the tridiagonal
     eigenvectors."""
-    return 4 * n * n + 16 * n * (min(LANCZOS_STEPS * K, n) + 2 * K)
+    return 16 * n * (min(LANCZOS_STEPS * K, n) + 2 * K)
 
 
 def smallest_eigenpairs(

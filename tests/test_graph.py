@@ -243,3 +243,100 @@ def test_scheme_agreement_on_circle():
 )
 def test_scale_parameter_formula(n, d, c):
     assert scale_parameter(n, d, c) == pytest.approx(c * n ** (-2 / (d + 6)), rel=1e-12)
+
+
+# (model, n, c) stored as zonal factors: the circle at the pinned c, the
+# sphere at a wide bandwidth, where its expansion is short enough at small n
+FACTORED = {"circle": (manifolds.Circle(), 512, 2.0), "sphere2": (manifolds.Sphere2(), 1500, 8.0)}
+
+
+@pytest.mark.parametrize("case", FACTORED.values(), ids=FACTORED.keys())
+def test_zonal_factors_match_the_pairwise_kernel(case):
+    m, n, c = case
+    p = manifolds.sample_uniform(m, n, seed=4)
+    op = _operator(p, m, c)
+    assert op._kernel is None and op._factors.shape == (len(op._weights), n)
+    t, d = scale_parameter(n, m.intrinsic_dim, c), m.intrinsic_dim
+    peak = t ** (-d / 2)
+    r2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
+    k = peak * np.exp(-r2 / t)  # self-weights included, as the factors keep them
+    got = op._factors.T @ (op._weights[:, None] * op._factors)
+    assert np.abs(got - k).max() <= 1e-13 * peak
+    # the degrees are A 1, and L annihilates constants
+    assert np.allclose(op._degrees, k.sum(axis=1), rtol=1e-13, atol=0)
+    L = op.dense_matrix()
+    want = calibration_constant(m) / (n * t) * (np.diag(k.sum(axis=1)) - k)
+    assert np.allclose(L, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    x = np.random.default_rng(2).standard_normal(n)
+    assert np.allclose(op.matvec(x), L @ x, rtol=0, atol=1e-12 * np.abs(L @ x).max())
+    with pytest.raises(ValueError):
+        op.matvec(np.ones(n + 1))
+
+
+@pytest.mark.parametrize(
+    "name, n, rank",
+    [("sphere2", 3360, None), ("sphere2", 4522, 900), ("circle", 512, 51), ("circle", 16384, 75)],
+)
+def test_storage_choice_at_the_pinned_bandwidth(name, n, rank):
+    # c = 2: the sphere keeps the triangle through n = 3360, where 4 r = 3364
+    m = manifolds.MODELS[name]
+    weights = graph.zonal_weights(m, n, scale_parameter(n, m.intrinsic_dim, 2.0))
+    assert (None if weights is None else len(weights)) == rank
+    want = 4 * n * n if rank is None else 8 * n * rank
+    assert graph.kernel_bytes(m, n, 2.0) == want
+
+
+@pytest.mark.parametrize("m", manifolds.MODELS.values(), ids=manifolds.MODELS.keys())
+@pytest.mark.parametrize("n", [512, 4522, 16384])
+@pytest.mark.parametrize("c", [0.5, 2.0, 8.0])
+def test_kept_levels_leave_a_tail_below_2_to_the_minus_53(m, n, c):
+    t = scale_parameter(n, m.intrinsic_dim, c)
+    weights = graph.zonal_weights(m, n, t)
+    if weights is None:
+        return
+    sizes, mu = m.kernel_levels(2.0 / t, 400)
+    ends = np.cumsum(sizes)
+    kept = int(np.searchsorted(ends, len(weights))) + 1
+    assert ends[kept - 1] == len(weights)  # whole levels only
+    assert np.array_equal(weights, np.repeat(mu[:kept], sizes[:kept]))
+    assert np.sum(sizes[kept:] * mu[kept:]) < graph.TAIL
+    assert abs(np.sum(sizes[:kept] * mu[:kept]) - 1.0) < 1e-13  # the whole sum is the peak
+
+
+def test_unverified_tail_falls_back_to_the_triangle(monkeypatch):
+    # levels that decay too slowly for their computed ratios to bound the rest
+    m, n = manifolds.Circle(), 4096
+    t = scale_parameter(n, 1, 2.0)
+    assert graph.zonal_weights(m, n, t) is not None
+    calls = []
+
+    def slow(z, count):
+        calls.append(count)
+        k = np.arange(count)
+        return np.minimum(2 * k + 1, 2), 1.0 / (k + 1.0) ** 2
+
+    monkeypatch.setattr(manifolds.Circle, "kernel_levels", staticmethod(slow))
+    assert graph.zonal_weights(m, n, t) is None
+    # doubling batches, stopped at the first whose 2 count - 1 modes fill n / 4
+    assert calls == [8 << i for i in range(len(calls))]
+    assert 2 * calls[-2] - 1 < n / 4 <= 2 * calls[-1] - 1
+    p = manifolds.sample_uniform(m, n, seed=1)
+    op = _operator(p, m, 2.0)
+    assert op._factors is None and op._kernel is not None
+
+
+def test_points_off_the_unit_sphere_use_the_triangle():
+    m, n, c = FACTORED["circle"]
+    p = manifolds.sample_uniform(m, n, seed=4)
+    assert _operator(p * (1.0 + 1e-13), m, c)._factors is not None
+    assert _operator(p * (1.0 + 1e-9), m, c)._factors is None
+
+
+def test_a_model_without_an_expansion_uses_the_triangle():
+    class Bare(manifolds.Manifold):
+        intrinsic_dim, ambient_dim, volume = 1, 2, 2.0 * math.pi
+
+    m, n, c = FACTORED["circle"]
+    p = manifolds.sample_uniform(m, n, seed=4)
+    assert _operator(p, Bare(), c)._factors is None
+    assert graph.kernel_bytes(Bare(), n, c) == 4 * n * n

@@ -371,7 +371,7 @@ def test_memory_cap_limits_the_workers(monkeypatch, tmp_path):
     # a budget for two of the largest cells: four threads hold at most two
     # operators at once, and the result does not depend on it
     cfg = ExperimentConfig.from_dict(dict(TINY_CONFIG, trials=4))
-    largest = max(spectral.peak_bytes(n, len(cfg.signal_coefficients)) for n in cfg.n_grid)
+    largest = max(harness.cell_bytes(cfg, n, len(cfg.signal_coefficients)) for n in cfg.n_grid)
     monkeypatch.setattr(harness, "available_memory", lambda: int(2 * largest / harness.MEMORY_FRACTION))
     build = graph.build_laplacian
     lock = threading.Lock()
@@ -401,6 +401,21 @@ def test_memory_cap_limits_the_workers(monkeypatch, tmp_path):
         assert (tmp_path / f"4.{name}").read_bytes() == (tmp_path / f"1.{name}").read_bytes()
 
 
+def test_memory_cap_reads_the_kernel_storage(monkeypatch):
+    # a circle cell at n = 16384 holds 75 modes of zonal factors, not a 1 GiB
+    # triangle, and runs under 600 MiB; a sphere cell at n = 2048 keeps the triangle
+    cfg = ExperimentConfig.from_dict(
+        dict(TINY_CONFIG, graph={"scheme": "gaussian", "bandwidth_constant": 2.0}, n_grid=[16384], trials=1)
+    )
+    K = cfg.manifold_model.level_end(cfg.eigen_index)
+    assert harness.cell_bytes(cfg, 16384, K) == 8 * 16384 * 75 + spectral.peak_bytes(16384, K)
+    monkeypatch.setattr(harness, "available_memory", lambda: 600 << 20)
+    result = eigen_convergence_experiment(cfg, threads=2)
+    assert result.metadata["failures"] == 0 and result.metadata["workers"] == 2
+    sphere = ExperimentConfig.from_json(PINNED / "sphere_rate.json")
+    assert harness.cell_bytes(sphere, 2048, 10) == 4 * 2048 * 2048 + spectral.peak_bytes(2048, 10)
+
+
 def _refuse_calibration(monkeypatch):
     """Make a run that reaches the calibration solve fail loudly; return its call log."""
     calls = []
@@ -418,8 +433,9 @@ def test_cell_over_the_available_memory_is_a_config_error(monkeypatch, tmp_path,
     # basis of all 512 steps and 200 Ritz vectors; the same grid at the tiny
     # signal's 3 modes is counted at a basis of 120 steps
     raw = dict(TINY_CONFIG, n_grid=[256, 512], signal={"coefficients": [0.0, 1.0, 1.0] + [0.0] * 197})
-    available = spectral.peak_bytes(512, 200) - 1
-    assert spectral.peak_bytes(512, 3) < harness.MEMORY_FRACTION * available
+    wide = ExperimentConfig.from_dict(raw)
+    available = harness.cell_bytes(wide, 512, 200) - 1
+    assert harness.cell_bytes(wide, 512, 3) < harness.MEMORY_FRACTION * available
     monkeypatch.setattr(harness, "available_memory", lambda: available)
     calls = _refuse_calibration(monkeypatch)
     cfg_path = tmp_path / "cfg.json"
@@ -469,7 +485,7 @@ def test_setup_basis_over_the_available_memory_is_a_config_error(monkeypatch, tm
     m, K = cfg.manifold_model, len(cfg.signal_coefficients)
     grid = 8 * m.quadrature_size * K
     available = grid - 1
-    assert spectral.peak_bytes(max(cfg.n_grid), K) < harness.MEMORY_FRACTION * available
+    assert harness.cell_bytes(cfg, max(cfg.n_grid), K) < harness.MEMORY_FRACTION * available
     monkeypatch.setattr(harness, "available_memory", lambda: available)
     calls = _refuse_calibration(monkeypatch)
     cfg_path = tmp_path / "cfg.json"
@@ -506,7 +522,7 @@ def test_cell_over_the_worker_share_runs_alone(monkeypatch, capsys):
     # the fraction sizes concurrency only: a cell that fits the whole of the
     # available memory runs, on one worker
     cfg = ExperimentConfig.from_dict(TINY_CONFIG)
-    largest = max(spectral.peak_bytes(n, len(cfg.signal_coefficients)) for n in cfg.n_grid)
+    largest = max(harness.cell_bytes(cfg, n, len(cfg.signal_coefficients)) for n in cfg.n_grid)
     monkeypatch.setattr(harness, "available_memory", lambda: largest + 1)
     result = run_convergence_experiment(cfg, threads=4)
     assert result.metadata["workers"] == 1 and result.metadata["failures"] == 0
@@ -533,23 +549,37 @@ def test_both_sides_keep_the_signal_width(monkeypatch):
 
 
 def test_one_basis_evaluation_per_cell(monkeypatch):
-    # a cell evaluates the continuum eigenfunctions at its points once, for the
-    # signal and the continuum output alike; the setup once on its quadrature grid
-    basis, rows = manifolds.eigenbasis, []
+    # a cell's measure evaluates the continuum eigenfunctions at its points once,
+    # for the signal and the continuum output alike; the setup once on its
+    # quadrature grid; and a build once, at its r factor modes, where it stores
+    # zonal factors, and not at all where it stores the triangle
+    basis, measured, built = manifolds.eigenbasis, [], []
 
-    def counted(manifold, x, count):
-        rows.append(x.shape[0])
-        return basis(manifold, x, count)
+    def counted(calls):
+        def evaluate(manifold, x, count):
+            calls.append((x.shape[0], count))
+            return basis(manifold, x, count)
+
+        return evaluate
 
     for module in (graph, harness, manifolds, network, spectral):
         for attr, value in list(vars(module).items()):
             if value is basis:
-                monkeypatch.setattr(module, attr, counted)
+                monkeypatch.setattr(module, attr, counted(built if module is graph else measured))
     cfg = ExperimentConfig.from_dict(TWO_LAYER_CONFIG)
+    m, c, K = cfg.manifold_model, cfg.bandwidth_constant, len(cfg.signal_coefficients)
     result = run_convergence_experiment(cfg, threads=2)
     assert result.metadata["failures"] == 0
-    grid = cfg.manifold_model.quadrature_size
-    assert sorted(rows) == sorted([n for n in cfg.n_grid for _ in range(cfg.trials)] + [grid])
+    grid = m.quadrature_size
+    cells = [n for n in cfg.n_grid for _ in range(cfg.trials)]
+    assert sorted(measured) == sorted([(n, K) for n in cells] + [(grid, K)])
+    ranks = {}
+    for n in cells + [harness.CALIBRATION_N]:
+        weights = graph.zonal_weights(m, n, graph.scale_parameter(n, m.intrinsic_dim, c))
+        ranks[n] = None if weights is None else len(weights)
+    assert None in ranks.values() and any(ranks.values())  # both storages are built
+    factored = [(n, ranks[n]) for n in cells + [harness.CALIBRATION_N] if ranks[n]]
+    assert sorted(built) == sorted(factored)
 
 
 def test_refused_run_builds_no_setup_at_one_worker(monkeypatch, tmp_path, capsys):
