@@ -23,6 +23,7 @@ from .harness import (
     ExperimentConfig,
     eigen_convergence_experiment,
     fit_or_none,
+    log_spaced_grid,
     run_convergence_experiment,
     summarize,
     write_csv,
@@ -35,9 +36,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 
-# the large schedule offered behind --full: 10 log-spaced n in 2^10..2^14
-# (harness.log_spaced_grid(1024, 16384, 10)), 100 trials
-FULL_GRID = (1024, 1393, 1896, 2580, 3511, 4778, 6502, 8848, 12040, 16384)
+# the large schedule offered behind --full: 10 log-spaced n in 2^10..2^14, 100 trials
+FULL_GRID = tuple(log_spaced_grid(1024, 16384, 10))
 FULL_TRIALS = 100
 
 # subcommand -> (experiment, help)

@@ -14,8 +14,8 @@ eigenvalues and levels, which the cells read from its future.
 
 A config is checked once, type and range, by `ExperimentConfig.from_dict`,
 which also parses its network; `_run_cells` checks before calibration only
-what depends on the experiment: n against its mode count K, and memory (the
-rate experiment checks its setup's quadrature basis, too). A
+what depends on the experiment: n against its mode count K, and memory, by
+one rule that counts the cells and the setup's quadrature basis. A
 cell takes K modes on both sides: the signal's width for `run`, the end of
 `eigen_index`'s level for `eigen`. An experiment's measured keys are
 `ExperimentResult.keys`, the CSV columns after n, trial and seed, and
@@ -384,7 +384,7 @@ def cell_bytes(config: ExperimentConfig, n: int, K: int) -> int:
     return kernel + spectral.peak_bytes(n, K)
 
 
-def _run_cells(config, threads, keys, K, measure, setup) -> ExperimentResult:
+def _run_cells(config, threads, keys, K, measure, setup, setup_bytes) -> ExperimentResult:
     """Run every (n, trial) cell and summarize per n.
 
     The pool's first task is the calibration gate, resolve_calibration, and
@@ -400,11 +400,15 @@ def _run_cells(config, threads, keys, K, measure, setup) -> ExperimentResult:
     first, so no worker is left with a big cell while the others idle, and
     the records come back in grid order.
 
-    The workers are capped at MEMORY_FRACTION of available_memory() over
-    cell_bytes of the largest cell, and never below one; the count
-    never changes a result. A thread count below 1, an n below 2 or below K,
-    or a cell larger than all of the available memory, raises ConfigError
-    before calibration and before setup.
+    Memory is checked here alone, from one available_memory() read. A
+    largest cell (cell_bytes) or a setup (setup_bytes) larger than all of it
+    raises ConfigError before calibration and setup, as does a thread count
+    below 1 or an n below 2 or K. The workers are capped so the setup and
+    the running cells fit MEMORY_FRACTION of it together, and never below
+    one, which finishes the setup before any cell; the count never changes a
+    result. The gate is not counted: it runs before any cell, beside the
+    setup alone, and its 2-mode cell at CALIBRATION_N (19.5 MB on the
+    sphere, 3.7 MB on the circle) fits in the share the fraction leaves out.
     """
     start = time.perf_counter()
     m = config.manifold_model
@@ -416,13 +420,15 @@ def _run_cells(config, threads, keys, K, measure, setup) -> ExperimentResult:
             raise ConfigError(f"n_grid entry {n} is below 2 or the {K} modes a cell takes")
     available = available_memory()
     largest = max(cell_bytes(config, n, K) for n in config.n_grid)
-    if available is not None and largest > available:
-        raise ConfigError(f"a {largest >> 20} MiB cell exceeds {available >> 20} MiB of available memory")
-    fit = workers if available is None else max(1, int(MEMORY_FRACTION * available) // largest)
+    for size, what in ((largest, "cell"), (setup_bytes, "quadrature basis")):
+        if available is not None and size > available:
+            raise ConfigError(f"a {size >> 20} MiB {what} exceeds {available >> 20} MiB of available memory")
+    budget = None if available is None else int(MEMORY_FRACTION * available) - setup_bytes
+    fit = workers if budget is None else max(1, budget // largest)
     if fit < workers:
         workers = fit
-        msg = f"available memory {available >> 20} MiB, {largest >> 20} MiB a cell: {workers} workers"
-        print(msg, file=sys.stderr)
+        msg = f"available memory {available >> 20} MiB, {largest >> 20} MiB a cell, "
+        print(msg + f"{setup_bytes >> 20} MiB the setup: {workers} workers", file=sys.stderr)
 
     def cell(n, trial, seed):
         record = {"n": n, "trial": trial, "seed": seed}
@@ -478,11 +484,6 @@ def run_convergence_experiment(
         raise ConfigError("convergence experiment expects a single input feature")
     coeffs = np.array(config.signal_coefficients)
     K = len(coeffs)  # both sides keep the signal's modes; zero coefficients add more
-    available, grid = available_memory(), network.continuum_bytes(net, m, K)
-    if available is not None and grid > available:  # the cells' rule, for the setup
-        raise ConfigError(
-            f"a {grid >> 20} MiB quadrature basis exceeds {available >> 20} MiB of available memory"
-        )
 
     def continuum():
         # sample-independent: built once, while the calibration gate solves
@@ -494,7 +495,8 @@ def run_convergence_experiment(
         disc = network.forward_discrete(net, eig, x0)
         return {"error": network.mnn_error(disc, network.forward_continuum(net, cont, basis))}
 
-    result = _run_cells(config, threads, ("error",), K, measure, continuum)
+    grid_bytes = network.continuum_bytes(net, m, K)  # the setup's quadrature basis
+    result = _run_cells(config, threads, ("error",), K, measure, continuum, grid_bytes)
     result.fit = fit_or_none(result.per_n, "error")
     return result
 
@@ -521,7 +523,7 @@ def eigen_convergence_experiment(
         return {"lambda_error": float(lam_err[idx]), "vector_error": float(vec_err[idx])}
 
     keys = ("lambda_error", "vector_error")
-    result = _run_cells(config, threads, keys, K, measure, levels)
+    result = _run_cells(config, threads, keys, K, measure, levels, 0)
     result.fit = {key: fit_or_none(result.per_n, key) for key in keys}
     return result
 

@@ -191,9 +191,10 @@ def align_to_continuum(
     """Rotate discrete eigenvectors toward the projected continuum basis.
 
     Within each multiplicity group, solves orthogonal Procrustes on the
-    cross-Gram matrix in the G_n inner product; for a simple eigenvalue this
-    reduces to a sign flip making <phi^n, P_n phi>_{G_n} >= 0. Eigenvalues
-    and the span of each group are unchanged.
+    cross-Gram matrix in the G_n inner product. For a simple eigenvalue the
+    same solve gives u v^T = sign(cross) from the 1x1 SVD, an exact sign flip
+    making <phi^n, P_n phi>_{G_n} >= 0. Eigenvalues and the span of each
+    group are unchanged.
     """
     if projected.shape != discrete.eigenvectors.shape:
         raise ValueError(
@@ -209,10 +210,6 @@ def align_to_continuum(
         Q = vecs[:, g]
         P = projected[:, g]
         cross = (Q.T @ P) / n
-        if len(g) == 1:
-            if cross[0, 0] < 0:
-                vecs[:, g[0]] = -vecs[:, g[0]]
-            continue
         u, _, vt = np.linalg.svd(cross)
         vecs[:, g] = Q @ (u @ vt)
     return EigenSystem(discrete.eigenvalues, vecs)

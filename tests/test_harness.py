@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from converge import graph, harness, manifolds, network, spectral
-from converge.cli import main
+from converge.cli import FULL_GRID, main
 from converge.filters import SpectralFilter
 from converge.harness import (
     ConfigError,
@@ -529,16 +529,40 @@ def test_cell_over_the_worker_share_runs_alone(monkeypatch, capsys):
     assert "1 workers" in capsys.readouterr().err
 
 
+def test_memory_cap_counts_the_setup_basis(monkeypatch, tmp_path):
+    # half the memory holds two of the largest cells but not the two-layer
+    # setup's quadrature basis beside them: one worker, which finishes the
+    # setup before any cell; the one-layer run, with no basis, keeps two
+    two = ExperimentConfig.from_dict(TWO_LAYER_CONFIG)
+    m, K = two.manifold_model, len(two.signal_coefficients)
+    largest = max(harness.cell_bytes(two, n, K) for n in two.n_grid)
+    grid = network.continuum_bytes(two.network, m, K)
+    available = int((grid + largest) / harness.MEMORY_FRACTION)
+    assert 2 * largest < harness.MEMORY_FRACTION * available < grid + 2 * largest
+    assert grid < available  # not refused
+    uncapped = run_convergence_experiment(two, threads=2)
+    assert uncapped.metadata["workers"] == 2
+    monkeypatch.setattr(harness, "available_memory", lambda: available)
+    capped = run_convergence_experiment(two, threads=2)
+    assert capped.metadata["workers"] == 1 and capped.metadata["failures"] == 0
+    for t, res in (("capped", capped), ("uncapped", uncapped)):
+        write_csv(res, tmp_path / f"{t}.csv")
+    assert (tmp_path / "capped.csv").read_bytes() == (tmp_path / "uncapped.csv").read_bytes()
+    tiny = ExperimentConfig.from_dict(TINY_CONFIG)
+    assert max(harness.cell_bytes(tiny, n, K) for n in tiny.n_grid) == largest
+    assert run_convergence_experiment(tiny, threads=2).metadata["workers"] == 2
+
+
 def test_both_sides_keep_the_signal_width(monkeypatch):
     # zero coefficients take more modes, on the discrete and the continuum side alike
     run_cells, seen = harness._run_cells, []
 
-    def spied(config, threads, keys, K, measure, setup):
+    def spied(config, threads, keys, K, measure, setup, setup_bytes):
         def spy(cloud, eig, cont):
             seen.append((eig.count, cont.coefficients.shape[1]))
             return measure(cloud, eig, cont)
 
-        return run_cells(config, threads, keys, K, spy, setup)
+        return run_cells(config, threads, keys, K, spy, setup, setup_bytes)
 
     monkeypatch.setattr(harness, "_run_cells", spied)
     padded = {"coefficients": TINY_CONFIG["signal"]["coefficients"] + [0.0] * 13}
@@ -1075,6 +1099,14 @@ def test_pinned_config_hashes(name, digest, monkeypatch):
         with pytest.raises(RuntimeError, match="calibration reached"):
             main(["run", "--full", "--config", str(PINNED / name), "--threads", "1"])
         assert [cfg.content_hash() for cfg in calls] == [FULL_DIGESTS[name]]
+
+
+def test_sphere_top_is_the_top_of_the_full_grid():
+    # CI and the README read sphere_top.json as sphere_rate.json at the two
+    # largest --full sizes, one trial each
+    rate = json.loads((PINNED / "sphere_rate.json").read_text())
+    top = json.loads((PINNED / "sphere_top.json").read_text())
+    assert top == dict(rate, n_grid=list(FULL_GRID[-2:]), trials=1)
 
 
 def test_cli_config_error(tmp_path):
