@@ -10,17 +10,15 @@ offered as a second scheme.
 
 The same matrix is stored in one of two ways, and `zonal_weights` picks it.
 
-The triangle. The kernel is symmetric, so only its lower triangle is
-computed and swept, one row tile K[lo:hi, :hi] of TILE_ROWS rows at a time.
-A tile takes five passes: one matmul against points pre-scaled by 2/t, two
-broadcast adds of the log prefactor and squared norms, one `minimum` that
-clamps the exponent where roundoff makes r^2 negative, and one `exp`. The
-tiles fill an n x n array in place, so a worker touches about 4 n^2 bytes
-(256 MiB at n = 8192, 1 GiB at n = 16384), and a matvec is one BLAS
-symmetric sweep over the triangle (`dsymv`) per vector, 4 n^2 bytes read. It
-calls scipy's BLAS through ctypes, which releases the GIL, so the sweeps of
-concurrent harness workers run in parallel; through scipy.linalg.blas, which
-holds the GIL, they would take turns.
+The dense kernel. The full n x n weight matrix is built by one matmul against
+points pre-scaled by 1/t, one broadcast subtract of a row term (the squared
+norm over t, less half the log prefactor), one add of the result's own
+transpose, which makes it exactly symmetric, one `minimum` that clamps the
+exponent where roundoff makes r^2 negative, and one `exp`; the diagonal is
+then zeroed. The build peaks at the kernel and the half it is summed from,
+16 n^2 bytes, and a matvec is one numpy `matmul` over the kernel, 8 n^2
+bytes read, which releases the GIL, so the sweeps of concurrent harness
+workers run in parallel.
 
 The zonal factors. On unit-norm points |x - y|^2 = 2 - 2 x.y, so with
 z = 2/t a weight is t^(-d/2) e^(-z) exp(z x.y), a function of x.y alone. On
@@ -30,10 +28,10 @@ levels of its own eigenbasis, A = t^(-d/2) Phi^T diag(mu) Phi, with Phi the
 The expansion is cut after the first level whose tail, sum of size * mu over
 the levels past it, is verified below TAIL (2^-53) of the peak weight, which
 is the whole sum, 1. A matvec is two BLAS matrix-vector products over Phi
-(numpy `matmul`, which releases the GIL), 16 n r bytes read. The factors are
-stored where all of these hold: the model has an expansion, every point has
-||x|^2 - 1| <= UNIT_TOL, the tail is verified, and 16 n r < 4 n^2, that is
-4 r < n. Otherwise the triangle is.
+(numpy `matmul`, also GIL-free), 16 n r bytes read. The factors are stored
+where all of these hold: the model has an expansion, every point has
+||x|^2 - 1| <= UNIT_TOL, the tail is verified, and 16 n r < 8 n^2, that is
+2 r < n. Otherwise the dense kernel is.
 
 The harness bounds memory by capping its worker count, not here;
 `kernel_bytes` is the kernel's share of a cell, from the same choice.
@@ -41,16 +39,12 @@ The harness bounds memory by capping its worker count, not here;
 
 from __future__ import annotations
 
-import ctypes
 import math
-import mmap
 
 import numpy as np
-from scipy.linalg import cython_blas
 
 from .manifolds import eigenbasis
 
-TILE_ROWS = 256
 TAIL = 2.0**-53  # the largest kept-out share of the peak weight
 UNIT_TOL = 1e-12  # the largest ||x|^2 - 1| at which the zonal factors hold
 
@@ -77,70 +71,13 @@ def calibration_constant(manifold) -> float:
     return 4.0 * manifold.volume / math.pi ** (manifold.intrinsic_dim / 2.0)
 
 
-def _lazy_matrix(n: int) -> np.ndarray:
-    """An n x n zero matrix whose memory is mapped page by page on first write.
-
-    np.empty would ask for huge pages, and one write into a 2 MiB huge page
-    maps 32 whole kernel rows at n = 8192, the unwritten triangle included.
-    """
-    buf = mmap.mmap(-1, 8 * n * n)
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        buf.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf, dtype=float).reshape(n, n)
-
-
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi)
-)
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi)
-)
-
-
-def _blas_routine(name: str, nargs: int):
-    """scipy's BLAS routine `name`, every argument a pointer, as a ctypes function.
-
-    A ctypes CFUNCTYPE call releases the GIL for as long as the routine runs.
-    """
-    capsule = cython_blas.__pyx_capi__[name]
-    address = _capsule_pointer(capsule, _capsule_name(capsule))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
-
-
-_DSYMV = _blas_routine("dsymv", 10)
-
-
-def symmetric_sweep(lower: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """S x for a vector x (n,), where S is the symmetric matrix whose lower
-    triangle (diagonal included) is that of `lower`.
-
-    `lower` is a C-order (n, n) float array; its upper triangle is never read.
-    The result equals scipy.linalg.blas.dsymv on lower.T with lower=0 bit for
-    bit, and the GIL is released during the sweep.
-    """
-    n = lower.shape[0]
-    if lower.dtype != np.float64 or lower.shape != (n, n) or not lower.flags.c_contiguous:
-        raise ValueError("expected a C-contiguous square float64 matrix")
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.shape != (n,):
-        raise ValueError(f"expected a vector of {n}, got shape {x.shape}")
-    # the C-order lower triangle is the Fortran-order upper one
-    out = np.zeros(n)
-    a, b, c = (v.ctypes.data for v in (lower, x, out))
-    ref = ctypes.byref
-    rows, one, zero = ctypes.c_int(n), ctypes.c_double(1.0), ctypes.c_double(0.0)
-    unit = ref(ctypes.c_int(1))
-    _DSYMV(b"U", ref(rows), ref(one), a, ref(rows), b, unit, ref(zero), c, unit)
-    return out
-
-
 def zonal_weights(manifold, n: int, t: float, points: np.ndarray | None = None):
     """Per-mode coefficients mu_i (r,) of the zonal factors an n-point kernel
-    at bandwidth t is stored as, or None where it is stored as the triangle.
+    at bandwidth t is stored as, or None where it is stored dense.
 
     None where the model has no expansion, a given point is off the unit
     sphere by more than UNIT_TOL in |x|^2, no level's tail is verified below
-    TAIL, or 4 r >= n. Without `points` the model's own samples are assumed,
+    TAIL, or 2 r >= n. Without `points` the model's own samples are assumed,
     which are unit-norm to rounding.
 
     The levels come from `manifold.kernel_levels` in doubling batches, so the
@@ -148,8 +85,8 @@ def zonal_weights(manifold, n: int, t: float, points: np.ndarray | None = None):
     by the geometric series of the last computed ratio of size * mu terms: on
     both models the ratios never grow (I_{v+1}(z) / I_v(z) falls as v grows,
     and so does the ratio of consecutive level sizes). A batch whose last
-    ratio is not below 1 bounds nothing, and a batch whose levels fill n / 4
-    modes unverified means the triangle.
+    ratio is not below 1 bounds nothing, and a batch whose levels fill n / 2
+    modes unverified means the dense kernel.
     """
     if points is not None:
         norms = np.einsum("ij,ij->i", points, points)
@@ -175,28 +112,27 @@ def zonal_weights(manifold, n: int, t: float, points: np.ndarray | None = None):
         if verified.size:
             kept = verified[0] + 1
             weights = np.repeat(mu[:kept], sizes[:kept])
-            return weights if 4 * len(weights) < n else None
-        if 4 * int(sizes.sum()) >= n:
+            return weights if 2 * len(weights) < n else None
+        if 2 * int(sizes.sum()) >= n:
             return None
         count *= 2
 
 
 def kernel_bytes(manifold, n: int, c: float) -> int:
     """Bytes of an n-point kernel at bandwidth constant c, as `build_laplacian`
-    stores it: 8 n r of zonal factors, or the 4 n^2 touched triangle."""
+    stores it: 8 n r of zonal factors, or 16 n^2 for the dense kernel, the peak
+    of its build (the kernel and the half it is summed from)."""
     weights = zonal_weights(manifold, n, scale_parameter(n, manifold.intrinsic_dim, c))
-    return 4 * n * n if weights is None else 8 * n * len(weights)
+    return 16 * n * n if weights is None else 8 * n * len(weights)
 
 
 class LaplacianOperator:
     """Symmetric PSD graph Laplacian over n points, kernel cached at build.
 
     Given a manifold whose `zonal_weights` hold at the points, the kernel is
-    stored as its zonal factors; otherwise, and always without a manifold,
-    only its lower triangle is computed, stored and swept, in row tiles
-    K[lo:hi, :hi], the upper triangle following by symmetry. Self-weights
-    cancel identically in D - A: the triangle never materializes them, and
-    the factors keep them in both D and A.
+    stored as its zonal factors; otherwise, and always without a manifold, as
+    the dense n x n kernel. Self-weights cancel identically in D - A: the
+    dense kernel zeroes them, and the factors keep them in both D and A.
     """
 
     def __init__(self, points: np.ndarray, d: int, t: float, calibration: float, manifold=None):
@@ -211,46 +147,33 @@ class LaplacianOperator:
             return
         # a weight, without the outer scale, is exp(min(log t^{-d/2} +
         # (2 x_i.x_j - |x_i|^2 - |x_j|^2) / t, log t^{-d/2})): the minimum is
-        # the r^2 >= 0 clamp
+        # the r^2 >= 0 clamp; half[i, j] = (x_i.x_j - |x_i|^2) / t + log t^{-d/2} / 2
         inv_t = 1.0 / t
         log_pref = math.log(t ** (-d / 2.0))
-        scaled_points = points * (2.0 * inv_t)
-        col_term = np.einsum("ij,ij->i", points, points) * -inv_t
-        row_term = col_term + log_pref
-        # tiles land in place; above the diagonal blocks nothing is written
-        self._kernel = _lazy_matrix(n)
-        self._degrees = np.zeros(n)
-        for lo in range(0, n, TILE_ROWS):
-            hi = min(lo + TILE_ROWS, n)
-            blk = self._kernel[lo:hi, :hi]
-            np.matmul(points[lo:hi], scaled_points[:hi].T, out=blk)
-            blk += row_term[lo:hi, None]
-            blk += col_term[None, :hi]
-            np.minimum(blk, log_pref, out=blk)
-            np.exp(blk, out=blk)
-            blk[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
-            self._degrees[lo:hi] += blk.sum(axis=1)
-            self._degrees[:lo] += blk[:, :lo].sum(axis=0)
+        half = points @ (points * inv_t).T
+        half -= (np.einsum("ij,ij->i", points, points) * inv_t - 0.5 * log_pref)[:, None]
+        kernel = half + half.T  # a + b == b + a: exactly symmetric
+        np.minimum(kernel, log_pref, out=kernel)
+        np.exp(kernel, out=kernel)
+        np.fill_diagonal(kernel, 0.0)
+        self._kernel = kernel
+        self._degrees = kernel.sum(axis=1)
 
     def _factored_sweep(self, x: np.ndarray) -> np.ndarray:
         """A x = Phi^T (w * Phi x) for a vector x (n,)."""
-        if x.shape != (self.n,):
-            raise ValueError(f"expected a vector of {self.n}, got shape {x.shape}")
         return self._factors.T @ (self._weights * (self._factors @ x))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Return L x for a vector x (n,)."""
-        if self._factors is None:
-            ax = symmetric_sweep(self._kernel, x)
-        else:
-            ax = self._factored_sweep(x)
+        if x.shape != (self.n,):
+            raise ValueError(f"expected a vector of {self.n}, got shape {x.shape}")
+        ax = self._kernel @ x if self._factors is None else self._factored_sweep(x)
         return self._scale * (self._degrees * x - ax)
 
     def dense_matrix(self) -> np.ndarray:
         """Materialize L as a dense symmetric matrix (oracle/testing path)."""
         if self._factors is None:
-            k = np.tril(self._kernel, -1)
-            k += k.T
+            k = self._kernel
         else:
             k = self._factors.T @ (self._weights[:, None] * self._factors)
         return self._scale * (np.diag(self._degrees) - k)

@@ -1,11 +1,11 @@
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import blas
 
 from converge import graph, manifolds, spectral
 from converge.graph import build_laplacian, calibration_constant, scale_parameter
@@ -134,23 +134,18 @@ def test_matvec_against_hand_computed_3x3():
 
 
 @pytest.mark.parametrize("c", list(SCHEME_C.values()), ids=list(SCHEME_C))
-def test_kernel_matches_pairwise_reference_across_tiles(monkeypatch, c):
-    monkeypatch.setattr(graph, "TILE_ROWS", 64)
+def test_dense_kernel_matches_pairwise_reference(c):
     m = manifolds.Sphere2()
-    n = 300  # five row tiles, the last one ragged
+    n = 300
     p = manifolds.sample_uniform(m, n, seed=8)
     op = _operator(p, m, c)
+    assert op._factors is None
     # kernel t^{-d/2} exp(-r^2/t) from all n^2 pairwise distances
     t = scale_parameter(n, 2, c)
     r2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
     k = np.exp(-r2 / t) / t
     np.fill_diagonal(k, 0.0)
-    # a row is written up to the end of its tile's diagonal block, the ragged
-    # last tile's included, and the rest of the upper triangle stays zero
-    ends = np.minimum((np.arange(n) // 64 + 1) * 64, n)
-    written = np.arange(n)[None, :] < ends[:, None]
-    assert not op._kernel[~written].any()
-    assert np.allclose(op._kernel[written], k[written], rtol=1e-10, atol=1e-12 * k.max())
+    assert np.allclose(op._kernel, k, rtol=1e-10, atol=1e-12 * k.max())
     want = calibration_constant(m) / (n * t) * (np.diag(k.sum(axis=1)) - k)
     L = op.dense_matrix()
     assert np.array_equal(L, L.T)
@@ -166,37 +161,19 @@ def test_kernel_matches_pairwise_reference_across_tiles(monkeypatch, c):
         assert np.allclose(got, want @ x, rtol=1e-10, atol=1e-12 * np.abs(want @ x).max())
 
 
-def test_symmetric_sweep_matches_scipy_blas():
-    # the GIL-free sweep is the same BLAS routine as scipy.linalg.blas, bit for bit
-    n = 300
-    rng = np.random.default_rng(4)
-    lower = np.tril(rng.standard_normal((n, n)))
-    Q = rng.standard_normal((n, 7))  # C-order: a column is a strided view
-    assert not Q[:, 2].flags.c_contiguous
-    for x in (rng.standard_normal(n), Q[:, 2]):
-        got = graph.symmetric_sweep(lower, x)
-        assert got.shape == (n,)
-        assert np.array_equal(got, blas.dsymv(1.0, lower.T, x, lower=0))
-        sym = np.tril(lower, -1) + np.tril(lower).T
-        assert np.allclose(got, sym @ x, rtol=1e-12, atol=1e-12 * np.abs(sym @ x).max())
-    x = Q[:, 0]
-    with pytest.raises(ValueError):
-        graph.symmetric_sweep(np.asfortranarray(lower), x)
-    with pytest.raises(ValueError):
-        graph.symmetric_sweep(lower, x[:-1])
-    with pytest.raises(ValueError):  # a block is swept one vector at a time
-        graph.symmetric_sweep(lower, Q)
-
-
-def test_symmetric_sweep_concurrent_threads():
-    # the sweep runs without the GIL: more threads than cores, one shared kernel
+@pytest.mark.parametrize(
+    "m, dense", [(manifolds.Sphere2(), True), (manifolds.Circle(), False)], ids=["dense", "factored"]
+)
+def test_matvec_concurrent_threads(m, dense):
+    # sweeps release the GIL: more threads than cores, one shared operator
     n = 400
+    op = _operator(manifolds.sample_uniform(m, n, seed=6), m, 2.0)
+    assert (op._kernel is not None) == dense
     rng = np.random.default_rng(6)
-    lower = np.tril(rng.standard_normal((n, n)))
     xs = [rng.standard_normal(n) for _ in range(32)]
-    serial = [graph.symmetric_sweep(lower, x) for x in xs]
+    serial = [op.matvec(x) for x in xs]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        futures = [pool.submit(graph.symmetric_sweep, lower, x) for x in xs for _ in range(4)]
+        futures = [pool.submit(op.matvec, x) for x in xs for _ in range(4)]
         got = [f.result(timeout=60) for f in futures]
     assert all(np.array_equal(g, serial[i // 4]) for i, g in enumerate(got))
 
@@ -273,17 +250,51 @@ def test_zonal_factors_match_the_pairwise_kernel(case):
         op.matvec(np.ones(n + 1))
 
 
-@pytest.mark.parametrize(
-    "name, n, rank",
-    [("sphere2", 3360, None), ("sphere2", 4522, 900), ("circle", 512, 51), ("circle", 16384, 75)],
-)
+# (model, n, factor modes or None for the dense kernel) at c = 2: each model
+# switches where 2 r first falls below n
+STORAGE = [
+    ("sphere2", 1458, None),
+    ("sphere2", 1459, 729),
+    ("sphere2", 4522, 900),
+    ("circle", 86, None),
+    ("circle", 87, 43),
+    ("circle", 512, 51),
+    ("circle", 16384, 75),
+]
+
+
+@pytest.mark.parametrize("name, n, rank", STORAGE)
 def test_storage_choice_at_the_pinned_bandwidth(name, n, rank):
-    # c = 2: the sphere keeps the triangle through n = 3360, where 4 r = 3364
     m = manifolds.MODELS[name]
     weights = graph.zonal_weights(m, n, scale_parameter(n, m.intrinsic_dim, 2.0))
     assert (None if weights is None else len(weights)) == rank
-    want = 4 * n * n if rank is None else 8 * n * rank
+    want = 16 * n * n if rank is None else 8 * n * rank
     assert graph.kernel_bytes(m, n, 2.0) == want
+
+
+@pytest.mark.parametrize(
+    "name, n, dense",
+    [
+        ("sphere2", 1024, True),
+        ("sphere2", 1378, True),
+        ("sphere2", 1855, False),
+        ("sphere2", 4522, False),
+        ("circle", 100, False),
+        ("circle", 4096, False),
+    ],
+)
+def test_build_peak_is_kernel_bytes(name, n, dense):
+    # kernel_bytes is the build's own peak, to within 32 vectors of n
+    m = manifolds.MODELS[name]
+    p = manifolds.sample_uniform(m, n, seed=3)
+    tracemalloc.start()
+    try:
+        op = build_laplacian(p, m, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (op._kernel is not None) == dense
+    assert graph.kernel_bytes(m, n, 2.0) <= peak <= graph.kernel_bytes(m, n, 2.0) + 32 * 8 * n
 
 
 @pytest.mark.parametrize("m", manifolds.MODELS.values(), ids=manifolds.MODELS.keys())
@@ -317,9 +328,9 @@ def test_unverified_tail_falls_back_to_the_triangle(monkeypatch):
 
     monkeypatch.setattr(manifolds.Circle, "kernel_levels", staticmethod(slow))
     assert graph.zonal_weights(m, n, t) is None
-    # doubling batches, stopped at the first whose 2 count - 1 modes fill n / 4
+    # doubling batches, stopped at the first whose 2 count - 1 modes fill n / 2
     assert calls == [8 << i for i in range(len(calls))]
-    assert 2 * calls[-2] - 1 < n / 4 <= 2 * calls[-1] - 1
+    assert 2 * calls[-2] - 1 < n / 2 <= 2 * calls[-1] - 1
     p = manifolds.sample_uniform(m, n, seed=1)
     op = _operator(p, m, 2.0)
     assert op._factors is None and op._kernel is not None
@@ -339,4 +350,4 @@ def test_a_model_without_an_expansion_uses_the_triangle():
     m, n, c = FACTORED["circle"]
     p = manifolds.sample_uniform(m, n, seed=4)
     assert _operator(p, Bare(), c)._factors is None
-    assert graph.kernel_bytes(Bare(), n, c) == 4 * n * n
+    assert graph.kernel_bytes(Bare(), n, c) == 16 * n * n

@@ -402,8 +402,8 @@ def test_memory_cap_limits_the_workers(monkeypatch, tmp_path):
 
 
 def test_memory_cap_reads_the_kernel_storage(monkeypatch):
-    # a circle cell at n = 16384 holds 75 modes of zonal factors, not a 1 GiB
-    # triangle, and runs under 600 MiB; a sphere cell at n = 2048 keeps the triangle
+    # a circle cell at n = 16384 holds 75 modes of zonal factors, not a 4 GiB
+    # dense kernel build, and runs under 600 MiB; a sphere cell at n = 1024 is dense
     cfg = ExperimentConfig.from_dict(
         dict(TINY_CONFIG, graph={"scheme": "gaussian", "bandwidth_constant": 2.0}, n_grid=[16384], trials=1)
     )
@@ -413,7 +413,7 @@ def test_memory_cap_reads_the_kernel_storage(monkeypatch):
     result = eigen_convergence_experiment(cfg, threads=2)
     assert result.metadata["failures"] == 0 and result.metadata["workers"] == 2
     sphere = ExperimentConfig.from_json(PINNED / "sphere_rate.json")
-    assert harness.cell_bytes(sphere, 2048, 10) == 4 * 2048 * 2048 + spectral.peak_bytes(2048, 10)
+    assert harness.cell_bytes(sphere, 1024, 10) == 16 * 1024 * 1024 + spectral.peak_bytes(1024, 10)
 
 
 def _refuse_calibration(monkeypatch):
@@ -576,7 +576,7 @@ def test_one_basis_evaluation_per_cell(monkeypatch):
     # a cell's measure evaluates the continuum eigenfunctions at its points once,
     # for the signal and the continuum output alike; the setup once on its
     # quadrature grid; and a build once, at its r factor modes, where it stores
-    # zonal factors, and not at all where it stores the triangle
+    # zonal factors, and not at all where it stores the dense kernel
     basis, measured, built = manifolds.eigenbasis, [], []
 
     def counted(calls):
@@ -590,7 +590,7 @@ def test_one_basis_evaluation_per_cell(monkeypatch):
         for attr, value in list(vars(module).items()):
             if value is basis:
                 monkeypatch.setattr(module, attr, counted(built if module is graph else measured))
-    cfg = ExperimentConfig.from_dict(TWO_LAYER_CONFIG)
+    cfg = ExperimentConfig.from_dict(dict(TWO_LAYER_CONFIG, n_grid=[100, 256]))  # a dense cell at n = 100
     m, c, K = cfg.manifold_model, cfg.bandwidth_constant, len(cfg.signal_coefficients)
     result = run_convergence_experiment(cfg, threads=2)
     assert result.metadata["failures"] == 0

@@ -184,7 +184,7 @@ def test_peak_bytes_bounds_a_large_integer_truncation():
             solve = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 4 * n * n < solve <= spectral.peak_bytes(n, K), (n, K)
+        assert 8 * n * n < solve <= spectral.peak_bytes(n, K), (n, K)  # past the stored dense kernel
 
 
 # (model, n, c) whose kernels are stored as zonal factors
@@ -193,21 +193,21 @@ ZONAL = {"circle": (manifolds.Circle(), 512, 2.0), "sphere2": (manifolds.Sphere2
 
 @pytest.mark.parametrize("case", ZONAL.values(), ids=ZONAL.keys())
 def test_zonal_factors_solve_like_the_triangle(monkeypatch, case):
-    # the same points without a manifold: the triangle, the reference storage
+    # the same points without a manifold: the dense kernel, the reference storage
     m, n, c = case
     p, factored = _operator(m, n, seed=6, c=c)
     d = m.intrinsic_dim
     t = graph.scale_parameter(n, d, c)
-    triangle = graph.LaplacianOperator(p, d, t, graph.calibration_constant(m))
-    assert factored._kernel is None and triangle._factors is None
+    dense = graph.LaplacianOperator(p, d, t, graph.calibration_constant(m))
+    assert factored._kernel is None and dense._factors is None
     sweeps = {}
-    for name, op in (("factored", factored), ("triangle", triangle)):
+    for name, op in (("factored", factored), ("dense", dense)):
         calls, matvec = [], op.matvec
         monkeypatch.setattr(op, "matvec", lambda x, calls=calls, matvec=matvec: calls.append(1) or matvec(x))
         eig = smallest_eigenpairs(op, K=10, tol=1e-8, seed=3)
         sweeps[name] = (len(calls), eig.eigenvalues)
-    assert sweeps["factored"][0] == sweeps["triangle"][0]
-    assert np.abs(sweeps["factored"][1] - sweeps["triangle"][1]).max() <= 1e-12
+    assert sweeps["factored"][0] == sweeps["dense"][0]
+    assert np.abs(sweeps["factored"][1] - sweeps["dense"][1]).max() <= 1e-12
 
 
 def test_circle_first_eigenvalue_near_one():
