@@ -17,8 +17,7 @@ transpose, which makes it exactly symmetric, one `minimum` that clamps the
 exponent where roundoff makes r^2 negative, and one `exp`; the diagonal is
 then zeroed. The build peaks at the kernel and the half it is summed from,
 16 n^2 bytes, and a matvec is one numpy `matmul` over the kernel, 8 n^2
-bytes read, which releases the GIL, so the sweeps of concurrent harness
-workers run in parallel.
+bytes read, which releases the GIL.
 
 The zonal factors. On unit-norm points |x - y|^2 = 2 - 2 x.y, so with
 z = 2/t a weight is t^(-d/2) e^(-z) exp(z x.y), a function of x.y alone. On
@@ -32,6 +31,12 @@ is the whole sum, 1. A matvec is two BLAS matrix-vector products over Phi
 where all of these hold: the model has an expansion, every point has
 ||x|^2 - 1| <= UNIT_TOL, the tail is verified, and 16 n r < 8 n^2, that is
 2 r < n. Otherwise the dense kernel is.
+
+Either way a sweep runs inside BLAS without the GIL, so the large sweeps of
+concurrent harness workers run in parallel. Small cells do not: their
+workers contend on the GIL between numpy calls. A circle cell at n = 2048,
+K = 3, took 8 ms alone, 12-15 ms each beside a second worker thread and
+9-10 ms each beside a second process (2 cores, one BLAS thread).
 
 The harness bounds memory by capping its worker count, not here;
 `kernel_bytes` is the kernel's share of a cell, from the same choice.

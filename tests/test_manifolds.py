@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,34 @@ def test_circle_basis_columns():
     for k in range(1, 5):
         assert np.abs(basis[:, 2 * k - 1] - math.sqrt(2.0) * np.cos(k * theta)).max() <= 1e-14
         assert np.abs(basis[:, 2 * k] - math.sqrt(2.0) * np.sin(k * theta)).max() <= 1e-14
+
+
+def test_circle_basis_matches_arctan2_through_mode_128():
+    # the angle-addition recurrence against the direct cos/sin of the arctan2
+    # angle, every k <= 128; each form carries about k eps of error
+    x = np.vstack([sample_uniform(Circle(), 20000, seed=22), _basis_test_points(Circle())])
+    theta = np.arctan2(x[:, 1], x[:, 0])
+    basis = eigenbasis(Circle(), x, 257)
+    for k in range(1, 129):
+        assert np.abs(basis[:, 2 * k - 1] - math.sqrt(2.0) * np.cos(k * theta)).max() <= 2e-13
+        assert np.abs(basis[:, 2 * k] - math.sqrt(2.0) * np.sin(k * theta)).max() <= 2e-13
+
+
+def test_circle_basis_ignores_the_radius():
+    # the angle is read from (x, y) / r: halving is exact, and tripling moves
+    # mode k by the rounding of 3x, about k eps
+    x = _basis_test_points(Circle())
+    basis = eigenbasis(Circle(), x, 9)
+    assert np.array_equal(eigenbasis(Circle(), 0.5 * x, 9), basis)
+    assert np.abs(eigenbasis(Circle(), 3.0 * x, 9) - basis).max() <= 2e-15
+
+
+def test_circle_basis_at_the_origin_takes_angle_zero():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        basis = eigenbasis(Circle(), np.zeros((1, 2)), 9)
+    root2 = math.sqrt(2.0)
+    assert np.array_equal(basis[0], [1.0, root2, 0.0, root2, 0.0, root2, 0.0, root2, 0.0])
 
 
 @REGISTERED
