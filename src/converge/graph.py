@@ -16,8 +16,8 @@ norm over t, less half the log prefactor), one add of the result's own
 transpose, which makes it exactly symmetric, one `minimum` that clamps the
 exponent where roundoff makes r^2 negative, and one `exp`; the diagonal is
 then zeroed. The build peaks at the kernel and the half it is summed from,
-16 n^2 bytes, and a matvec is one numpy `matmul` over the kernel, 8 n^2
-bytes read, which releases the GIL.
+16 n^2 bytes, and a matvec is one BLAS matrix-vector product over the
+kernel, 8 n^2 bytes read.
 
 The zonal factors. On unit-norm points |x - y|^2 = 2 - 2 x.y, so with
 z = 2/t a weight is t^(-d/2) e^(-z) exp(z x.y), a function of x.y alone. On
@@ -26,17 +26,37 @@ levels of its own eigenbasis, A = t^(-d/2) Phi^T diag(mu) Phi, with Phi the
 (r, n) `eigenbasis` at the points and mu_i the coefficient of mode i's level.
 The expansion is cut after the first level whose tail, sum of size * mu over
 the levels past it, is verified below TAIL (2^-53) of the peak weight, which
-is the whole sum, 1. A matvec is two BLAS matrix-vector products over Phi
-(numpy `matmul`, also GIL-free), 16 n r bytes read. The factors are stored
-where all of these hold: the model has an expansion, every point has
-||x|^2 - 1| <= UNIT_TOL, the tail is verified, and 16 n r < 8 n^2, that is
-2 r < n. Otherwise the dense kernel is.
+is the whole sum, 1. Phi is stored as the model's `zonal_factors`: on the
+circle Phi itself, one block B; on the sphere, by azimuthal order m, the
+Legendre table of rows Pbar_l^m(cos theta), l = m..L, once for the modes
+(l, m) and (l, -m), beside cos/sin(m phi). The m = 0 table is the block,
+and the tables of orders a and L + 1 - a share one stack item of L + 1
+rows, so R, the rows stored, is about half of r (672 for 1024 modes, with
+the trig and a sweep's working rows). A matvec is B^T (w * B x) plus the
+stack's part, which reads every stored row once a direction, so about
+16 n R bytes: one stacked `matmul` each way through the whole stack, four
+columns an item (cos and sin of both orders), where an item is at most
+STACK_ITEM_BYTES; past it, one two-column `np.dot` each way per order. The
+factors are stored where all of these hold: the model has an expansion,
+every point has ||x|^2 - 1| <= UNIT_TOL, the tail is verified, and
+16 n R < 8 n^2, that is 2 R < n. Otherwise the dense kernel is.
 
-Either way a sweep runs inside BLAS without the GIL, so the large sweeps of
-concurrent harness workers run in parallel. Small cells do not: their
-workers contend on the GIL between numpy calls. A circle cell at n = 2048,
-K = 3, took 8 ms alone, 12-15 ms each beside a second worker thread and
-9-10 ms each beside a second process (2 cores, one BLAS thread).
+Why two stack sweeps. Threads run the harness's cells, and numpy releases
+the GIL inside BLAS, so two workers' sweeps overlap, but each numpy call is
+a GIL handoff. Order by order, a sweep is about 7 calls per order, some 200
+at L = 31: at n <= 2048 their overhead is most of the sweep, and two
+workers mostly wait on each other (a cell at n = 1024, K = 10: 25 ms
+alone, 80-96 ms each beside a second worker, against 23-28 and 35-39 ms
+stacked). The stacked sweep is a handful of calls, but its four-column
+products ran at the two-column rate only while an item fit one core's
+2 MiB cache: at n = 8192 and 16 items, its two products took 3.1 ms at
+30 rows an item (1.97 MB) and 7.2 ms at 31 rows (2.03 MB), where the whole
+order-by-order sweep takes about 3.1 ms (2 cores, one BLAS thread).
+
+Every 2-D product is an `np.dot`: at these shapes numpy's `matmul` holds the
+GIL for the whole call (a thread looping one order's (2, 8192) by
+(8192, 32) product under `matmul` kept a pure-Python thread out of the GIL
+in gaps over 30 us half the time; under `np.dot`, 1%).
 
 The harness bounds memory by capping its worker count, not here;
 `kernel_bytes` is the kernel's share of a cell, from the same choice.
@@ -48,10 +68,12 @@ import math
 
 import numpy as np
 
-from .manifolds import eigenbasis
-
 TAIL = 2.0**-53  # the largest kept-out share of the peak weight
 UNIT_TOL = 1e-12  # the largest ||x|^2 - 1| at which the zonal factors hold
+# the largest stack item (L + 1 rows of n) the stacked sweep takes; past it the
+# sweep goes order by order (see the module docstring). 1.75 MiB: at c = 2 the
+# sphere's items hold 1.4 MiB at n = 6086 and 2 MiB at n = 8192.
+STACK_ITEM_BYTES = 7 << 18
 
 
 def scale_parameter(n: int, d: int, c: float) -> float:
@@ -82,7 +104,9 @@ def zonal_weights(manifold, n: int, t: float, points: np.ndarray | None = None):
 
     None where the model has no expansion, a given point is off the unit
     sphere by more than UNIT_TOL in |x|^2, no level's tail is verified below
-    TAIL, or 2 r >= n. Without `points` the model's own samples are assumed,
+    TAIL, or 2 R >= n, R being the model's `factor_rows` of the r modes: a
+    sweep reads each stored row twice, 16 n R bytes, against the 8 n^2 of the
+    dense kernel. Without `points` the model's own samples are assumed,
     which are unit-norm to rounding.
 
     The levels come from `manifold.kernel_levels` in doubling batches, so the
@@ -91,7 +115,7 @@ def zonal_weights(manifold, n: int, t: float, points: np.ndarray | None = None):
     both models the ratios never grow (I_{v+1}(z) / I_v(z) falls as v grows,
     and so does the ratio of consecutive level sizes). A batch whose last
     ratio is not below 1 bounds nothing, and a batch whose levels fill n / 2
-    modes unverified means the dense kernel.
+    factor rows unverified means the dense kernel.
     """
     if points is not None:
         norms = np.einsum("ij,ij->i", points, points)
@@ -117,18 +141,19 @@ def zonal_weights(manifold, n: int, t: float, points: np.ndarray | None = None):
         if verified.size:
             kept = verified[0] + 1
             weights = np.repeat(mu[:kept], sizes[:kept])
-            return weights if 2 * len(weights) < n else None
-        if 2 * int(sizes.sum()) >= n:
+            return weights if 2 * manifold.factor_rows(len(weights)) < n else None
+        if 2 * manifold.factor_rows(int(sizes.sum())) >= n:
             return None
         count *= 2
 
 
 def kernel_bytes(manifold, n: int, c: float) -> int:
     """Bytes of an n-point kernel at bandwidth constant c, as `build_laplacian`
-    stores it: 8 n r of zonal factors, or 16 n^2 for the dense kernel, the peak
-    of its build (the kernel and the half it is summed from)."""
+    stores it: 8 n R for the R `factor_rows` of the zonal factors, or 16 n^2
+    for the dense kernel, the peak of its build (the kernel and the half it is
+    summed from)."""
     weights = zonal_weights(manifold, n, scale_parameter(n, manifold.intrinsic_dim, c))
-    return 16 * n * n if weights is None else 8 * n * len(weights)
+    return 16 * n * n if weights is None else 8 * n * manifold.factor_rows(len(weights))
 
 
 class LaplacianOperator:
@@ -146,8 +171,21 @@ class LaplacianOperator:
         weights = None if manifold is None else zonal_weights(manifold, n, t, points)
         self._kernel = self._factors = None
         if weights is not None:
-            self._factors = eigenbasis(manifold, points, len(weights)).T  # (r, n), C-order
-            self._weights = t ** (-d / 2.0) * weights
+            block, modes, stack, trig, stack_modes = manifold.zonal_factors(points, len(weights))
+            scaled = t ** (-d / 2.0) * weights
+            self._factors = block, stack, trig
+            self._weights = scaled[modes], np.where(stack_modes < 0, 0.0, scaled[stack_modes])
+            self._orders = None
+            if not (len(stack) and stack[0].nbytes <= STACK_ITEM_BYTES):
+                # one (rows, weights, trig) per order: columns 2h and 2h + 1
+                # of an item read the same contiguous rows
+                self._orders = []
+                for item, item_modes, item_weights, item_trig in zip(stack, stack_modes, self._weights[1], trig):
+                    for h in (0, 2):
+                        read = np.flatnonzero(item_modes[h] >= 0)
+                        if read.size:
+                            lo, hi = read[0], read[-1] + 1
+                            self._orders.append((item[lo:hi], item_weights[h, lo:hi], item_trig[h : h + 2]))
             self._degrees = self._factored_sweep(np.ones(n))
             return
         # a weight, without the outer scale, is exp(min(log t^{-d/2} +
@@ -165,14 +203,35 @@ class LaplacianOperator:
         self._degrees = kernel.sum(axis=1)
 
     def _factored_sweep(self, x: np.ndarray) -> np.ndarray:
-        """A x = Phi^T (w * Phi x) for a vector x (n,)."""
-        return self._factors.T @ (self._weights * (self._factors @ x))
+        """A x = B^T (w * B x) + sum over stack items j and their trig rows c
+        of c * S_j^T (W_jc * S_j (c * x)), for a vector x (n,): two products
+        through the block, then either one stacked product each way through
+        the whole stack (four columns an item), or, where an item exceeds
+        STACK_ITEM_BYTES, one two-column product each way per order. Either
+        way every stored row is read once a direction."""
+        (block, stack, trig), (weights, stack_weights) = self._factors, self._weights
+        ax = np.dot(block.T, weights * np.dot(block, x))
+        if self._orders is None:
+            halves = trig * x
+            y = np.matmul(halves, stack.transpose(0, 2, 1))  # (items, 4, rows)
+            y *= stack_weights
+            np.matmul(y, stack, out=halves)
+            ax += np.einsum("jcn,jcn->n", halves, trig)
+            return ax
+        for rows, order_weights, order_trig in self._orders:
+            y = np.dot(order_trig * x, rows.T)  # (2, rows): the cos and sin halves
+            y *= order_weights
+            z = np.dot(y, rows)
+            z *= order_trig
+            ax += z[0]
+            ax += z[1]
+        return ax
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Return L x for a vector x (n,)."""
         if x.shape != (self.n,):
             raise ValueError(f"expected a vector of {self.n}, got shape {x.shape}")
-        ax = self._kernel @ x if self._factors is None else self._factored_sweep(x)
+        ax = np.dot(self._kernel, x) if self._factors is None else self._factored_sweep(x)
         return self._scale * (self._degrees * x - ax)
 
     def dense_matrix(self) -> np.ndarray:
@@ -180,7 +239,11 @@ class LaplacianOperator:
         if self._factors is None:
             k = self._kernel
         else:
-            k = self._factors.T @ (self._weights[:, None] * self._factors)
+            (block, stack, trig), (weights, stack_weights) = self._factors, self._weights
+            k = np.dot(block.T, weights[:, None] * block)
+            for item, item_weights, item_trig in zip(stack, stack_weights, trig):
+                for c, w in zip(item_trig, item_weights):
+                    k += np.dot(item.T, w[:, None] * item) * np.outer(c, c)
         return self._scale * (np.diag(self._degrees) - k)
 
     def degree_bound(self) -> float:

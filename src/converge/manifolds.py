@@ -15,14 +15,19 @@ dispatch on the model. `eigenbasis` evaluates the first `count`
 eigenfunctions at a set of points in one pass, sharing work across modes:
 both models compute their angles once and cos/sin(k phi) for every k by
 angle addition (`azimuthal_multiples`, one path for both), and the sphere
-runs the Legendre recurrence. Every caller goes through it, so there is one
-evaluation path. A bandlimited signal is its coefficient array, alpha_i on
-mode i; `evaluate_signal` sums it over an evaluated basis.
+runs the Legendre recurrence once per azimuthal order (`legendre_orders`).
+Every caller of the basis goes through it, and the sphere's kernel factors
+share its recurrence, so there is one evaluation path. A bandlimited signal
+is its coefficient array, alpha_i on mode i; `evaluate_signal` sums it over
+an evaluated basis.
 
 Both models are zonal: on them the Gaussian exp(z x.y) at unit-norm x, y
 expands over the levels of the eigenbasis (Jacobi-Anger on the circle,
 Funk-Hecke on the sphere), and `kernel_levels` gives that expansion's
-per-level coefficients in closed form.
+per-level coefficients in closed form. `zonal_factors` stores the first
+levels of the eigenbasis for that expansion: the circle its basis rows, the
+sphere each order's Legendre table once for the modes (l, m) and (l, -m),
+beside cos/sin(m phi).
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ class Manifold:
     A model sets intrinsic_dim, ambient_dim, volume and quadrature_size (the
     default grid's node count), and supplies sample(rng, n), level(i),
     eigenvalue(i), fill_basis(x, out) (rows 1.. of `eigenbasis`, row 0 being
-    the constant mode) and grid(m). A model may supply kernel_levels(z, count).
+    the constant mode) and grid(m). A model may supply kernel_levels(z, count),
+    and with it a cheaper zonal_factors(x, count) and its factor_rows(count).
     """
 
     intrinsic_dim: int
@@ -58,6 +64,25 @@ class Manifold:
         where level l has sizes[l] modes; or None, where the model has no such
         expansion. Here there is none."""
         return None
+
+    def zonal_factors(self, x: np.ndarray, count: int):
+        """The kernel factors of the first `count` modes, whole levels, at the
+        points x (n, D), as (block, modes, stack, trig, stack_modes). Row k of
+        the block (rows, n) is mode modes[k] at x. Item j of the stack
+        (items, rows, n) is read through the four rows of trig[j] (4, n): for
+        column c, row k stands for the mode stack_modes[j, c, k] at x divided
+        by trig[j, c], and -1 there marks a row that column c skips; columns
+        2h and 2h + 1 read the same contiguous rows. Here the block is the
+        `eigenbasis` rows and the stack is empty.
+        """
+        n = x.shape[0]
+        empty = (np.empty((0, count, n)), np.empty((0, 4, n)), np.empty((0, 4, count), dtype=int))
+        return (eigenbasis(self, x, count).T, np.arange(count)) + empty
+
+    def factor_rows(self, count: int) -> int:
+        """Rows of n values that `zonal_factors` stores for `count` modes, and
+        that a sweep through them works in beside the vectors."""
+        return count
 
     def level_end(self, i: int) -> int:
         """The number of modes through the end of mode i's level."""
@@ -158,47 +183,105 @@ class Sphere2(Manifold):
         l = np.arange(count)
         return 2 * l + 1, ive(l + 0.5, z) * math.sqrt(math.pi / (2.0 * z))
 
+    def legendre_orders(self, x: np.ndarray, top: int, tables=None):
+        """Yield, for m = 0..top, the (top + 1 - m, n) table whose row l - m is
+        Pbar_l^m(cos theta) at the points x (n, 3), times sqrt(2) for m >= 1,
+        where Pbar_l^m = sqrt((2l+1) (l-m)! / (l+m)!) P_l^m carries the
+        Condon-Shortley sign; row l of the m = 0 table is sqrt(2l+1) P_l.
+        Table m is written into tables[m] where `tables` is given, else into
+        a new array.
+
+        Table m starts from the sectoral row Pbar_m^m, one product on table
+        m - 1's first row, and runs the normalized three-term recurrence in l
+        (Holmes & Featherstone, J. Geodesy 76, 2002), each row written in
+        place.
+        """
+        t = np.clip(x[:, 2], -1.0, 1.0)  # cos theta
+        u = np.sqrt(1.0 - t * t)  # sin theta
+        sectoral = None
+        for m in range(top + 1):
+            rows = np.empty((top + 1 - m, x.shape[0])) if tables is None else tables[m]
+            if m == 0:
+                rows[0] = 1.0
+            elif m == 1:
+                np.multiply(u, -math.sqrt(3.0), out=rows[0])
+            else:
+                np.multiply(u, -math.sqrt((2 * m + 1) / (2 * m)), out=rows[0])
+                rows[0] *= sectoral
+            for l in range(m + 1, top + 1):
+                row = rows[l - m]
+                if l == m + 1:
+                    np.multiply(t, math.sqrt(2 * m + 3), out=row)
+                    row *= rows[0]
+                    continue
+                a = math.sqrt((2 * l - 1) * (2 * l + 1) / ((l - m) * (l + m)))
+                b = math.sqrt((2 * l + 1) * (l + m - 1) * (l - m - 1) / ((l - m) * (l + m) * (2 * l - 3)))
+                np.multiply(t, a, out=row)
+                row *= rows[l - m - 1]
+                row -= b * rows[l - m - 2]
+            sectoral = rows[0]
+            yield rows
+
     def fill_basis(self, x: np.ndarray, out: np.ndarray) -> None:
         """The real harmonic (l, m) is sqrt(2l+1) P_l(cos theta) for m = 0 and
-        sqrt(2) Pbar_l^|m|(cos theta) cos/sin(|m| phi) otherwise, where Pbar_l^m
-        = sqrt((2l+1) (l-m)! / (l+m)!) P_l^m carries the Condon-Shortley sign.
-        Pbar comes from the normalized three-term recurrences in l (Holmes &
-        Featherstone, J. Geodesy 76, 2002), seeded by the sectoral Pbar_m^m, and
-        cos/sin(|m| phi) once per |m| from `azimuthal_multiples`, which puts
-        phi = 0 on the axis, where every mode with m != 0 vanishes.
+        sqrt(2) Pbar_l^|m|(cos theta) cos/sin(|m| phi) otherwise: the rows of
+        `legendre_orders`, times cos/sin(|m| phi) from `azimuthal_multiples`,
+        which puts phi = 0 on the axis, where every mode with m != 0 vanishes.
         """
         count = out.shape[0]
         top = math.isqrt(count - 1)  # the last level with a column
-        t = np.clip(x[:, 2], -1.0, 1.0)  # cos theta
-        u = np.sqrt(1.0 - t * t)  # sin theta
         multiples = azimuthal_multiples(x, top)
-        sectoral = out[0]  # Pbar_0^0; from m = 1 on it carries the sqrt(2) too
-        for m in range(top + 1):
-            if m == 1:
-                sectoral = -math.sqrt(3.0) * u
-            elif m > 1:
-                sectoral = -math.sqrt((2 * m + 1) / (2 * m)) * u * sectoral
+        for m, rows in enumerate(self.legendre_orders(x, top)):
             if m > 0:
                 cos_m, sin_m = next(multiples)
-            older, prev = None, sectoral
             for l in range(m, top + 1):
                 centre = l * l + l  # column of (l, 0); (l, m) sits at centre + m
                 if centre - m >= count:
                     break  # the last level is cut before (l, -m)
-                if l == m + 1:
-                    prev, older = math.sqrt(2 * m + 3) * t * prev, prev
-                elif l > m + 1:
-                    a = math.sqrt((2 * l - 1) * (2 * l + 1) / ((l - m) * (l + m)))
-                    b = math.sqrt(
-                        (2 * l + 1) * (l + m - 1) * (l - m - 1) / ((l - m) * (l + m) * (2 * l - 3))
-                    )
-                    prev, older = a * t * prev - b * older, prev
                 if m == 0:
-                    out[centre] = prev
+                    out[centre] = rows[l]
                     continue
-                np.multiply(prev, sin_m, out=out[centre - m])
+                np.multiply(rows[l - m], sin_m, out=out[centre - m])
                 if centre + m < count:
-                    np.multiply(prev, cos_m, out=out[centre + m])
+                    np.multiply(rows[l - m], cos_m, out=out[centre + m])
+
+    def zonal_factors(self, x: np.ndarray, count: int):
+        """The (L + 1)^2 = count modes of levels 0..L by azimuthal order: the
+        block is the m = 0 table of `legendre_orders`, and each stack item j
+        holds the tables of orders a = j + 1 and b = L - j, L + 1 rows between
+        them, beside cos/sin(a phi) and cos/sin(b phi) in its trig rows. Where
+        L is odd, the middle order's item is padded with zero rows and trig.
+        Mode (l, +-m) is its table row times cos/sin(m phi), so the two share
+        one stored row."""
+        top = math.isqrt(count) - 1
+        if (top + 1) ** 2 != count:
+            raise ValueError(f"zonal factors take whole levels, got {count} modes")
+        n, pairs = x.shape[0], (top + 1) // 2
+        centres = np.arange(top + 1) * np.arange(1, top + 2)  # mode (l, m) is centres[l] + m
+        block = np.empty((top + 1, n))
+        stack = np.zeros((pairs, top + 1, n))
+        trig = np.zeros((pairs, 4, n))
+        stack_modes = np.full((pairs, 4, top + 1), -1)
+        tables = [block] + [None] * top
+        for j in range(pairs):
+            a, b = j + 1, top - j
+            tables[a] = stack[j, : top + 1 - a]
+            stack_modes[j, :2, : top + 1 - a] = centres[a:] + [[a], [-a]]
+            if b > a:
+                tables[b] = stack[j, top + 1 - a :]
+                stack_modes[j, 2:, top + 1 - a :] = centres[b:] + [[b], [-b]]
+        for _ in self.legendre_orders(x, top, tables):
+            pass
+        for k, (cos_k, sin_k) in enumerate(azimuthal_multiples(x, top), start=1):
+            j, half = (k - 1, 0) if k <= pairs else (top - k, 2)
+            trig[j, half], trig[j, half + 1] = cos_k, sin_k
+        return block, centres, stack, trig, stack_modes
+
+    def factor_rows(self, count: int) -> int:
+        """L + 1 rows of block, and per stack item L + 1 rows, 4 trig rows and
+        the 4 rows a stacked sweep works in."""
+        top = math.isqrt(count) - 1
+        return (top + 1) * (1 + (top + 1) // 2) + 8 * ((top + 1) // 2)
 
     def grid(self, m: int) -> np.ndarray:
         """A Fibonacci lattice."""

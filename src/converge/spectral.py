@@ -15,8 +15,10 @@ previous miss to the step where they meet the tolerance, at most max(K, 4)
 steps ahead. The residual gate ||L V - V Lambda|| is computed from the sweeps
 Lanczos already took (L applied to the Ritz vectors is the same combination
 of the stored L q_m), so a solve costs one kernel sweep per Lanczos step and
-no more. A dense `eigh` of the materialized matrix is kept only as the
-oracle, for a caller that names it.
+no more. Its products, the reorthogonalization and the Ritz vectors, are
+`np.dot`, which releases the GIL where `matmul` holds it (see `graph`). A
+dense `eigh` of the materialized matrix is kept only as the oracle, for a
+caller that names it.
 """
 
 from __future__ import annotations
@@ -93,8 +95,8 @@ def _lanczos(op: LaplacianOperator, K: int, tol: float, seed: int):
         alphas[m - 1] = np.dot(Q[:, m - 1], r)
         # full reorthogonalization, twice for safety; it also removes the
         # alpha q_m and beta q_{m-1} terms of the three-term recurrence
-        r -= Q[:, :m] @ (Q[:, :m].T @ r)
-        r -= Q[:, :m] @ (Q[:, :m].T @ r)
+        r -= np.dot(Q[:, :m], np.dot(Q[:, :m].T, r))
+        r -= np.dot(Q[:, :m], np.dot(Q[:, :m].T, r))
         beta = float(np.linalg.norm(r))
         exhausted = m == m_cap or beta < floor
         if exhausted and m < K:
@@ -109,7 +111,7 @@ def _lanczos(op: LaplacianOperator, K: int, tol: float, seed: int):
             # which equals the G_n residual after rescaling to unit G_n norm
             estimate, bound = np.abs(beta * S[-1]).max(), 0.1 * tol * max(theta[-1], 1.0)
             if exhausted or estimate <= bound:
-                return theta, Q[:, :m] @ S, LQ[:, :m] @ S
+                return theta, np.dot(Q[:, :m], S), np.dot(LQ[:, :m], S)
             ratio, step = estimate / bound, stride
             if last_miss is not None and last_miss[1] > ratio:
                 # the estimates decay about geometrically: extrapolate the decay

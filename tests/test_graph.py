@@ -162,13 +162,22 @@ def test_dense_kernel_matches_pairwise_reference(c):
 
 
 @pytest.mark.parametrize(
-    "m, dense", [(manifolds.Sphere2(), True), (manifolds.Circle(), False)], ids=["dense", "factored"]
+    "m, n, dense, by_order",
+    [
+        (manifolds.Sphere2(), 400, True, False),
+        (manifolds.Circle(), 400, False, False),
+        (manifolds.Sphere2(), 1024, False, False),
+        (manifolds.Sphere2(), 1024, False, True),
+    ],
+    ids=["dense", "factored", "factored-sphere", "factored-sphere-by-order"],
 )
-def test_matvec_concurrent_threads(m, dense):
+def test_matvec_concurrent_threads(monkeypatch, m, n, dense, by_order):
     # sweeps release the GIL: more threads than cores, one shared operator
-    n = 400
+    if by_order:
+        monkeypatch.setattr(graph, "STACK_ITEM_BYTES", 0)
     op = _operator(manifolds.sample_uniform(m, n, seed=6), m, 2.0)
     assert (op._kernel is not None) == dense
+    assert by_order == (not dense and bool(op._orders))
     rng = np.random.default_rng(6)
     xs = [rng.standard_normal(n) for _ in range(32)]
     serial = [op.matvec(x) for x in xs]
@@ -232,17 +241,18 @@ def test_zonal_factors_match_the_pairwise_kernel(case):
     m, n, c = case
     p = manifolds.sample_uniform(m, n, seed=4)
     op = _operator(p, m, c)
-    assert op._kernel is None and op._factors.shape == (len(op._weights), n)
+    assert op._kernel is None and op._factors is not None
     t, d = scale_parameter(n, m.intrinsic_dim, c), m.intrinsic_dim
-    peak = t ** (-d / 2)
+    peak, scale = t ** (-d / 2), calibration_constant(m) / (n * t)
     r2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
     k = peak * np.exp(-r2 / t)  # self-weights included, as the factors keep them
-    got = op._factors.T @ (op._weights[:, None] * op._factors)
-    assert np.abs(got - k).max() <= 1e-13 * peak
-    # the degrees are A 1, and L annihilates constants
-    assert np.allclose(op._degrees, k.sum(axis=1), rtol=1e-13, atol=0)
     L = op.dense_matrix()
-    want = calibration_constant(m) / (n * t) * (np.diag(k.sum(axis=1)) - k)
+    off = ~np.eye(n, dtype=bool)
+    assert np.abs(-L[off] / scale - k[off]).max() <= 1e-13 * peak
+    # the degrees are A 1 less the self-weight, and L annihilates constants
+    assert np.allclose(np.diag(L) / scale, k.sum(axis=1) - peak, rtol=1e-13, atol=0)
+    assert np.abs(op.matvec(np.ones(n))).max() <= 1e-12 * op.degree_bound()
+    want = scale * (np.diag(k.sum(axis=1)) - k)
     assert np.allclose(L, want, rtol=0, atol=1e-12 * np.abs(want).max())
     x = np.random.default_rng(2).standard_normal(n)
     assert np.allclose(op.matvec(x), L @ x, rtol=0, atol=1e-12 * np.abs(L @ x).max())
@@ -250,10 +260,29 @@ def test_zonal_factors_match_the_pairwise_kernel(case):
         op.matvec(np.ones(n + 1))
 
 
+def test_order_by_order_sweep_matches_the_stacked_one(monkeypatch):
+    # past STACK_ITEM_BYTES the sphere sweeps its stack one order at a time:
+    # the same kernel, every row read once a direction either way
+    m, n, c = FACTORED["sphere2"]
+    p = manifolds.sample_uniform(m, n, seed=4)
+    stacked = _operator(p, m, c)
+    monkeypatch.setattr(graph, "STACK_ITEM_BYTES", 0)
+    by_order = _operator(p, m, c)
+    assert stacked._orders is None and len(by_order._orders) == stacked._factors[1].shape[1] - 1  # orders 1..L
+    assert np.allclose(by_order._degrees, stacked._degrees, rtol=1e-13, atol=0)
+    L = stacked.dense_matrix()
+    assert np.allclose(by_order.dense_matrix(), L, rtol=0, atol=1e-12 * np.abs(L).max())  # the degrees differ in rounding
+    rng = np.random.default_rng(5)
+    for x in (rng.standard_normal(n), rng.standard_normal((n, 3))[:, 1]):
+        want = L @ x
+        assert np.allclose(by_order.matvec(x), want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 # (model, n, factor modes or None for the dense kernel) at c = 2: each model
-# switches where 2 r first falls below n
+# switches where twice its factor rows first fall below n
 STORAGE = [
-    ("sphere2", 1458, None),
+    ("sphere2", 936, None),
+    ("sphere2", 937, 676),
     ("sphere2", 1459, 729),
     ("sphere2", 4522, 900),
     ("circle", 86, None),
@@ -268,15 +297,17 @@ def test_storage_choice_at_the_pinned_bandwidth(name, n, rank):
     m = manifolds.MODELS[name]
     weights = graph.zonal_weights(m, n, scale_parameter(n, m.intrinsic_dim, 2.0))
     assert (None if weights is None else len(weights)) == rank
-    want = 16 * n * n if rank is None else 8 * n * rank
+    want = 16 * n * n if rank is None else 8 * n * m.factor_rows(rank)
     assert graph.kernel_bytes(m, n, 2.0) == want
+    assert rank is None or 2 * m.factor_rows(rank) < n
 
 
 @pytest.mark.parametrize(
     "name, n, dense",
     [
-        ("sphere2", 1024, True),
-        ("sphere2", 1378, True),
+        ("sphere2", 512, True),
+        ("sphere2", 936, True),
+        ("sphere2", 937, False),
         ("sphere2", 1855, False),
         ("sphere2", 4522, False),
         ("circle", 100, False),
@@ -314,7 +345,7 @@ def test_kept_levels_leave_a_tail_below_2_to_the_minus_53(m, n, c):
     assert abs(np.sum(sizes[:kept] * mu[:kept]) - 1.0) < 1e-13  # the whole sum is the peak
 
 
-def test_unverified_tail_falls_back_to_the_triangle(monkeypatch):
+def test_unverified_tail_falls_back_to_the_dense_kernel(monkeypatch):
     # levels that decay too slowly for their computed ratios to bound the rest
     m, n = manifolds.Circle(), 4096
     t = scale_parameter(n, 1, 2.0)
@@ -336,14 +367,14 @@ def test_unverified_tail_falls_back_to_the_triangle(monkeypatch):
     assert op._factors is None and op._kernel is not None
 
 
-def test_points_off_the_unit_sphere_use_the_triangle():
+def test_points_off_the_unit_sphere_use_the_dense_kernel():
     m, n, c = FACTORED["circle"]
     p = manifolds.sample_uniform(m, n, seed=4)
     assert _operator(p * (1.0 + 1e-13), m, c)._factors is not None
     assert _operator(p * (1.0 + 1e-9), m, c)._factors is None
 
 
-def test_a_model_without_an_expansion_uses_the_triangle():
+def test_a_model_without_an_expansion_uses_the_dense_kernel():
     class Bare(manifolds.Manifold):
         intrinsic_dim, ambient_dim, volume = 1, 2, 2.0 * math.pi
 

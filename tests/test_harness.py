@@ -403,7 +403,8 @@ def test_memory_cap_limits_the_workers(monkeypatch, tmp_path):
 
 def test_memory_cap_reads_the_kernel_storage(monkeypatch):
     # a circle cell at n = 16384 holds 75 modes of zonal factors, not a 4 GiB
-    # dense kernel build, and runs under 600 MiB; a sphere cell at n = 1024 is dense
+    # dense kernel build, and runs under 600 MiB; a sphere cell at n = 512 is
+    # dense, and at n = 1024 it holds 468 rows of factors by azimuthal order
     cfg = ExperimentConfig.from_dict(
         dict(TINY_CONFIG, graph={"scheme": "gaussian", "bandwidth_constant": 2.0}, n_grid=[16384], trials=1)
     )
@@ -413,7 +414,8 @@ def test_memory_cap_reads_the_kernel_storage(monkeypatch):
     result = eigen_convergence_experiment(cfg, threads=2)
     assert result.metadata["failures"] == 0 and result.metadata["workers"] == 2
     sphere = ExperimentConfig.from_json(PINNED / "sphere_rate.json")
-    assert harness.cell_bytes(sphere, 1024, 10) == 16 * 1024 * 1024 + spectral.peak_bytes(1024, 10)
+    assert harness.cell_bytes(sphere, 512, 10) == 16 * 512 * 512 + spectral.peak_bytes(512, 10)
+    assert harness.cell_bytes(sphere, 1024, 10) == 8 * 1024 * 468 + spectral.peak_bytes(1024, 10)
 
 
 def _refuse_calibration(monkeypatch):
@@ -576,8 +578,9 @@ def test_one_basis_evaluation_per_cell(monkeypatch):
     # a cell's measure evaluates the continuum eigenfunctions at its points once,
     # for the signal and the continuum output alike; the setup once on its
     # quadrature grid; and a build once, at its r factor modes, where it stores
-    # zonal factors, and not at all where it stores the dense kernel
-    basis, measured, built = manifolds.eigenbasis, [], []
+    # zonal factors (on the circle, its one block is the eigenbasis), and not
+    # at all where it stores the dense kernel
+    basis, factors, measured, built = manifolds.eigenbasis, manifolds.Manifold.zonal_factors, [], []
 
     def counted(calls):
         def evaluate(manifold, x, count):
@@ -589,14 +592,19 @@ def test_one_basis_evaluation_per_cell(monkeypatch):
     for module in (graph, harness, manifolds, network, spectral):
         for attr, value in list(vars(module).items()):
             if value is basis:
-                monkeypatch.setattr(module, attr, counted(built if module is graph else measured))
+                monkeypatch.setattr(module, attr, counted(measured))
+
+    def built_factors(manifold, x, count):
+        built.append((x.shape[0], count))
+        return factors(manifold, x, count)
+
+    monkeypatch.setattr(manifolds.Manifold, "zonal_factors", built_factors)
     cfg = ExperimentConfig.from_dict(dict(TWO_LAYER_CONFIG, n_grid=[100, 256]))  # a dense cell at n = 100
     m, c, K = cfg.manifold_model, cfg.bandwidth_constant, len(cfg.signal_coefficients)
     result = run_convergence_experiment(cfg, threads=2)
     assert result.metadata["failures"] == 0
     grid = m.quadrature_size
     cells = [n for n in cfg.n_grid for _ in range(cfg.trials)]
-    assert sorted(measured) == sorted([(n, K) for n in cells] + [(grid, K)])
     ranks = {}
     for n in cells + [harness.CALIBRATION_N]:
         weights = graph.zonal_weights(m, n, graph.scale_parameter(n, m.intrinsic_dim, c))
@@ -604,6 +612,7 @@ def test_one_basis_evaluation_per_cell(monkeypatch):
     assert None in ranks.values() and any(ranks.values())  # both storages are built
     factored = [(n, ranks[n]) for n in cells + [harness.CALIBRATION_N] if ranks[n]]
     assert sorted(built) == sorted(factored)
+    assert sorted(measured) == sorted([(n, K) for n in cells] + [(grid, K)] + factored)
 
 
 def test_refused_run_builds_no_setup_at_one_worker(monkeypatch, tmp_path, capsys):

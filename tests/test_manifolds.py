@@ -277,3 +277,26 @@ def test_single_mode_is_its_basis_column(m):
         assert np.array_equal(eigenbasis(m, x, i + 1)[:, i], basis[:, i])
     for count in (1, 2, 5, 10, 17):
         assert np.array_equal(eigenbasis(m, x, count), basis[:, :count])
+
+
+@pytest.mark.parametrize("top", [12, 13])
+def test_sphere_basis_rows_are_its_factor_rows_times_the_azimuthal_terms(top):
+    # one recurrence: every mode of the sphere's zonal factors is a stored
+    # Legendre row times cos/sin(m phi), equal to its eigenbasis row exactly,
+    # and every mode is stored once (an odd top pads its middle order)
+    m, count = manifolds.Sphere2(), (top + 1) ** 2
+    x = np.vstack([manifolds.sample_uniform(m, 500, seed=12), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    basis = manifolds.eigenbasis(m, x, count).T
+    block, modes, stack, trig, stack_modes = m.zonal_factors(x, count)
+    assert block.shape == (top + 1, len(x)) and stack.shape == ((top + 1) // 2, top + 1, len(x))
+    assert len(block) + stack.shape[0] * (stack.shape[1] + 8) == m.factor_rows(count)  # 4 trig, 4 working
+    for k, mode in enumerate(modes):
+        assert np.array_equal(basis[mode], block[k])
+    for item, item_modes, item_trig in zip(stack, stack_modes, trig):
+        for column, c in zip(item_modes, item_trig):
+            for k in np.flatnonzero(column >= 0):
+                assert np.array_equal(basis[column[k]], item[k] * c)
+    stored = np.concatenate([modes, stack_modes[stack_modes >= 0]])
+    assert np.array_equal(np.sort(stored), np.arange(count))
+    with pytest.raises(ValueError):
+        m.zonal_factors(x, count + 1)  # whole levels only
