@@ -26,37 +26,26 @@ levels of its own eigenbasis, A = t^(-d/2) Phi^T diag(mu) Phi, with Phi the
 (r, n) `eigenbasis` at the points and mu_i the coefficient of mode i's level.
 The expansion is cut after the first level whose tail, sum of size * mu over
 the levels past it, is verified below TAIL (2^-53) of the peak weight, which
-is the whole sum, 1. Phi is stored as the model's `zonal_factors`: on the
-circle Phi itself, one block B; on the sphere, by azimuthal order m, the
-Legendre table of rows Pbar_l^m(cos theta), l = m..L, once for the modes
-(l, m) and (l, -m), beside cos/sin(m phi). The m = 0 table is the block,
-and the tables of orders a and L + 1 - a share one stack item of L + 1
-rows, so R, the rows stored, is about half of r (672 for 1024 modes, with
-the trig and a sweep's working rows). A matvec is B^T (w * B x) plus the
-stack's part, which reads every stored row once a direction, so about
-16 n R bytes: one stacked `matmul` each way through the whole stack, four
-columns an item (cos and sin of both orders), where an item is at most
-STACK_ITEM_BYTES; past it, one two-column `np.dot` each way per order. The
-factors are stored where all of these hold: the model has an expansion,
-every point has ||x|^2 - 1| <= UNIT_TOL, the tail is verified, and
-16 n R < 8 n^2, that is 2 R < n. Otherwise the dense kernel is.
-
-Why two stack sweeps. Threads run the harness's cells, and numpy releases
-the GIL inside BLAS, so two workers' sweeps overlap, but each numpy call is
-a GIL handoff. Order by order, a sweep is about 7 calls per order, some 200
-at L = 31: at n <= 2048 their overhead is most of the sweep, and two
-workers mostly wait on each other (a cell at n = 1024, K = 10: 25 ms
-alone, 80-96 ms each beside a second worker, against 23-28 and 35-39 ms
-stacked). The stacked sweep is a handful of calls, but its four-column
-products ran at the two-column rate only while an item fit one core's
-2 MiB cache: at n = 8192 and 16 items, its two products took 3.1 ms at
-30 rows an item (1.97 MB) and 7.2 ms at 31 rows (2.03 MB), where the whole
-order-by-order sweep takes about 3.1 ms (2 cores, one BLAS thread).
-
-Every 2-D product is an `np.dot`: at these shapes numpy's `matmul` holds the
-GIL for the whole call (a thread looping one order's (2, 8192) by
-(8192, 32) product under `matmul` kept a pure-Python thread out of the GIL
-in gaps over 30 us half the time; under `np.dot`, 1%).
+is the whole sum, 1. The model stores it as its `zonal_factors` (rows, trig,
+cores): on the circle Phi itself as the rows, the weights as a diagonal core
+and no trig, swept as rows^T (w * rows x); on the sphere separable Fourier
+factors, the 2L + 1 rows T = cos/sin(k theta), k <= L, 2L + 2 trig rows
+cos/sin(m phi), and per order m a core G_m, with A the sum over trig rows c
+of diag(c) T^T G_m(c) T diag(c). That sweep runs by parity of m:
+Y = (trig * x) T^T, each order's two rows of Y times G_m in one batched
+`matmul`, W = Z^T trig, and A x = sum_k T_k * W_k. It does about
+8 n (L + 1)^2 flops as four GEMMs, twice a per-order Legendre table sweep's
+two-column products, but reads under a third of its bytes: 16 n R with R,
+the model's `factor_rows` of rows stored and worked in, 195 at L = 31 where
+the tables took 672. W is written over the scaled trig, in working rows
+each thread allocates once (allocated every sweep, they cost about 1500
+page faults a sweep at n = 8192, 5.2 ms against 3.2). Every 2-D product is
+an `np.dot`: at these shapes `matmul` holds the GIL through the call (a
+thread looping a (2, 8192) by (8192, 32) `matmul` kept a pure-Python thread
+out of the GIL in gaps over 30 us half the time; `np.dot`, 1%). The factors
+are stored where all of these hold: the model has an expansion, every point
+has ||x|^2 - 1| <= UNIT_TOL, the tail is verified, and 16 n R < 8 n^2, that
+is 2 R < n. Otherwise the dense kernel is.
 
 The harness bounds memory by capping its worker count, not here;
 `kernel_bytes` is the kernel's share of a cell, from the same choice.
@@ -65,15 +54,12 @@ The harness bounds memory by capping its worker count, not here;
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
 TAIL = 2.0**-53  # the largest kept-out share of the peak weight
 UNIT_TOL = 1e-12  # the largest ||x|^2 - 1| at which the zonal factors hold
-# the largest stack item (L + 1 rows of n) the stacked sweep takes; past it the
-# sweep goes order by order (see the module docstring). 1.75 MiB: at c = 2 the
-# sphere's items hold 1.4 MiB at n = 6086 and 2 MiB at n = 8192.
-STACK_ITEM_BYTES = 7 << 18
 
 
 def scale_parameter(n: int, d: int, c: float) -> float:
@@ -141,8 +127,8 @@ def zonal_weights(manifold, n: int, t: float, points: np.ndarray | None = None):
         if verified.size:
             kept = verified[0] + 1
             weights = np.repeat(mu[:kept], sizes[:kept])
-            return weights if 2 * manifold.factor_rows(len(weights)) < n else None
-        if 2 * manifold.factor_rows(int(sizes.sum())) >= n:
+            return weights if 2 * manifold.factor_rows(len(weights), n) < n else None
+        if 2 * manifold.factor_rows(int(sizes.sum()), n) >= n:
             return None
         count *= 2
 
@@ -153,7 +139,7 @@ def kernel_bytes(manifold, n: int, c: float) -> int:
     for the dense kernel, the peak of its build (the kernel and the half it is
     summed from)."""
     weights = zonal_weights(manifold, n, scale_parameter(n, manifold.intrinsic_dim, c))
-    return 16 * n * n if weights is None else 8 * n * manifold.factor_rows(len(weights))
+    return 16 * n * n if weights is None else 8 * n * manifold.factor_rows(len(weights), n)
 
 
 class LaplacianOperator:
@@ -171,21 +157,8 @@ class LaplacianOperator:
         weights = None if manifold is None else zonal_weights(manifold, n, t, points)
         self._kernel = self._factors = None
         if weights is not None:
-            block, modes, stack, trig, stack_modes = manifold.zonal_factors(points, len(weights))
-            scaled = t ** (-d / 2.0) * weights
-            self._factors = block, stack, trig
-            self._weights = scaled[modes], np.where(stack_modes < 0, 0.0, scaled[stack_modes])
-            self._orders = None
-            if not (len(stack) and stack[0].nbytes <= STACK_ITEM_BYTES):
-                # one (rows, weights, trig) per order: columns 2h and 2h + 1
-                # of an item read the same contiguous rows
-                self._orders = []
-                for item, item_modes, item_weights, item_trig in zip(stack, stack_modes, self._weights[1], trig):
-                    for h in (0, 2):
-                        read = np.flatnonzero(item_modes[h] >= 0)
-                        if read.size:
-                            lo, hi = read[0], read[-1] + 1
-                            self._orders.append((item[lo:hi], item_weights[h, lo:hi], item_trig[h : h + 2]))
+            self._work = threading.local()  # each thread's working rows
+            self._factors = manifold.zonal_factors(points, t ** (-d / 2.0) * weights)
             self._degrees = self._factored_sweep(np.ones(n))
             return
         # a weight, without the outer scale, is exp(min(log t^{-d/2} +
@@ -203,29 +176,28 @@ class LaplacianOperator:
         self._degrees = kernel.sum(axis=1)
 
     def _factored_sweep(self, x: np.ndarray) -> np.ndarray:
-        """A x = B^T (w * B x) + sum over stack items j and their trig rows c
-        of c * S_j^T (W_jc * S_j (c * x)), for a vector x (n,): two products
-        through the block, then either one stacked product each way through
-        the whole stack (four columns an item), or, where an item exceeds
-        STACK_ITEM_BYTES, one two-column product each way per order. Either
-        way every stored row is read once a direction."""
-        (block, stack, trig), (weights, stack_weights) = self._factors, self._weights
-        ax = np.dot(block.T, weights * np.dot(block, x))
-        if self._orders is None:
-            halves = trig * x
-            y = np.matmul(halves, stack.transpose(0, 2, 1))  # (items, 4, rows)
-            y *= stack_weights
-            np.matmul(y, stack, out=halves)
-            ax += np.einsum("jcn,jcn->n", halves, trig)
-            return ax
-        for rows, order_weights, order_trig in self._orders:
-            y = np.dot(order_trig * x, rows.T)  # (2, rows): the cos and sin halves
-            y *= order_weights
-            z = np.dot(y, rows)
-            z *= order_trig
-            ax += z[0]
-            ax += z[1]
-        return ax
+        """A x for a vector x (n,). With no trig, rows^T (cores * rows x): two
+        products. Otherwise the sum over trig rows c of
+        c * T^T G_m(c) T (c * x), by parity of the order m: forward,
+        Y = (trig * x) T^T; each order's two rows of Y times its core G_m;
+        back, W = Z^T trig; then A x = sum_k T_k * W_k. Every 2-D product is
+        an `np.dot`."""
+        rows, trig, cores = self._factors
+        if trig is None:
+            return np.dot(rows.T, cores * np.dot(rows, x))
+        work = getattr(self._work, "rows", None)
+        if work is None:  # this thread's first sweep
+            work = self._work.rows = np.empty_like(trig)
+        np.multiply(trig, x, out=work)
+        k = j = 0
+        for core in cores:  # the even orders, over cos(k theta), then the odd, over sin(k theta)
+            orders, width = core.shape[:2]
+            y = np.dot(work[j : j + 2 * orders], rows[k : k + width].T)
+            z = np.matmul(y.reshape(orders, 2, width), core).reshape(2 * orders, width)
+            # W's rows k.. land on scaled trig rows already read: k + width <= j + 2 orders
+            np.dot(z.T, trig[j : j + 2 * orders], out=work[k : k + width])
+            k, j = k + width, j + 2 * orders
+        return np.einsum("kn,kn->n", rows, work[:k])
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Return L x for a vector x (n,)."""
@@ -239,11 +211,17 @@ class LaplacianOperator:
         if self._factors is None:
             k = self._kernel
         else:
-            (block, stack, trig), (weights, stack_weights) = self._factors, self._weights
-            k = np.dot(block.T, weights[:, None] * block)
-            for item, item_weights, item_trig in zip(stack, stack_weights, trig):
-                for c, w in zip(item_trig, item_weights):
-                    k += np.dot(item.T, w[:, None] * item) * np.outer(c, c)
+            rows, trig, cores = self._factors
+            if trig is None:
+                k = np.dot(rows.T, cores[:, None] * rows)
+            else:  # the sum over trig rows c of U_c^T G U_c, U_c = T * c
+                k, i, j = 0.0, 0, 0
+                for core in cores:
+                    orders, width = core.shape[:2]
+                    u = rows[i : i + width] * trig[j : j + 2 * orders, None]
+                    v = np.matmul(np.repeat(core, 2, axis=0), u)
+                    k = k + np.dot(u.reshape(-1, self.n).T, v.reshape(-1, self.n))
+                    i, j = i + width, j + 2 * orders
         return self._scale * (np.diag(self._degrees) - k)
 
     def degree_bound(self) -> float:

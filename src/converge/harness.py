@@ -407,7 +407,7 @@ def _run_cells(config, threads, keys, K, measure, setup, setup_bytes) -> Experim
     the running cells fit MEMORY_FRACTION of it together, and never below
     one, which finishes the setup before any cell; the count never changes a
     result. The gate is not counted: it runs before any cell, beside the
-    setup alone, and its 2-mode cell at CALIBRATION_N (11.5 MB on the
+    setup alone, and its 2-mode cell at CALIBRATION_N (5.7 MB on the
     sphere, 3.7 MB on the circle) fits in the share the fraction leaves out.
     """
     start = time.perf_counter()

@@ -24,14 +24,17 @@ an evaluated basis.
 Both models are zonal: on them the Gaussian exp(z x.y) at unit-norm x, y
 expands over the levels of the eigenbasis (Jacobi-Anger on the circle,
 Funk-Hecke on the sphere), and `kernel_levels` gives that expansion's
-per-level coefficients in closed form. `zonal_factors` stores the first
-levels of the eigenbasis for that expansion: the circle its basis rows, the
-sphere each order's Legendre table once for the modes (l, m) and (l, -m),
-beside cos/sin(m phi).
+per-level coefficients in closed form. `zonal_factors` stores that
+expansion's first levels at the points: the circle its basis rows, the
+sphere separable Fourier factors (the double Fourier sphere of Townsend,
+Wilber and Wright, SIAM J. Sci. Comput. 2016): cos/sin(k theta) for k <= L,
+shared by every level, cos/sin(m phi), and per order a small core from the
+sample-free `legendre_fourier` coefficients, about 6L rows of n in all.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +49,8 @@ class Manifold:
     default grid's node count), and supplies sample(rng, n), level(i),
     eigenvalue(i), fill_basis(x, out) (rows 1.. of `eigenbasis`, row 0 being
     the constant mode) and grid(m). A model may supply kernel_levels(z, count),
-    and with it a cheaper zonal_factors(x, count) and its factor_rows(count).
+    and with it a cheaper zonal_factors(x, weights) and its
+    factor_rows(count, n).
     """
 
     intrinsic_dim: int
@@ -65,23 +69,18 @@ class Manifold:
         expansion. Here there is none."""
         return None
 
-    def zonal_factors(self, x: np.ndarray, count: int):
-        """The kernel factors of the first `count` modes, whole levels, at the
-        points x (n, D), as (block, modes, stack, trig, stack_modes). Row k of
-        the block (rows, n) is mode modes[k] at x. Item j of the stack
-        (items, rows, n) is read through the four rows of trig[j] (4, n): for
-        column c, row k stands for the mode stack_modes[j, c, k] at x divided
-        by trig[j, c], and -1 there marks a row that column c skips; columns
-        2h and 2h + 1 read the same contiguous rows. Here the block is the
-        `eigenbasis` rows and the stack is empty.
+    def zonal_factors(self, x: np.ndarray, weights: np.ndarray):
+        """The kernel sum_i weights[i] phi_i(x) phi_i(y) over the first
+        len(weights) modes, whole levels, at the points x (n, D), as
+        (rows, trig, cores): here the `eigenbasis` rows (count, n), no trig
+        and the weights as one diagonal core, so the kernel is
+        rows^T diag(cores) rows.
         """
-        n = x.shape[0]
-        empty = (np.empty((0, count, n)), np.empty((0, 4, n)), np.empty((0, 4, count), dtype=int))
-        return (eigenbasis(self, x, count).T, np.arange(count)) + empty
+        return eigenbasis(self, x, len(weights)).T, None, weights
 
-    def factor_rows(self, count: int) -> int:
-        """Rows of n values that `zonal_factors` stores for `count` modes, and
-        that a sweep through them works in beside the vectors."""
+    def factor_rows(self, count: int, n: int) -> int:
+        """Rows of n values that `zonal_factors` stores for `count` modes at n
+        points, and that a sweep through them works in beside the vectors."""
         return count
 
     def level_end(self, i: int) -> int:
@@ -183,13 +182,12 @@ class Sphere2(Manifold):
         l = np.arange(count)
         return 2 * l + 1, ive(l + 0.5, z) * math.sqrt(math.pi / (2.0 * z))
 
-    def legendre_orders(self, x: np.ndarray, top: int, tables=None):
+    def legendre_orders(self, x: np.ndarray, top: int):
         """Yield, for m = 0..top, the (top + 1 - m, n) table whose row l - m is
         Pbar_l^m(cos theta) at the points x (n, 3), times sqrt(2) for m >= 1,
         where Pbar_l^m = sqrt((2l+1) (l-m)! / (l+m)!) P_l^m carries the
         Condon-Shortley sign; row l of the m = 0 table is sqrt(2l+1) P_l.
-        Table m is written into tables[m] where `tables` is given, else into
-        a new array.
+        The tables take x's floating type, double at the least.
 
         Table m starts from the sectoral row Pbar_m^m, one product on table
         m - 1's first row, and runs the normalized three-term recurrence in l
@@ -200,7 +198,7 @@ class Sphere2(Manifold):
         u = np.sqrt(1.0 - t * t)  # sin theta
         sectoral = None
         for m in range(top + 1):
-            rows = np.empty((top + 1 - m, x.shape[0])) if tables is None else tables[m]
+            rows = np.empty((top + 1 - m, x.shape[0]), dtype=np.promote_types(x.dtype, float))
             if m == 0:
                 rows[0] = 1.0
             elif m == 1:
@@ -245,43 +243,43 @@ class Sphere2(Manifold):
                 if centre + m < count:
                     np.multiply(rows[l - m], cos_m, out=out[centre + m])
 
-    def zonal_factors(self, x: np.ndarray, count: int):
-        """The (L + 1)^2 = count modes of levels 0..L by azimuthal order: the
-        block is the m = 0 table of `legendre_orders`, and each stack item j
-        holds the tables of orders a = j + 1 and b = L - j, L + 1 rows between
-        them, beside cos/sin(a phi) and cos/sin(b phi) in its trig rows. Where
-        L is odd, the middle order's item is padded with zero rows and trig.
-        Mode (l, +-m) is its table row times cos/sin(m phi), so the two share
-        one stored row."""
-        top = math.isqrt(count) - 1
-        if (top + 1) ** 2 != count:
-            raise ValueError(f"zonal factors take whole levels, got {count} modes")
-        n, pairs = x.shape[0], (top + 1) // 2
-        centres = np.arange(top + 1) * np.arange(1, top + 2)  # mode (l, m) is centres[l] + m
-        block = np.empty((top + 1, n))
-        stack = np.zeros((pairs, top + 1, n))
-        trig = np.zeros((pairs, 4, n))
-        stack_modes = np.full((pairs, 4, top + 1), -1)
-        tables = [block] + [None] * top
-        for j in range(pairs):
-            a, b = j + 1, top - j
-            tables[a] = stack[j, : top + 1 - a]
-            stack_modes[j, :2, : top + 1 - a] = centres[a:] + [[a], [-a]]
-            if b > a:
-                tables[b] = stack[j, top + 1 - a :]
-                stack_modes[j, 2:, top + 1 - a :] = centres[b:] + [[b], [-b]]
-        for _ in self.legendre_orders(x, top, tables):
-            pass
-        for k, (cos_k, sin_k) in enumerate(azimuthal_multiples(x, top), start=1):
-            j, half = (k - 1, 0) if k <= pairs else (top - k, 2)
-            trig[j, half], trig[j, half + 1] = cos_k, sin_k
-        return block, centres, stack, trig, stack_modes
+    def zonal_factors(self, x: np.ndarray, weights: np.ndarray):
+        """The (L + 1)^2 = len(weights) modes of levels 0..L, one weight w_l a
+        level, as (rows, trig, cores). Mode (l, +-m) is `legendre_orders`' row
+        l of order m, sum_k a_lk^m T_k (`legendre_fourier`), times cos/sin(m phi),
+        so the kernel is the sum over trig rows c of diag(c) T^T G_m T diag(c),
+        G_m = sum_{l >= m} w_l a_l^m a_l^m^T, T_k = cos(k theta) for even m and
+        sin(k theta) for odd m. rows (2L + 1, n) are cos(k theta), k = 0..L,
+        then sin(k theta), k = 1..L, by angle addition on (x_3, hypot(x_1, x_2));
+        trig (2L + 2, n) is cos and sin of m phi, even orders first (sin(0 phi)
+        a zero row); cores stacks the even orders' G_m, then the odd orders'.
+        """
+        top = math.isqrt(len(weights)) - 1
+        if (top + 1) ** 2 != len(weights):
+            raise ValueError(f"zonal factors take whole levels, got {len(weights)} modes")
+        n, even = x.shape[0], top // 2 + 1
+        rows = np.empty((2 * top + 1, n))
+        rows[0] = 1.0
+        polar = np.column_stack([x[:, 2], np.hypot(x[:, 0], x[:, 1])])
+        for k, (cos_k, sin_k) in enumerate(azimuthal_multiples(polar, top), start=1):
+            rows[k], rows[top + k] = cos_k, sin_k
+        trig = np.empty((2 * top + 2, n))
+        trig[0], trig[1] = 1.0, 0.0
+        for m, (cos_m, sin_m) in enumerate(azimuthal_multiples(x, top), start=1):
+            j = m if m % 2 == 0 else 2 * even + m - 1
+            trig[j], trig[j + 1] = cos_m, sin_m
+        level = weights[np.arange(top + 1) ** 2]
+        cores = np.empty((even, top + 1, top + 1)), np.empty((top + 1 - even, top, top))
+        for m, a in enumerate(legendre_fourier(top)):
+            np.dot(a.T * level[m:], a, out=cores[m % 2][m // 2])
+        return rows, trig, cores
 
-    def factor_rows(self, count: int) -> int:
-        """L + 1 rows of block, and per stack item L + 1 rows, 4 trig rows and
-        the 4 rows a stacked sweep works in."""
+    def factor_rows(self, count: int, n: int) -> int:
+        """The 2L + 1 rows and 2L + 2 trig rows, the cores in rows of n, and
+        the 2L + 2 rows a sweep works in: the scaled trig, then W over it."""
         top = math.isqrt(count) - 1
-        return (top + 1) * (1 + (top + 1) // 2) + 8 * ((top + 1) // 2)
+        core = (top // 2 + 1) * (top + 1) ** 2 + (top + 1) // 2 * top**2
+        return 6 * top + 5 + -(-core // n)
 
     def grid(self, m: int) -> np.ndarray:
         """A Fibonacci lattice."""
@@ -291,6 +289,41 @@ class Sphere2(Manifold):
         phi = 2.0 * math.pi * i / golden
         r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
         return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
+@functools.cache
+def legendre_fourier(top: int) -> tuple[np.ndarray, ...]:
+    """Per order m = 0..top, the (top + 1 - m, width) coefficients whose row
+    l - m expands `Sphere2.legendre_orders`' row l of order m over
+    cos(k theta), k = 0..top, for even m, or sin(k theta), k = 1..top, for odd
+    m: Pbar_l^m(cos theta) is sin^m theta times a polynomial of degree l - m
+    in cos theta. At the N = 2 (top + 1) nodes theta_j = pi (j + 1/2) / N,
+    cos and sin of degree below N are exactly orthogonal (sum_j of
+    cos(k theta_j) cos(k' theta_j) is N/2 delta_kk', N at k = k' = 0; sin
+    alike), so an order's coefficients are one product of its table at the
+    nodes with the cos or sin rows times 2/N (1/N at k = 0). Computed once
+    for each top, read-only.
+
+    The tables at the nodes are taken in long double: in double, the rounding
+    of cos theta_j next to a pole, amplified by sin theta = sqrt(1 - cos^2)
+    and the rows' slope, left the coefficients 2e-13 of a row's largest value
+    off at top = 100; in long double (where wider than double), 6.3e-14
+    through top = 160.
+    """
+    nodes = 2 * (top + 1)
+    theta = math.pi * (np.arange(nodes) + 0.5) / nodes
+    k = np.arange(top + 1)[:, None]
+    cos_k = np.cos(k * theta) * (2.0 / nodes)
+    cos_k[0] *= 0.5
+    sin_k = np.sin(k[1:] * theta) * (2.0 / nodes)
+    points = np.zeros((nodes, 3), dtype=np.longdouble)
+    points[:, 2] = np.cos(theta.astype(np.longdouble))
+    coefficients = []
+    for m, table in enumerate(Sphere2().legendre_orders(points, top)):
+        a = np.dot(table.astype(float), (sin_k if m % 2 else cos_k).T)
+        a.flags.writeable = False
+        coefficients.append(a)
+    return tuple(coefficients)
 
 
 MODELS: dict[str, Manifold] = {"circle": Circle(), "sphere2": Sphere2()}

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -138,10 +139,10 @@ def test_dense_kernel_matches_pairwise_reference(c):
     m = manifolds.Sphere2()
     n = 300
     p = manifolds.sample_uniform(m, n, seed=8)
-    op = _operator(p, m, c)
+    t = scale_parameter(n, 2, c)
+    op = graph.LaplacianOperator(p, 2, t, calibration_constant(m))  # no model: the dense kernel
     assert op._factors is None
     # kernel t^{-d/2} exp(-r^2/t) from all n^2 pairwise distances
-    t = scale_parameter(n, 2, c)
     r2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
     k = np.exp(-r2 / t) / t
     np.fill_diagonal(k, 0.0)
@@ -162,28 +163,26 @@ def test_dense_kernel_matches_pairwise_reference(c):
 
 
 @pytest.mark.parametrize(
-    "m, n, dense, by_order",
-    [
-        (manifolds.Sphere2(), 400, True, False),
-        (manifolds.Circle(), 400, False, False),
-        (manifolds.Sphere2(), 1024, False, False),
-        (manifolds.Sphere2(), 1024, False, True),
-    ],
-    ids=["dense", "factored", "factored-sphere", "factored-sphere-by-order"],
+    "m, n, dense",
+    [(manifolds.Sphere2(), 360, True), (manifolds.Circle(), 400, False), (manifolds.Sphere2(), 1024, False)],
+    ids=["dense", "factored", "factored-sphere"],
 )
-def test_matvec_concurrent_threads(monkeypatch, m, n, dense, by_order):
-    # sweeps release the GIL: more threads than cores, one shared operator
-    if by_order:
-        monkeypatch.setattr(graph, "STACK_ITEM_BYTES", 0)
+def test_matvec_concurrent_threads(m, n, dense):
+    # sweeps release the GIL: more threads than cores, one shared operator,
+    # each thread with working rows of its own
     op = _operator(manifolds.sample_uniform(m, n, seed=6), m, 2.0)
     assert (op._kernel is not None) == dense
-    assert by_order == (not dense and bool(op._orders))
     rng = np.random.default_rng(6)
     xs = [rng.standard_normal(n) for _ in range(32)]
     serial = [op.matvec(x) for x in xs]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        futures = [pool.submit(op.matvec, x) for x in xs for _ in range(4)]
-        got = [f.result(timeout=60) for f in futures]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over as often as it goes
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(op.matvec, x) for x in xs for _ in range(4)]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
     assert all(np.array_equal(g, serial[i // 4]) for i, g in enumerate(got))
 
 
@@ -232,8 +231,18 @@ def test_scale_parameter_formula(n, d, c):
 
 
 # (model, n, c) stored as zonal factors: the circle at the pinned c, the
-# sphere at a wide bandwidth, where its expansion is short enough at small n
-FACTORED = {"circle": (manifolds.Circle(), 512, 2.0), "sphere2": (manifolds.Sphere2(), 1500, 8.0)}
+# sphere at a wide bandwidth, where its expansion is short at small n, and at
+# a narrow one (65 levels)
+FACTORED = {
+    "circle": (manifolds.Circle(), 512, 2.0),
+    "sphere2": (manifolds.Sphere2(), 1500, 8.0),
+    "sphere2-narrow": (manifolds.Sphere2(), 2048, 0.25),
+}
+
+
+def _pairwise_kernel(p, t, peak):
+    r2 = sum((p[:, None, i] - p[None, :, i]) ** 2 for i in range(p.shape[1]))
+    return peak * np.exp(-r2 / t)
 
 
 @pytest.mark.parametrize("case", FACTORED.values(), ids=FACTORED.keys())
@@ -244,8 +253,7 @@ def test_zonal_factors_match_the_pairwise_kernel(case):
     assert op._kernel is None and op._factors is not None
     t, d = scale_parameter(n, m.intrinsic_dim, c), m.intrinsic_dim
     peak, scale = t ** (-d / 2), calibration_constant(m) / (n * t)
-    r2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
-    k = peak * np.exp(-r2 / t)  # self-weights included, as the factors keep them
+    k = _pairwise_kernel(p, t, peak)  # self-weights included, as the factors keep them
     L = op.dense_matrix()
     off = ~np.eye(n, dtype=bool)
     assert np.abs(-L[off] / scale - k[off]).max() <= 1e-13 * peak
@@ -260,29 +268,27 @@ def test_zonal_factors_match_the_pairwise_kernel(case):
         op.matvec(np.ones(n + 1))
 
 
-def test_order_by_order_sweep_matches_the_stacked_one(monkeypatch):
-    # past STACK_ITEM_BYTES the sphere sweeps its stack one order at a time:
-    # the same kernel, every row read once a direction either way
+def test_separable_sweep_matches_the_sum_over_modes():
+    # the sphere's Fourier factors sweep the kernel sum_i w_i phi_i(x) phi_i(y)
+    # over its eigenbasis rows, for a vector and a strided column alike
     m, n, c = FACTORED["sphere2"]
     p = manifolds.sample_uniform(m, n, seed=4)
-    stacked = _operator(p, m, c)
-    monkeypatch.setattr(graph, "STACK_ITEM_BYTES", 0)
-    by_order = _operator(p, m, c)
-    assert stacked._orders is None and len(by_order._orders) == stacked._factors[1].shape[1] - 1  # orders 1..L
-    assert np.allclose(by_order._degrees, stacked._degrees, rtol=1e-13, atol=0)
-    L = stacked.dense_matrix()
-    assert np.allclose(by_order.dense_matrix(), L, rtol=0, atol=1e-12 * np.abs(L).max())  # the degrees differ in rounding
+    op = _operator(p, m, c)
+    t = scale_parameter(n, 2, c)
+    weights = t**-1.0 * graph.zonal_weights(m, n, t)
+    phi = manifolds.eigenbasis(m, p, len(weights)).T
     rng = np.random.default_rng(5)
     for x in (rng.standard_normal(n), rng.standard_normal((n, 3))[:, 1]):
-        want = L @ x
-        assert np.allclose(by_order.matvec(x), want, rtol=0, atol=1e-12 * np.abs(want).max())
+        want = np.dot(phi.T, weights * np.dot(phi, x))
+        assert np.allclose(op._factored_sweep(x), want, rtol=0, atol=1e-13 * np.abs(want).max())
+    assert np.allclose(op._degrees, np.dot(phi.T, weights * phi.sum(axis=1)), rtol=1e-13, atol=0)
 
 
 # (model, n, factor modes or None for the dense kernel) at c = 2: each model
 # switches where twice its factor rows first fall below n
 STORAGE = [
-    ("sphere2", 936, None),
-    ("sphere2", 937, 676),
+    ("sphere2", 360, None),
+    ("sphere2", 361, 576),
     ("sphere2", 1459, 729),
     ("sphere2", 4522, 900),
     ("circle", 86, None),
@@ -297,16 +303,17 @@ def test_storage_choice_at_the_pinned_bandwidth(name, n, rank):
     m = manifolds.MODELS[name]
     weights = graph.zonal_weights(m, n, scale_parameter(n, m.intrinsic_dim, 2.0))
     assert (None if weights is None else len(weights)) == rank
-    want = 16 * n * n if rank is None else 8 * n * m.factor_rows(rank)
+    want = 16 * n * n if rank is None else 8 * n * m.factor_rows(rank, n)
     assert graph.kernel_bytes(m, n, 2.0) == want
-    assert rank is None or 2 * m.factor_rows(rank) < n
+    assert rank is None or 2 * m.factor_rows(rank, n) < n
 
 
 @pytest.mark.parametrize(
     "name, n, dense",
     [
-        ("sphere2", 512, True),
-        ("sphere2", 936, True),
+        ("sphere2", 300, True),
+        ("sphere2", 360, True),
+        ("sphere2", 361, False),
         ("sphere2", 937, False),
         ("sphere2", 1855, False),
         ("sphere2", 4522, False),
@@ -315,9 +322,12 @@ def test_storage_choice_at_the_pinned_bandwidth(name, n, rank):
     ],
 )
 def test_build_peak_is_kernel_bytes(name, n, dense):
-    # kernel_bytes is the build's own peak, to within 32 vectors of n
+    # kernel_bytes is the build's own peak, to within 32 vectors of n; a first
+    # build makes what every build at its size shares (the sphere's
+    # theta-coefficients, once per L), and the second is traced
     m = manifolds.MODELS[name]
     p = manifolds.sample_uniform(m, n, seed=3)
+    build_laplacian(p, m, 2.0)
     tracemalloc.start()
     try:
         op = build_laplacian(p, m, 2.0)

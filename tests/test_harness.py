@@ -403,8 +403,8 @@ def test_memory_cap_limits_the_workers(monkeypatch, tmp_path):
 
 def test_memory_cap_reads_the_kernel_storage(monkeypatch):
     # a circle cell at n = 16384 holds 75 modes of zonal factors, not a 4 GiB
-    # dense kernel build, and runs under 600 MiB; a sphere cell at n = 512 is
-    # dense, and at n = 1024 it holds 468 rows of factors by azimuthal order
+    # dense kernel build, and runs under 600 MiB; a sphere cell at n = 360 is
+    # dense, and at n = 1024 it holds 172 rows of separable Fourier factors
     cfg = ExperimentConfig.from_dict(
         dict(TINY_CONFIG, graph={"scheme": "gaussian", "bandwidth_constant": 2.0}, n_grid=[16384], trials=1)
     )
@@ -414,8 +414,8 @@ def test_memory_cap_reads_the_kernel_storage(monkeypatch):
     result = eigen_convergence_experiment(cfg, threads=2)
     assert result.metadata["failures"] == 0 and result.metadata["workers"] == 2
     sphere = ExperimentConfig.from_json(PINNED / "sphere_rate.json")
-    assert harness.cell_bytes(sphere, 512, 10) == 16 * 512 * 512 + spectral.peak_bytes(512, 10)
-    assert harness.cell_bytes(sphere, 1024, 10) == 8 * 1024 * 468 + spectral.peak_bytes(1024, 10)
+    assert harness.cell_bytes(sphere, 360, 10) == 16 * 360 * 360 + spectral.peak_bytes(360, 10)
+    assert harness.cell_bytes(sphere, 1024, 10) == 8 * 1024 * 172 + spectral.peak_bytes(1024, 10)
 
 
 def _refuse_calibration(monkeypatch):
@@ -594,9 +594,9 @@ def test_one_basis_evaluation_per_cell(monkeypatch):
             if value is basis:
                 monkeypatch.setattr(module, attr, counted(measured))
 
-    def built_factors(manifold, x, count):
-        built.append((x.shape[0], count))
-        return factors(manifold, x, count)
+    def built_factors(manifold, x, weights):
+        built.append((x.shape[0], len(weights)))
+        return factors(manifold, x, weights)
 
     monkeypatch.setattr(manifolds.Manifold, "zonal_factors", built_factors)
     cfg = ExperimentConfig.from_dict(dict(TWO_LAYER_CONFIG, n_grid=[100, 256]))  # a dense cell at n = 100
@@ -1116,6 +1116,19 @@ def test_sphere_top_is_the_top_of_the_full_grid():
     rate = json.loads((PINNED / "sphere_rate.json").read_text())
     top = json.loads((PINNED / "sphere_top.json").read_text())
     assert top == dict(rate, n_grid=list(FULL_GRID[-2:]), trials=1)
+
+
+def test_sphere_dense_is_the_rate_config_below_the_dense_edge():
+    # CI's thread-count step runs sphere_dense.json for the dense kernel at
+    # full size: sphere_rate.json at 4 trials on a grid where every cell
+    # stores the dense kernel, so a move of the storage edge fails here
+    rate = json.loads((PINNED / "sphere_rate.json").read_text())
+    dense = json.loads((PINNED / "sphere_dense.json").read_text())
+    assert dense == dict(rate, n_grid=dense["n_grid"], trials=4)
+    cfg = ExperimentConfig.from_dict(dense)
+    m, c = cfg.manifold_model, cfg.bandwidth_constant
+    for n in cfg.n_grid:
+        assert graph.zonal_weights(m, n, graph.scale_parameter(n, m.intrinsic_dim, c)) is None, n
 
 
 def test_cli_config_error(tmp_path):

@@ -281,22 +281,53 @@ def test_single_mode_is_its_basis_column(m):
 
 @pytest.mark.parametrize("top", [12, 13])
 def test_sphere_basis_rows_are_its_factor_rows_times_the_azimuthal_terms(top):
-    # one recurrence: every mode of the sphere's zonal factors is a stored
-    # Legendre row times cos/sin(m phi), equal to its eigenbasis row exactly,
-    # and every mode is stored once (an odd top pads its middle order)
+    # one recurrence: every mode of the sphere's separable factors, its
+    # theta-coefficients over the stored cos/sin(k theta) rows times its
+    # cos/sin(m phi) trig row, is its eigenbasis row, poles included, and each
+    # order's core is its weighted coefficient Gram matrix
     m, count = manifolds.Sphere2(), (top + 1) ** 2
     x = np.vstack([manifolds.sample_uniform(m, 500, seed=12), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
-    basis = manifolds.eigenbasis(m, x, count).T
-    block, modes, stack, trig, stack_modes = m.zonal_factors(x, count)
-    assert block.shape == (top + 1, len(x)) and stack.shape == ((top + 1) // 2, top + 1, len(x))
-    assert len(block) + stack.shape[0] * (stack.shape[1] + 8) == m.factor_rows(count)  # 4 trig, 4 working
-    for k, mode in enumerate(modes):
-        assert np.array_equal(basis[mode], block[k])
-    for item, item_modes, item_trig in zip(stack, stack_modes, trig):
-        for column, c in zip(item_modes, item_trig):
-            for k in np.flatnonzero(column >= 0):
-                assert np.array_equal(basis[column[k]], item[k] * c)
-    stored = np.concatenate([modes, stack_modes[stack_modes >= 0]])
-    assert np.array_equal(np.sort(stored), np.arange(count))
+    n, basis = len(x), manifolds.eigenbasis(m, x, count).T
+    level = np.random.default_rng(12).uniform(0.5, 1.0, top + 1)
+    rows, trig, (even, odd) = m.zonal_factors(x, np.repeat(level, 2 * np.arange(top + 1) + 1))
+    assert rows.shape == (2 * top + 1, n) and trig.shape == (2 * top + 2, n)
+    assert even.shape == (top // 2 + 1, top + 1, top + 1) and odd.shape == ((top + 1) // 2, top, top)
+    assert len(rows) + 2 * len(trig) + -(-(even.size + odd.size) // n) == m.factor_rows(count, n)  # trig and working rows
+    for order, a in enumerate(manifolds.legendre_fourier(top)):
+        parity = order % 2
+        theta_rows = rows[top + 1 :] if parity else rows[: top + 1]
+        j = order if not parity else 2 * len(even) + order - 1  # its cos row; the sin row follows
+        core = (odd if parity else even)[order // 2]
+        assert np.allclose(core, np.dot(a.T * level[order:], a), rtol=1e-14, atol=1e-14)
+        if order == 0:
+            assert np.array_equal(trig[0], np.ones(n)) and not trig[1].any()
+        for l, table_row in zip(range(order, top + 1), np.dot(a, theta_rows)):
+            centre = l * l + l  # mode (l, m) sits at centre + m
+            assert np.allclose(basis[centre + order], table_row * trig[j], rtol=0, atol=1e-13)
+            if order:
+                assert np.allclose(basis[centre - order], table_row * trig[j + 1], rtol=0, atol=1e-13)
     with pytest.raises(ValueError):
-        m.zonal_factors(x, count + 1)  # whole levels only
+        m.zonal_factors(x, np.ones(count + 1))  # whole levels only
+
+
+@pytest.mark.parametrize("top", [31, 100])
+def test_legendre_fourier_reproduces_the_legendre_rows(top):
+    # every row of legendre_orders, order m, is its coefficients over
+    # cos(k theta) (even m) or sin(k theta) (odd m), k <= top, to 1e-13 of the
+    # row's largest value. cos theta carries 26 bits, so legendre_orders'
+    # sin theta, sqrt(1 - cos^2 theta), is exact to rounding, and cos/sin(k theta)
+    # are taken in long double
+    m = manifolds.Sphere2()
+    t = np.round(np.random.default_rng(top).uniform(-1.0, 1.0, 2000) * 2**26) / 2**26
+    t = np.concatenate([t, [1.0, -1.0, 1.0 - 2.0**-26]])
+    theta = np.arccos(t.astype(np.longdouble))
+    k = np.arange(top + 1, dtype=np.longdouble)[:, None]
+    cos_k, sin_k = np.cos(k * theta).astype(float), np.sin(k[1:] * theta).astype(float)
+    x = np.column_stack([np.sqrt(1.0 - t * t), np.zeros_like(t), t])
+    coefficients = manifolds.legendre_fourier(top)
+    assert len(coefficients) == top + 1
+    for order, (table, a) in enumerate(zip(m.legendre_orders(x, top), coefficients)):
+        assert a.shape == (top + 1 - order, top + 1 - order % 2) and not a.flags.writeable
+        got = np.dot(a, sin_k if order % 2 else cos_k)
+        assert np.all(np.abs(got - table).max(axis=1) <= 1e-13 * np.abs(table).max(axis=1)), order
+    assert manifolds.legendre_fourier(top) is coefficients  # computed once for each top

@@ -192,7 +192,7 @@ ZONAL = {"circle": (manifolds.Circle(), 512, 2.0), "sphere2": (manifolds.Sphere2
 
 
 @pytest.mark.parametrize("case", ZONAL.values(), ids=ZONAL.keys())
-def test_zonal_factors_solve_like_the_triangle(monkeypatch, case):
+def test_zonal_factors_solve_like_the_dense_kernel(monkeypatch, case):
     # the same points without a manifold: the dense kernel, the reference storage
     m, n, c = case
     p, factored = _operator(m, n, seed=6, c=c)
