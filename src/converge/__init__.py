@@ -7,6 +7,8 @@ forward passes), `bounds` (closed-form rate calculators), `harness`
 (experiment runner and rate fitting), `cli` (the `converge` command).
 """
 
+import numpy.random  # noqa: F401  numpy 2 loads it on first use: here, not in a timed run
+
 from . import bounds, filters, graph, harness, manifolds, network, spectral
 
 __all__ = ["bounds", "filters", "graph", "harness", "manifolds", "network", "spectral"]

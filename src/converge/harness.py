@@ -407,8 +407,9 @@ def _run_cells(config, threads, keys, K, measure, setup, setup_bytes) -> Experim
     the running cells fit MEMORY_FRACTION of it together, and never below
     one, which finishes the setup before any cell; the count never changes a
     result. The gate is not counted: it runs before any cell, beside the
-    setup alone, and its 2-mode cell at CALIBRATION_N (5.7 MB on the
-    sphere, 3.7 MB on the circle) fits in the share the fraction leaves out.
+    setup alone, and its 2-mode cell at CALIBRATION_N (5.9 MB on the
+    sphere, 4.0 MB on the circle, at c = 2) fits in the share the fraction
+    leaves out.
     """
     start = time.perf_counter()
     m = config.manifold_model

@@ -355,6 +355,17 @@ def test_kept_levels_leave_a_tail_below_2_to_the_minus_53(m, n, c):
     assert abs(np.sum(sizes[:kept] * mu[:kept]) - 1.0) < 1e-13  # the whole sum is the peak
 
 
+@pytest.mark.parametrize("m", manifolds.MODELS.values(), ids=manifolds.MODELS.keys())
+def test_a_level_that_underflows_still_verifies_the_tail(m):
+    # at z = 2 / t = 1e-60 each level is about z / 2k of the one before, so
+    # the first batch's last levels underflow to 0.0: the tail past level 0
+    # is still verified, its bound past the batch 0, not inf or nan
+    t = 2e60
+    sizes, mu = m.kernel_levels(2.0 / t, 8)
+    assert mu[-1] == 0.0 and mu[5] > 0.0 and mu[0] == 1.0
+    assert np.array_equal(graph.zonal_weights(m, 4096, t), [1.0])
+
+
 def test_unverified_tail_falls_back_to_the_dense_kernel(monkeypatch):
     # levels that decay too slowly for their computed ratios to bound the rest
     m, n = manifolds.Circle(), 4096

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -1129,6 +1131,42 @@ def test_sphere_dense_is_the_rate_config_below_the_dense_edge():
     m, c = cfg.manifold_model, cfg.bandwidth_constant
     for n in cfg.n_grid:
         assert graph.zonal_weights(m, n, graph.scale_parameter(n, m.intrinsic_dim, c)) is None, n
+
+
+NO_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule raises ImportError
+from converge.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    assert code == 0, (argv, code)
+loaded = [name for name, module in sys.modules.items() if name.startswith("scipy") and module is not None]
+assert not loaded, loaded
+"""
+
+
+def test_the_program_runs_without_scipy(tmp_path):
+    # scipy is only the tests' oracle: the dense and factored sphere runs, the
+    # eigen experiment and the fit all run in a process where it cannot load
+    factored = dict(json.loads((PINNED / "sphere_rate.json").read_text()), n_grid=[400, 512], trials=1)
+    eigen = dict(json.loads((PINNED / "circle_eigen.json").read_text()), n_grid=[512, 1024], trials=2)
+    for name, raw in (("factored", factored), ("eigen", eigen)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(raw))
+    m = manifolds.Sphere2()
+    assert all(graph.zonal_weights(m, n, graph.scale_parameter(n, 2, 2.0)) is not None for n in (400, 512))
+    runs = [
+        ("run", PINNED / "sphere_dense.json", "dense"),
+        ("run", tmp_path / "factored.json", "factored"),
+        ("eigen", tmp_path / "eigen.json", "eigen"),
+    ]
+    argv = [[cmd, "--config", str(cfg), "--out-dir", str(tmp_path / out), "--threads", "2"] for cmd, cfg, out in runs]
+    dense = ExperimentConfig.from_json(PINNED / "sphere_dense.json").content_hash()
+    argv.append(["fit", "--csv", str(tmp_path / "dense" / f"run_{dense}.csv")])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    command = [sys.executable, "-c", NO_SCIPY, json.dumps(argv)]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert all(len(list((tmp_path / d).glob("*.csv"))) == 1 for d in ("dense", "factored", "eigen"))
 
 
 def test_cli_config_error(tmp_path):

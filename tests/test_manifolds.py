@@ -1,11 +1,12 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, lpmv
+from scipy.special import gammaln, ive, lpmv
 
 from converge import manifolds
 from converge.manifolds import (
@@ -230,6 +231,60 @@ def test_sphere_basis_matches_lpmv_oracle():
     assert np.abs(basis - oracle).max() <= 1e-12
 
 
+def _mp_pbar(l, m, theta):
+    """Oracle: Pbar_l^m(cos theta) in mpmath, from the terminating series
+    P_l^m(t) = (-1)^m (l+m)! / ((l-m)! m! 2^m) (1-t^2)^(m/2) 2F1(m-l, l+m+1; m+1; (1-t)/2),
+    taken at |t| and reflected, P_l^m(-t) = (-1)^(l+m) P_l^m(t), so its
+    argument is small at both poles (`mpmath.legenp` fails to converge on
+    the smallest of these values)."""
+    with mpmath.workdps(50):
+        t, u = mpmath.cos(mpmath.mpf(theta)), mpmath.sin(mpmath.mpf(theta))
+        scale = mpmath.sqrt((2 * l + 1) * mpmath.factorial(l + m) / mpmath.factorial(l - m))
+        series = mpmath.hyp2f1(m - l, l + m + 1, m + 1, (1 - abs(t)) / 2)
+        sign = (-1) ** m * ((-1) ** (l + m) if t < 0 else 1)
+        return float(sign * scale / (mpmath.factorial(m) * 2**m) * u**m * series)
+
+
+def test_legendre_orders_near_the_poles_match_mpmath():
+    # sin theta must be hypot(x_1, x_2), the rounding of the point's own sine:
+    # sqrt(1 - cos^2 theta) misses by 7.0e-11 at theta = 1e-4, l = 80, m = 1
+    thetas = [1e-4, 3e-3, math.pi - 3e-3]
+    x = np.array([[math.sin(t), 0.0, math.cos(t)] for t in thetas])
+    tables = list(Sphere2().legendre_orders(x, 100))
+    for l, m in [(80, 1), (100, 3), (60, 20), (100, 0)]:
+        for j, theta in enumerate(thetas):
+            want = _mp_pbar(l, m, theta)
+            got = tables[m][l - m, j] / (math.sqrt(2.0) if m else 1.0)
+            assert abs(got - want) <= 2e-13 * max(1.0, abs(want)), (l, m, theta, got, want)
+
+
+def _ive_levels(m, z, count):
+    """Oracle: the levels of `kernel_levels` from scipy's exponentially scaled I_v."""
+    k = np.arange(count)
+    if isinstance(m, Circle):
+        return ive(k, z)
+    return ive(k + 0.5, z) * math.sqrt(math.pi / (2.0 * z))
+
+
+@REGISTERED
+@pytest.mark.parametrize("z", [0.01, 0.5, 2.7, 9.5, 30.0, 128.0, 500.0])
+def test_kernel_levels_match_scipy_ive(m, z):
+    # the backward recurrence to 1e-12 of every level above 1e-300, and the
+    # levels weighted by their sizes sum to the peak weight, e^{-z} e^z = 1,
+    # which graph.zonal_weights reads as the whole sum its tail is cut from
+    for count in (1, 8, 100, 256):
+        sizes, mu = m.kernel_levels(z, count)
+        want = _ive_levels(m, z, count)
+        ends = [0]
+        for _ in range(count):
+            ends.append(m.level_end(ends[-1]))
+        assert np.cumsum(sizes).tolist() == ends[1:]  # level l's modes
+        above = want > 1e-300
+        assert np.all(np.abs(mu[above] - want[above]) <= 1e-12 * want[above]), count
+        assert np.all(mu[~above] <= 1e-300) and np.all(mu >= 0.0)
+    assert abs(np.sum(sizes * mu) - 1.0) <= 1e-15
+
+
 def test_circle_basis_columns():
     x = _basis_test_points(Circle())
     theta = np.arctan2(x[:, 1], x[:, 0])
@@ -314,9 +369,9 @@ def test_sphere_basis_rows_are_its_factor_rows_times_the_azimuthal_terms(top):
 def test_legendre_fourier_reproduces_the_legendre_rows(top):
     # every row of legendre_orders, order m, is its coefficients over
     # cos(k theta) (even m) or sin(k theta) (odd m), k <= top, to 1e-13 of the
-    # row's largest value. cos theta carries 26 bits, so legendre_orders'
-    # sin theta, sqrt(1 - cos^2 theta), is exact to rounding, and cos/sin(k theta)
-    # are taken in long double
+    # row's largest value. cos theta carries 26 bits, so the points' sin theta,
+    # sqrt(1 - cos^2 theta), is exact to rounding, and cos/sin(k theta) are
+    # taken in long double
     m = manifolds.Sphere2()
     t = np.round(np.random.default_rng(top).uniform(-1.0, 1.0, 2000) * 2**26) / 2**26
     t = np.concatenate([t, [1.0, -1.0, 1.0 - 2.0**-26]])
