@@ -15,7 +15,7 @@ eigenvalues and levels, which the cells read from its future.
 A config is checked once, type and range, by `ExperimentConfig.from_dict`,
 which also parses its network; `_run_cells` checks before calibration only
 what depends on the experiment: n against its mode count K, and memory, by
-one rule that counts the cells and the setup's quadrature basis. A
+one rule that counts the cells and the setup's peak. A
 cell takes K modes on both sides: the signal's width for `run`, the end of
 `eigen_index`'s level for `eigen`. An experiment's measured keys are
 `ExperimentResult.keys`, the CSV columns after n, trial and seed, and
@@ -401,15 +401,16 @@ def _run_cells(config, threads, keys, K, measure, setup, setup_bytes) -> Experim
     the records come back in grid order.
 
     Memory is checked here alone, from one available_memory() read. A
-    largest cell (cell_bytes) or a setup (setup_bytes) larger than all of it
-    raises ConfigError before calibration and setup, as does a thread count
-    below 1 or an n below 2 or K. The workers are capped so the setup and
-    the running cells fit MEMORY_FRACTION of it together, and never below
-    one, which finishes the setup before any cell; the count never changes a
-    result. The gate is not counted: it runs before any cell, beside the
-    setup alone, and its 2-mode cell at CALIBRATION_N (5.9 MB on the
-    sphere, 4.0 MB on the circle, at c = 2) fits in the share the fraction
-    leaves out.
+    largest cell (cell_bytes) or a setup (setup_bytes, its peak: for `run`,
+    `network.continuum_bytes`, one chunk of the streamed quadrature passes,
+    whatever the grid's size) larger than all of it raises ConfigError
+    before calibration and setup, as does a thread count below 1 or an n
+    below 2 or K. The workers are capped so the setup and the running cells
+    fit MEMORY_FRACTION of it together, and never below one, which finishes
+    the setup before any cell; the count never changes a result. The gate
+    is not counted: it runs before any cell, beside the setup alone, and its
+    2-mode cell at CALIBRATION_N (5.9 MB on the sphere, 4.0 MB on the
+    circle, at c = 2) fits in the share the fraction leaves out.
     """
     start = time.perf_counter()
     m = config.manifold_model
@@ -421,7 +422,7 @@ def _run_cells(config, threads, keys, K, measure, setup, setup_bytes) -> Experim
             raise ConfigError(f"n_grid entry {n} is below 2 or the {K} modes a cell takes")
     available = available_memory()
     largest = max(cell_bytes(config, n, K) for n in config.n_grid)
-    for size, what in ((largest, "cell"), (setup_bytes, "quadrature basis")):
+    for size, what in ((largest, "cell"), (setup_bytes, "continuum setup")):
         if available is not None and size > available:
             raise ConfigError(f"a {size >> 20} MiB {what} exceeds {available >> 20} MiB of available memory")
     budget = None if available is None else int(MEMORY_FRACTION * available) - setup_bytes
@@ -496,8 +497,8 @@ def run_convergence_experiment(
         disc = network.forward_discrete(net, eig, x0)
         return {"error": network.mnn_error(disc, network.forward_continuum(net, cont, basis))}
 
-    grid_bytes = network.continuum_bytes(net, m, K)  # the setup's quadrature basis
-    result = _run_cells(config, threads, ("error",), K, measure, continuum, grid_bytes)
+    setup_bytes = network.continuum_bytes(net, K)  # the setup's streamed quadrature passes
+    result = _run_cells(config, threads, ("error",), K, measure, continuum, setup_bytes)
     result.fit = fit_or_none(result.per_n, "error")
     return result
 

@@ -53,8 +53,9 @@ class Manifold:
     A model sets intrinsic_dim, ambient_dim, volume and quadrature_size (the
     default grid's node count), and supplies sample(rng, n), level(i),
     eigenvalue(i), fill_basis(x, out) (rows 1.. of `eigenbasis`, row 0 being
-    the constant mode) and grid(m). A model may supply kernel_levels(z, count),
-    and with it a cheaper zonal_factors(x, weights) and its
+    the constant mode) and grid(m, start, stop), nodes start..stop-1 of the
+    m-node grid. A model may supply kernel_levels(z, count), and with it
+    level_bound(z), a cheaper zonal_factors(x, weights) and its
     factor_rows(count, n).
     """
 
@@ -73,6 +74,11 @@ class Manifold:
         where level l has sizes[l] modes; or None, where the model has no such
         expansion. Here there is none."""
         return None
+
+    def level_bound(self, z: float) -> float:
+        """A bound on every level's coefficient mu_l of `kernel_levels` at z,
+        in closed form: here 1, the whole expansion's sum."""
+        return 1.0
 
     def zonal_factors(self, x: np.ndarray, weights: np.ndarray):
         """The kernel sum_i weights[i] phi_i(x) phi_i(y) over the first
@@ -177,6 +183,11 @@ class Circle(Manifold):
         2 cos(k (a - b)) is the sum of level k's two modes at a and b."""
         return np.minimum(np.arange(1, 2 * count, 2), 2), _bessel_levels(z, count, half=False)
 
+    def level_bound(self, z: float) -> float:
+        """mu_l <= mu_0 = e^{-z} I_0(z) = (1 / pi) int_0^pi e^{-z (1 - cos a)} da
+        <= sqrt(pi / 8z), as 1 - cos a >= 2 a^2 / pi^2 on [0, pi]."""
+        return min(1.0, math.sqrt(math.pi / (8.0 * z)))
+
     def fill_basis(self, x: np.ndarray, out: np.ndarray) -> None:
         """Mode 2k - 1 is sqrt(2) cos(k theta) and mode 2k sqrt(2) sin(k theta),
         with cos/sin(k theta) from `azimuthal_multiples`, within about k eps of
@@ -187,9 +198,9 @@ class Circle(Manifold):
             if 2 * k < count:
                 np.multiply(sin_k, root2, out=out[2 * k])
 
-    def grid(self, m: int) -> np.ndarray:
+    def grid(self, m: int, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Equispaced angles: the trapezoid rule, spectrally accurate on a periodic domain."""
-        theta = np.arange(m) * (2.0 * math.pi / m)
+        theta = np.arange(start, m if stop is None else stop) * (2.0 * math.pi / m)
         return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
@@ -218,6 +229,10 @@ class Sphere2(Manifold):
         sqrt(pi / 2z) I_{l+1/2}(z), and (2l+1) P_l(x.y) is the sum of level l's
         2l+1 modes at x and y (the addition theorem)."""
         return np.arange(1, 2 * count, 2), _bessel_levels(z, count, half=True)
+
+    def level_bound(self, z: float) -> float:
+        """mu_l <= mu_0 = e^{-z} sinh z / z = -expm1(-2z) / 2z."""
+        return -math.expm1(-2.0 * z) / (2.0 * z)
 
     def legendre_orders(self, x: np.ndarray, top: int):
         """Yield, for m = 0..top, the (top + 1 - m, n) table whose row l - m is
@@ -321,10 +336,10 @@ class Sphere2(Manifold):
         core = (top // 2 + 1) * (top + 1) ** 2 + (top + 1) // 2 * top**2
         return 6 * top + 5 + -(-core // n)
 
-    def grid(self, m: int) -> np.ndarray:
+    def grid(self, m: int, start: int = 0, stop: int | None = None) -> np.ndarray:
         """A Fibonacci lattice."""
         golden = (1.0 + math.sqrt(5.0)) / 2.0
-        i = np.arange(m)
+        i = np.arange(start, m if stop is None else stop)
         z = 1.0 - (2.0 * i + 1.0) / m
         phi = 2.0 * math.pi * i / golden
         r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
@@ -402,11 +417,16 @@ def evaluate_signal(coefficients: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return basis @ coefficients
 
 
-def quadrature_nodes(manifold: Manifold):
+def quadrature_nodes(manifold: Manifold, start: int = 0, stop: int | None = None):
     """Quadrature grid (points, weights) for the normalized measure dV/vol.
 
     The model's quadrature_size nodes with equal weights that sum to 1, so
-    integrals are weighted means.
+    integrals are weighted means; with `start` and `stop`, nodes start..stop-1
+    of them. A node's coordinates depend on its index alone, so chunks of the
+    grid are the full grid's rows to the bit.
     """
     m = manifold.quadrature_size
-    return manifold.grid(m), np.full(m, 1.0 / m)
+    stop = m if stop is None else stop
+    if not 0 <= start <= stop <= m:
+        raise ValueError(f"need 0 <= start <= stop <= {m}, got {start}, {stop}")
+    return manifold.grid(m, start, stop), np.full(stop - start, 1.0 / m)

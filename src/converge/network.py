@@ -7,11 +7,18 @@ continuum pass on the manifold model's closed-form eigenbasis and eigenvalues
 (`manifolds.Manifold.eigenvalues`), exact for bandlimited inputs through the
 first nonlinearity. Everything continuum up to the last nonlinearity needs no
 sample points: `continuum_network` computes it once per experiment (the
-harness runs it while the calibration gate solves), its hidden layers on a
-quadrature grid re-expanded onto a truncated eigenbasis, and
+harness runs it while the calibration gate solves), its hidden layers
+re-expanded onto a truncated eigenbasis by quadrature, and
 `forward_continuum` synthesizes its last coefficients at the eigenbasis of
 the sample points and applies sigma. The two passes are compared by summing
 per-feature G_n norms of the difference at the sample points.
+
+The quadrature grid is never held whole: each hidden layer is one pass over
+it in chunks of QUADRATURE_CHUNK nodes, which accumulates the projection,
+the squares and the sup chunk by chunk (`_quadrature_pass`), and the first
+pass the grid's Gram matrix, from which the residual follows. So the
+setup's peak, `continuum_bytes`, is a few rows of the chunk per mode and
+feature, whatever the grid's size.
 
 Truncation contract: both sides keep K modes at every layer, K the signal's
 width (10 modes on `sphere_rate.json`; a config lists zero coefficients to
@@ -23,6 +30,7 @@ its quadrature residual measures. No array of modes is cut to fit another.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +38,8 @@ import numpy as np
 from .filters import SpectralFilter
 from .manifolds import Manifold, eigenbasis, quadrature_nodes
 from .spectral import EigenSystem, gn_norm
+
+QUADRATURE_CHUNK = 1 << 13  # quadrature nodes a streamed pass evaluates at once
 
 NONLINEARITIES = {
     "abs": np.abs,
@@ -110,9 +120,55 @@ class ContinuumNetwork:
     feature_sup_norms: tuple[float, ...]
 
 
-def continuum_bytes(net: NetworkSpec, manifold: Manifold, k: int) -> int:
-    """Bytes of the quadrature-grid eigenbasis `continuum_network` builds for k modes."""
-    return 8 * manifold.quadrature_size * k if net.depth > 1 else 0
+def continuum_bytes(net: NetworkSpec, k: int) -> int:
+    """Peak bytes of `continuum_network` at k modes, zero without a hidden
+    layer: in rows of QUADRATURE_CHUNK, 2k for a chunk's basis and its
+    weighted copy, three a hidden feature (f, sigma(f) and their difference)
+    and 16 for the chunk's nodes and weights (`eigenbasis`' own working rows,
+    about 2 sqrt(k) + 8 on the sphere, come before the weighted copy and fit
+    in its k); plus 16 k^2 for the Gram matrix and a chunk's term of it. No
+    term grows with the grid's quadrature_size."""
+    if net.depth == 1:
+        return 0
+    return 8 * (QUADRATURE_CHUNK * (2 * k + 3 * max(net.widths[1:-1]) + 16) + 2 * k * k)
+
+
+def _quadrature_pass(sigma, manifold: Manifold, filtered: np.ndarray, gram: np.ndarray | None):
+    """One pass over the quadrature grid, QUADRATURE_CHUNK nodes at a time, for
+    the features f = filtered B^T, B the grid's eigenbasis, and g = sigma(f).
+
+    With w the weights and e = g - f what sigma changes, returns the
+    projections sum_j w_j g(x_j) B_j and sum_j w_j e(x_j) B_j (features, k);
+    per feature sum w g^2, sum w e^2 and max |g|; and the Gram matrix
+    sum_j w_j B_j^T B_j, accumulated here where `gram` is None and returned as
+    given otherwise: it depends on the grid alone.
+    """
+    features, k = filtered.shape
+    projection, changed = np.zeros((features, k)), np.zeros((features, k))
+    squares, change_squares, sups = np.zeros(features), np.zeros(features), np.zeros(features)
+    build = gram is None
+    if build:
+        gram = np.zeros((k, k))
+    size = manifold.quadrature_size
+    for start in range(0, size, QUADRATURE_CHUNK):
+        nodes, weights = quadrature_nodes(manifold, start, min(start + QUADRATURE_CHUNK, size))
+        basis = eigenbasis(manifold, nodes, k)
+        del nodes
+        weighted = basis * weights[:, None]
+        if build:
+            gram += np.dot(basis.T, weighted)
+        before = np.dot(filtered, basis.T)
+        del basis
+        values = sigma(before)
+        change = values - before
+        del before
+        projection += np.dot(values, weighted)
+        changed += np.dot(change, weighted)
+        squares += np.einsum("fj,fj,j->f", values, values, weights)
+        change_squares += np.einsum("fj,fj,j->f", change, change, weights)
+        np.maximum(sups, np.abs(values).max(axis=1), out=sups)
+        del weighted, values, change  # before the next chunk's basis
+    return projection, changed, squares, change_squares, sups, gram
 
 
 def continuum_network(net: NetworkSpec, manifold: Manifold, coefficients: np.ndarray) -> ContinuumNetwork:
@@ -120,9 +176,17 @@ def continuum_network(net: NetworkSpec, manifold: Manifold, coefficients: np.nda
 
     coefficients has shape (F_0, K): each input feature is bandlimited in the
     manifold's first K modes, which the filters act on diagonally with
-    `manifold.eigenvalues(K)`. A nonlinear hidden layer is re-expanded onto
-    the same K modes by quadrature; the dropped mass is its quadrature
-    residual. The hidden layers' residuals and norms are recorded in order.
+    `manifold.eigenvalues(K)`. A hidden layer is one streamed pass over the
+    quadrature grid (`_quadrature_pass`). A nonlinear layer's features
+    g = sigma(f), f = q B with q the filtered coefficients, are re-expanded
+    onto the same K modes, p = sum w g B, and the dropped mass is the
+    quadrature residual ||g - p B||_w. The same pass gives it: with
+    e = g - f, u = sum w e B and G the grid's Gram matrix, p - q is
+    d = u + q (G - I) and the residual is sqrt(sum w e^2 - 2 d.u + d^T G d).
+    Taken about q, not 0, its cancellation is relative to what sigma changes,
+    not to g: a layer that sigma leaves bandlimited reads its residual
+    |d|_G = |q (G - I)|_G, the grid's own error, to rounding. The hidden
+    layers' residuals and norms are recorded in order.
     """
     coeffs = np.atleast_2d(np.asarray(coefficients, dtype=float))
     if coeffs.shape[0] != net.widths[0]:
@@ -130,22 +194,22 @@ def continuum_network(net: NetworkSpec, manifold: Manifold, coefficients: np.nda
     k = coeffs.shape[1]
     eigenvalues = manifold.eigenvalues(k)
     residuals, l2_norms, sup_norms = [], [], []
-    if net.depth > 1:
-        grid, grid_w = quadrature_nodes(manifold)
-        grid_basis = eigenbasis(manifold, grid, k)
+    gram = None
     for bank in net.filters[:-1]:
         filtered = _apply_bank(bank, eigenvalues, coeffs)
-        grid_vals = net.sigma(filtered @ grid_basis.T)
+        projection, changed, squares, change_squares, sups, gram = _quadrature_pass(
+            net.sigma, manifold, filtered, gram
+        )
         if net.nonlinearity == "identity":
             coeffs = filtered  # still bandlimited, nothing to re-expand
             l2_norms.extend(float(np.linalg.norm(c)) for c in coeffs)
         else:
-            coeffs = (grid_vals * grid_w) @ grid_basis
-            recon = coeffs @ grid_basis.T
-            for gv, rv in zip(grid_vals, recon):
-                residuals.append(float(np.sqrt(np.sum(grid_w * (gv - rv) ** 2))))
-                l2_norms.append(float(np.sqrt(np.sum(grid_w * gv**2))))
-        sup_norms.extend(float(np.max(np.abs(gv))) for gv in grid_vals)
+            coeffs = projection
+            shifts = changed + np.dot(filtered, gram - np.eye(k))  # d = p - q, row by row
+            for d, u, e2, s in zip(shifts, changed, change_squares, squares):
+                residuals.append(math.sqrt(max(e2 - 2.0 * np.dot(d, u) + d @ gram @ d, 0.0)))
+                l2_norms.append(math.sqrt(s))
+        sup_norms.extend(float(v) for v in sups)
     return ContinuumNetwork(
         coefficients=_apply_bank(net.filters[-1], eigenvalues, coeffs),
         quadrature_residuals=tuple(residuals),

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -61,6 +62,9 @@ WIDE_CONFIG = dict(
         "nonlinearity": "relu",
     },
 )
+# modes 3..63 zero: the signal takes 64 modes, and a two-layer setup's
+# streamed pass outweighs a cell at n <= 256
+PADDED_SIGNAL = {"coefficients": TINY_CONFIG["signal"]["coefficients"] + [0.0] * 61}
 SPHERE_EIGEN_CONFIG = dict(
     TINY_CONFIG, manifold="sphere2", graph={"scheme": "gaussian", "bandwidth_constant": 2.0}
 )
@@ -243,8 +247,13 @@ def test_cells_start_largest_n_first(monkeypatch, tiny_result, tmp_path):
 
 
 def test_hidden_layers_computed_once_per_run(two_layer_runs):
-    # 4 trials, but the sample-independent hidden layers are built once
-    assert {t: calls for t, (_, calls) in two_layer_runs.items()} == {1: 1, 2: 1, 4: 1}
+    # 4 trials, but the sample-independent hidden layer is one streamed pass
+    # over the quadrature grid a run, one call a chunk, never one a trial
+    m = ExperimentConfig.from_dict(TWO_LAYER_CONFIG).manifold_model
+    chunks = -(-m.quadrature_size // network.QUADRATURE_CHUNK)
+    hidden = len(TWO_LAYER_CONFIG["network"]["widths"]) - 2
+    assert chunks > 1 and hidden == 1
+    assert {t: calls for t, (_, calls) in two_layer_runs.items()} == dict.fromkeys((1, 2, 4), chunks * hidden)
     for res, _ in two_layer_runs.values():
         assert all(r["error"] > 0 for r in res.records)
 
@@ -322,7 +331,7 @@ def test_one_worker_runs_calibration_setup_cells_in_order(monkeypatch):
     calibration_seed = derive_seed(cfg.seed, 2048, 10**6)
     nodes, calibrate = network.quadrature_nodes, harness.resolve_calibration
     sample = harness.manifolds.sample_uniform
-    order = []  # the hidden-layer pass is the only caller of the quadrature grid
+    order = []  # the hidden-layer pass is the only caller of the quadrature grid, once a chunk
 
     def logged(name, fn):
         def call(*args, **kwargs):
@@ -341,7 +350,8 @@ def test_one_worker_runs_calibration_setup_cells_in_order(monkeypatch):
     monkeypatch.setattr(harness, "resolve_calibration", logged("calibration", calibrate))
     monkeypatch.setattr(harness.manifolds, "sample_uniform", sampled)
     run_convergence_experiment(cfg, threads=1)
-    assert order == ["calibration", "setup"] + ["cell"] * 4
+    chunks = -(-cfg.manifold_model.quadrature_size // network.QUADRATURE_CHUNK)
+    assert order == ["calibration"] + ["setup"] * chunks + ["cell"] * 4
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
@@ -482,28 +492,30 @@ def test_unwritable_artifact_is_a_config_error(tmp_path, capsys):
 
 
 def test_setup_basis_over_the_available_memory_is_a_config_error(monkeypatch, tmp_path, capsys):
-    # a two-layer run builds an 8 * quadrature_size * K byte basis on the
-    # quadrature grid in its setup, far above its cells' footprint: more than
-    # all of the available memory is refused before calibration
-    cfg = ExperimentConfig.from_dict(TWO_LAYER_CONFIG)
+    # a two-layer run's setup streams the quadrature grid in chunks; with a
+    # zero-padded signal its peak, continuum_bytes, outweighs a cell's: more
+    # than all of the available memory is refused before calibration
+    raw = dict(TWO_LAYER_CONFIG, signal=PADDED_SIGNAL)
+    cfg = ExperimentConfig.from_dict(raw)
     m, K = cfg.manifold_model, len(cfg.signal_coefficients)
-    grid = 8 * m.quadrature_size * K
-    available = grid - 1
+    setup = network.continuum_bytes(cfg.network, K)
+    available = setup - 1
     assert harness.cell_bytes(cfg, max(cfg.n_grid), K) < harness.MEMORY_FRACTION * available
     monkeypatch.setattr(harness, "available_memory", lambda: available)
     calls = _refuse_calibration(monkeypatch)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(TWO_LAYER_CONFIG))
+    cfg_path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
-    assert f"{grid >> 20} MiB quadrature basis" in err[0]
+    assert f"{setup >> 20} MiB continuum setup" in err[0]
     assert f"{available >> 20} MiB of available memory" in err[0]
     assert not calls and not list(tmp_path.glob("*.csv"))
-    assert network.continuum_bytes(cfg.network, m, K) == grid
-    # a one-layer network builds no grid: the same memory goes on to calibrate
-    tiny = ExperimentConfig.from_dict(TINY_CONFIG)
-    assert network.continuum_bytes(tiny.network, m, K) == 0
+    # the setup is one chunk of the grid, not the grid
+    assert setup < 8 * m.quadrature_size * K
+    # a one-layer network has no hidden layer to stream: the same memory goes on to calibrate
+    tiny = ExperimentConfig.from_dict(dict(TINY_CONFIG, signal=PADDED_SIGNAL))
+    assert network.continuum_bytes(tiny.network, K) == 0
     with pytest.raises(RuntimeError, match="calibration reached"):
         run_convergence_experiment(tiny, threads=1)
     assert calls == [tiny]
@@ -535,15 +547,16 @@ def test_cell_over_the_worker_share_runs_alone(monkeypatch, capsys):
 
 def test_memory_cap_counts_the_setup_basis(monkeypatch, tmp_path):
     # half the memory holds two of the largest cells but not the two-layer
-    # setup's quadrature basis beside them: one worker, which finishes the
-    # setup before any cell; the one-layer run, with no basis, keeps two
-    two = ExperimentConfig.from_dict(TWO_LAYER_CONFIG)
-    m, K = two.manifold_model, len(two.signal_coefficients)
+    # setup's streamed pass beside them (a zero-padded signal, so the setup
+    # outweighs a cell): one worker, which finishes the setup before any
+    # cell; the one-layer run, with no setup, keeps two
+    two = ExperimentConfig.from_dict(dict(TWO_LAYER_CONFIG, signal=PADDED_SIGNAL))
+    K = len(two.signal_coefficients)
     largest = max(harness.cell_bytes(two, n, K) for n in two.n_grid)
-    grid = network.continuum_bytes(two.network, m, K)
-    available = int((grid + largest) / harness.MEMORY_FRACTION)
-    assert 2 * largest < harness.MEMORY_FRACTION * available < grid + 2 * largest
-    assert grid < available  # not refused
+    setup = network.continuum_bytes(two.network, K)
+    available = int((setup + largest) / harness.MEMORY_FRACTION)
+    assert 2 * largest < harness.MEMORY_FRACTION * available < setup + 2 * largest
+    assert setup < available  # not refused
     uncapped = run_convergence_experiment(two, threads=2)
     assert uncapped.metadata["workers"] == 2
     monkeypatch.setattr(harness, "available_memory", lambda: available)
@@ -552,7 +565,7 @@ def test_memory_cap_counts_the_setup_basis(monkeypatch, tmp_path):
     for t, res in (("capped", capped), ("uncapped", uncapped)):
         write_csv(res, tmp_path / f"{t}.csv")
     assert (tmp_path / "capped.csv").read_bytes() == (tmp_path / "uncapped.csv").read_bytes()
-    tiny = ExperimentConfig.from_dict(TINY_CONFIG)
+    tiny = ExperimentConfig.from_dict(dict(TINY_CONFIG, signal=PADDED_SIGNAL))
     assert max(harness.cell_bytes(tiny, n, K) for n in tiny.n_grid) == largest
     assert run_convergence_experiment(tiny, threads=2).metadata["workers"] == 2
 
@@ -578,11 +591,13 @@ def test_both_sides_keep_the_signal_width(monkeypatch):
 
 def test_one_basis_evaluation_per_cell(monkeypatch):
     # a cell's measure evaluates the continuum eigenfunctions at its points once,
-    # for the signal and the continuum output alike; the setup once on its
-    # quadrature grid; and a build once, at its r factor modes, where it stores
-    # zonal factors (on the circle, its one block is the eigenbasis), and not
-    # at all where it stores the dense kernel
-    basis, factors, measured, built = manifolds.eigenbasis, manifolds.Manifold.zonal_factors, [], []
+    # for the signal and the continuum output alike; the setup once a chunk of
+    # its quadrature grid, the chunks partitioning the grid once; and a build
+    # once, at its r factor modes, where it stores zonal factors (on the
+    # circle, its one block is the eigenbasis), and not at all where it
+    # stores the dense kernel
+    basis, factors, nodes = manifolds.eigenbasis, manifolds.Manifold.zonal_factors, network.quadrature_nodes
+    measured, on_grid, built, chunks = [], [], [], []
 
     def counted(calls):
         def evaluate(manifold, x, count):
@@ -594,18 +609,22 @@ def test_one_basis_evaluation_per_cell(monkeypatch):
     for module in (graph, harness, manifolds, network, spectral):
         for attr, value in list(vars(module).items()):
             if value is basis:
-                monkeypatch.setattr(module, attr, counted(measured))
+                monkeypatch.setattr(module, attr, counted(on_grid if module is network else measured))
 
     def built_factors(manifold, x, weights):
         built.append((x.shape[0], len(weights)))
         return factors(manifold, x, weights)
 
+    def chunk(manifold, start, stop):
+        chunks.append((start, stop))
+        return nodes(manifold, start, stop)
+
     monkeypatch.setattr(manifolds.Manifold, "zonal_factors", built_factors)
+    monkeypatch.setattr(network, "quadrature_nodes", chunk)
     cfg = ExperimentConfig.from_dict(dict(TWO_LAYER_CONFIG, n_grid=[100, 256]))  # a dense cell at n = 100
     m, c, K = cfg.manifold_model, cfg.bandwidth_constant, len(cfg.signal_coefficients)
     result = run_convergence_experiment(cfg, threads=2)
     assert result.metadata["failures"] == 0
-    grid = m.quadrature_size
     cells = [n for n in cfg.n_grid for _ in range(cfg.trials)]
     ranks = {}
     for n in cells + [harness.CALIBRATION_N]:
@@ -614,7 +633,12 @@ def test_one_basis_evaluation_per_cell(monkeypatch):
     assert None in ranks.values() and any(ranks.values())  # both storages are built
     factored = [(n, ranks[n]) for n in cells + [harness.CALIBRATION_N] if ranks[n]]
     assert sorted(built) == sorted(factored)
-    assert sorted(measured) == sorted([(n, K) for n in cells] + [(grid, K)] + factored)
+    assert sorted(measured) == sorted([(n, K) for n in cells] + factored)
+    # one hidden layer: the chunks, in order, cover 0..quadrature_size once
+    assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]]
+    assert chunks[-1][1] == m.quadrature_size and len(chunks) > 1
+    assert on_grid == [(b - a, K) for a, b in chunks]
+    assert all(b - a <= network.QUADRATURE_CHUNK for a, b in chunks)
 
 
 def test_refused_run_builds_no_setup_at_one_worker(monkeypatch, tmp_path, capsys):
@@ -1131,6 +1155,20 @@ def test_sphere_dense_is_the_rate_config_below_the_dense_edge():
     m, c = cfg.manifold_model, cfg.bandwidth_constant
     for n in cfg.n_grid:
         assert graph.zonal_weights(m, n, graph.scale_parameter(n, m.intrinsic_dim, c)) is None, n
+
+
+def test_sphere_deep_is_the_deep_workload(monkeypatch):
+    # CI runs sphere_deep.json as the benchmark's sphere-deep workload at its
+    # pinned seed: sphere_rate.json with a two-layer abs network on n 512..2048
+    path = PINNED.parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    rate = json.loads((PINNED / "sphere_rate.json").read_text())
+    deep = json.loads((PINNED / "sphere_deep.json").read_text())
+    assert deep == dict(rate, **workloads.WORKLOADS["sphere-deep"].overrides)
+    assert ExperimentConfig.from_dict(deep).network.depth == 2
 
 
 NO_SCIPY = """

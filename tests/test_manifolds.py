@@ -100,6 +100,21 @@ def test_quadrature_weights_sum_to_one(m):
 
 
 @REGISTERED
+@pytest.mark.parametrize("chunk", [1 << 13, 5000])
+def test_quadrature_chunks_are_the_grid_to_the_bit(m, chunk):
+    # a node's coordinates depend on its index alone
+    grid, w = quadrature_nodes(m)
+    size = m.quadrature_size
+    parts = [quadrature_nodes(m, start, min(start + chunk, size)) for start in range(0, size, chunk)]
+    assert np.array_equal(np.concatenate([p for p, _ in parts]), grid)
+    assert np.array_equal(np.concatenate([q for _, q in parts]), w)
+    assert np.array_equal(quadrature_nodes(m, 7, 7)[0], grid[7:7])
+    for start, stop in ((-1, 5), (6, 5), (0, size + 1)):
+        with pytest.raises(ValueError):
+            quadrature_nodes(m, start, stop)
+
+
+@REGISTERED
 def test_orthonormality(m):
     grid, w = quadrature_nodes(m)
     V = eigenbasis(m, grid, 16)

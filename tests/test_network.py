@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from converge import manifolds
+from converge import manifolds, network
 from converge.filters import constant_filter, exponential_filter, polynomial_filter, tent_filter
 from converge.graph import build_laplacian
 from converge.network import (
     NONLINEARITIES,
     NetworkSpec,
+    _apply_bank,
+    continuum_bytes,
     continuum_network,
     forward_continuum,
     forward_discrete,
@@ -310,6 +313,86 @@ def test_continuum_hidden_layers_split(manifold, widths, nonlinearity):
     assert cont.coefficients.shape == (widths[-1], 10)
     basis = manifolds.eigenbasis(manifold, cloud, 10)
     assert forward_continuum(net, cont, basis).shape == (widths[-1], 200)
+
+
+def _mixed_network(widths, nonlinearity):
+    bank = [exponential_filter(), polynomial_filter([0.5, -0.1]), constant_filter(1.0)]
+    filters = tuple(
+        tuple(tuple(bank[(l + p + q) % 3] for q in range(w_in)) for p in range(w_out))
+        for l, (w_in, w_out) in enumerate(zip(widths, widths[1:]))
+    )
+    return NetworkSpec(widths=widths, filters=filters, nonlinearity=nonlinearity)
+
+
+def _one_shot(net, manifold, coeffs):
+    """The continuum network on the whole quadrature grid's basis at once:
+    residuals straight from the grid values, no Gram matrix."""
+    eigenvalues = manifold.eigenvalues(coeffs.shape[1])
+    grid, w = manifolds.quadrature_nodes(manifold)
+    basis = manifolds.eigenbasis(manifold, grid, coeffs.shape[1])
+    residuals, l2_norms, sup_norms = [], [], []
+    for bank in net.filters[:-1]:
+        filtered = _apply_bank(bank, eigenvalues, coeffs)
+        values = net.sigma(filtered @ basis.T)
+        if net.nonlinearity == "identity":
+            coeffs = filtered
+            l2_norms += [np.linalg.norm(c) for c in coeffs]
+        else:
+            coeffs = (values * w) @ basis
+            for g, r in zip(values, coeffs @ basis.T):
+                residuals.append(np.sqrt(np.sum(w * (g - r) ** 2)))
+                l2_norms.append(np.sqrt(np.sum(w * g**2)))
+        sup_norms += [np.max(np.abs(g)) for g in values]
+    return _apply_bank(net.filters[-1], eigenvalues, coeffs), residuals, l2_norms, sup_norms
+
+
+@pytest.mark.parametrize("widths", [(1, 1, 1), (1, 2, 2, 1)])
+@pytest.mark.parametrize("nonlinearity", ["abs", "relu", "identity"])
+@pytest.mark.parametrize("manifold", manifolds.MODELS.values(), ids=manifolds.MODELS.keys())
+def test_streamed_pass_matches_the_one_shot_grid(manifold, nonlinearity, widths):
+    net = _mixed_network(widths, nonlinearity)
+    coeffs = np.random.default_rng(15).normal(size=(1, 10))
+    coeffs[0, 0] = 0.0  # a signed input: sigma is not the identity on it
+    cont = continuum_network(net, manifold, coeffs)
+    last, residuals, l2_norms, sup_norms = _one_shot(net, manifold, coeffs)
+    assert np.abs(cont.coefficients - last).max() <= 1e-13 * np.abs(last).max()
+    assert len(cont.quadrature_residuals) == len(residuals)
+    assert np.allclose(cont.quadrature_residuals, residuals, rtol=0, atol=1e-10)
+    assert np.allclose(cont.feature_l2_norms, l2_norms, rtol=1e-13, atol=0)
+    assert np.allclose(cont.feature_sup_norms, sup_norms, rtol=1e-13, atol=0)
+
+
+def test_residual_of_a_layer_sigma_leaves_bandlimited():
+    # abs of a positive feature is the feature: the residual is the grid's own
+    # quadrature error, resolved below the sqrt(eps) of a residual taken about 0
+    m = manifolds.Sphere2()
+    net = _mixed_network((1, 1, 1), "abs")
+    coeffs = np.array([[3.0, 0.5, -0.4, 0.2, 0.0, 0.1, 0.0, 0.3, -0.2, 0.1]])
+    cont = continuum_network(net, m, coeffs)
+    _, residuals, _, _ = _one_shot(net, m, coeffs)
+    assert 1e-12 < residuals[0] < 1e-6
+    assert abs(cont.quadrature_residuals[0] - residuals[0]) <= 1e-3 * residuals[0]
+
+
+@pytest.mark.parametrize("k", [10, 64])
+@pytest.mark.parametrize("widths", [(1, 1, 1), (1, 2, 2, 1)])
+@pytest.mark.parametrize("manifold", manifolds.MODELS.values(), ids=manifolds.MODELS.keys())
+def test_setup_peak_is_continuum_bytes(manifold, widths, k):
+    # continuum_bytes is the streamed passes' own peak, to within 32 rows of a
+    # chunk, and does not grow with the grid
+    net = _mixed_network(widths, "abs")
+    coeffs = np.random.default_rng(16).normal(size=(1, k))
+    continuum_network(net, manifold, coeffs)
+    tracemalloc.start()
+    try:
+        continuum_network(net, manifold, coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = continuum_bytes(net, k)
+    assert bound - 32 * 8 * network.QUADRATURE_CHUNK <= peak <= bound
+    assert bound < 8 * manifold.quadrature_size * k
+    assert continuum_bytes(_mixed_network((1, 1), "abs"), k) == 0
 
 
 def test_mnn_error_contract():
