@@ -95,14 +95,8 @@ def zonal_weights(manifold, n: int, t: float, points: np.ndarray | None = None):
     dense kernel. Without `points` the model's own samples are assumed,
     which are unit-norm to rounding.
 
-    Since mu_l <= mu_0, levels 0..L hold at most (modes through L) times the
-    model's `level_bound` of the peak weight. Where that is below 1 - TAIL
-    even at the most modes whose factor rows fit, no tail can be verified,
-    and the dense kernel is picked before any level is computed: the
-    backward recurrence costs O(sqrt z) steps, 270 ms at c = 1e-8 and
-    n = 2048 on the sphere, only to refuse the factors. Otherwise the levels
-    come from `manifold.kernel_levels` in doubling batches, so the choice
-    costs O(levels). Past the last computed level the tail is bounded
+    The levels come from `manifold.kernel_levels` in doubling batches, so the
+    choice costs O(levels). Past the last computed level the tail is bounded
     by the geometric series of the last computed ratio of size * mu terms: on
     both models the ratios never grow (I_{v+1}(z) / I_v(z) falls as v grows,
     and so does the ratio of consecutive level sizes). A batch whose last
@@ -114,14 +108,6 @@ def zonal_weights(manifold, n: int, t: float, points: np.ndarray | None = None):
         if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):
             return None
     z, count = 2.0 / t, 8
-    # every storable level count has fewer modes than the first doubling
-    # whose factor rows do not fit, and each of them holds at most
-    # `level_bound` of the whole sum, 1: no tail below TAIL, no recurrence
-    modes = 1
-    while 2 * manifold.factor_rows(modes, n) < n:
-        modes *= 2
-    if modes * manifold.level_bound(z) < 1.0 - TAIL:
-        return None
     while True:
         levels = manifold.kernel_levels(z, count)
         if levels is None:

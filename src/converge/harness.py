@@ -384,6 +384,13 @@ def cell_bytes(config: ExperimentConfig, n: int, K: int) -> int:
     return kernel + spectral.peak_bytes(n, K)
 
 
+def _size(nbytes: int) -> str:
+    """A byte count for a message: exact below 10 MiB, where a streamed
+    setup sits and a refused size could round to the memory that refused
+    it, else in MiB to one decimal."""
+    return f"{nbytes} bytes" if nbytes < 10 << 20 else f"{nbytes / (1 << 20):.1f} MiB"
+
+
 def _run_cells(config, threads, keys, K, measure, setup, setup_bytes) -> ExperimentResult:
     """Run every (n, trial) cell and summarize per n.
 
@@ -424,13 +431,13 @@ def _run_cells(config, threads, keys, K, measure, setup, setup_bytes) -> Experim
     largest = max(cell_bytes(config, n, K) for n in config.n_grid)
     for size, what in ((largest, "cell"), (setup_bytes, "continuum setup")):
         if available is not None and size > available:
-            raise ConfigError(f"a {size >> 20} MiB {what} exceeds {available >> 20} MiB of available memory")
+            raise ConfigError(f"a {_size(size)} {what} exceeds {_size(available)} of available memory")
     budget = None if available is None else int(MEMORY_FRACTION * available) - setup_bytes
     fit = workers if budget is None else max(1, budget // largest)
     if fit < workers:
         workers = fit
-        msg = f"available memory {available >> 20} MiB, {largest >> 20} MiB a cell, "
-        print(msg + f"{setup_bytes >> 20} MiB the setup: {workers} workers", file=sys.stderr)
+        msg = f"available memory {_size(available)}, {_size(largest)} a cell, "
+        print(msg + f"{_size(setup_bytes)} the setup: {workers} workers", file=sys.stderr)
 
     def cell(n, trial, seed):
         record = {"n": n, "trial": trial, "seed": seed}

@@ -54,9 +54,8 @@ class Manifold:
     default grid's node count), and supplies sample(rng, n), level(i),
     eigenvalue(i), fill_basis(x, out) (rows 1.. of `eigenbasis`, row 0 being
     the constant mode) and grid(m, start, stop), nodes start..stop-1 of the
-    m-node grid. A model may supply kernel_levels(z, count), and with it
-    level_bound(z), a cheaper zonal_factors(x, weights) and its
-    factor_rows(count, n).
+    m-node grid. A model may supply kernel_levels(z, count), and with it a
+    cheaper zonal_factors(x, weights) and its factor_rows(count, n).
     """
 
     intrinsic_dim: int
@@ -74,11 +73,6 @@ class Manifold:
         where level l has sizes[l] modes; or None, where the model has no such
         expansion. Here there is none."""
         return None
-
-    def level_bound(self, z: float) -> float:
-        """A bound on every level's coefficient mu_l of `kernel_levels` at z,
-        in closed form: here 1, the whole expansion's sum."""
-        return 1.0
 
     def zonal_factors(self, x: np.ndarray, weights: np.ndarray):
         """The kernel sum_i weights[i] phi_i(x) phi_i(y) over the first
@@ -183,11 +177,6 @@ class Circle(Manifold):
         2 cos(k (a - b)) is the sum of level k's two modes at a and b."""
         return np.minimum(np.arange(1, 2 * count, 2), 2), _bessel_levels(z, count, half=False)
 
-    def level_bound(self, z: float) -> float:
-        """mu_l <= mu_0 = e^{-z} I_0(z) = (1 / pi) int_0^pi e^{-z (1 - cos a)} da
-        <= sqrt(pi / 8z), as 1 - cos a >= 2 a^2 / pi^2 on [0, pi]."""
-        return min(1.0, math.sqrt(math.pi / (8.0 * z)))
-
     def fill_basis(self, x: np.ndarray, out: np.ndarray) -> None:
         """Mode 2k - 1 is sqrt(2) cos(k theta) and mode 2k sqrt(2) sin(k theta),
         with cos/sin(k theta) from `azimuthal_multiples`, within about k eps of
@@ -229,10 +218,6 @@ class Sphere2(Manifold):
         sqrt(pi / 2z) I_{l+1/2}(z), and (2l+1) P_l(x.y) is the sum of level l's
         2l+1 modes at x and y (the addition theorem)."""
         return np.arange(1, 2 * count, 2), _bessel_levels(z, count, half=True)
-
-    def level_bound(self, z: float) -> float:
-        """mu_l <= mu_0 = e^{-z} sinh z / z = -expm1(-2z) / 2z."""
-        return -math.expm1(-2.0 * z) / (2.0 * z)
 
     def legendre_orders(self, x: np.ndarray, top: int):
         """Yield, for m = 0..top, the (top + 1 - m, n) table whose row l - m is

@@ -403,40 +403,3 @@ def test_a_model_without_an_expansion_uses_the_dense_kernel():
     p = manifolds.sample_uniform(m, n, seed=4)
     assert _operator(p, Bare(), c)._factors is None
     assert graph.kernel_bytes(Bare(), n, c) == 16 * n * n
-
-
-@pytest.mark.parametrize("m", manifolds.MODELS.values(), ids=manifolds.MODELS.keys())
-def test_level_bound_bounds_every_level(m):
-    for z in (1e-6, 0.1, 1.0, 30.0, 1e3, 1e5):
-        sizes, mu = m.kernel_levels(z, 16)
-        assert np.all(mu <= m.level_bound(z) * (1.0 + 1e-13)), z
-
-
-@pytest.mark.parametrize("m", manifolds.MODELS.values(), ids=manifolds.MODELS.keys())
-def test_level_bound_does_not_change_the_storage_choice(m, monkeypatch):
-    # the bound only skips the recurrence where its levels could not be stored
-    grid = [(n, c) for n in (361, 2048, 16384) for c in (1e-8, 1e-6, 1e-4, 1e-2, 0.25, 2.0, 32.0)]
-    bounded = []
-    for n, c in grid:
-        bounded.append(graph.zonal_weights(m, n, scale_parameter(n, m.intrinsic_dim, c)))
-    monkeypatch.setattr(type(m), "level_bound", lambda self, z: 1.0)
-    for (n, c), weights in zip(grid, bounded):
-        full = graph.zonal_weights(m, n, scale_parameter(n, m.intrinsic_dim, c))
-        assert (weights is None) == (full is None), (n, c)
-        assert full is None or np.array_equal(weights, full), (n, c)
-    assert any(w is None for w in bounded) and any(w is not None for w in bounded)
-
-
-@pytest.mark.parametrize("m", manifolds.MODELS.values(), ids=manifolds.MODELS.keys())
-def test_a_tiny_bandwidth_picks_the_dense_kernel_without_the_recurrence(m, monkeypatch):
-    calls = []
-    levels = type(m).kernel_levels
-    monkeypatch.setattr(
-        type(m), "kernel_levels", lambda self, z, count: calls.append(z) or levels(self, z, count)
-    )
-    for n in (2048, 16384):
-        assert graph.zonal_weights(m, n, scale_parameter(n, m.intrinsic_dim, 1e-8)) is None
-        assert graph.kernel_bytes(m, n, 1e-8) == 16 * n * n
-    assert calls == []
-    assert graph.zonal_weights(m, 2048, scale_parameter(2048, m.intrinsic_dim, 2.0)) is not None
-    assert len(calls) >= 1

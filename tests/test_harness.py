@@ -508,8 +508,8 @@ def test_setup_basis_over_the_available_memory_is_a_config_error(monkeypatch, tm
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
-    assert f"{setup >> 20} MiB continuum setup" in err[0]
-    assert f"{available >> 20} MiB of available memory" in err[0]
+    assert f"a {setup} bytes continuum setup exceeds {setup - 1} bytes of available" in err[0]
+    assert harness._size((10 << 20) - 1) == "10485759 bytes" and harness._size(10 << 20) == "10.0 MiB"
     assert not calls and not list(tmp_path.glob("*.csv"))
     # the setup is one chunk of the grid, not the grid
     assert setup < 8 * m.quadrature_size * K
@@ -542,7 +542,8 @@ def test_cell_over_the_worker_share_runs_alone(monkeypatch, capsys):
     monkeypatch.setattr(harness, "available_memory", lambda: largest + 1)
     result = run_convergence_experiment(cfg, threads=4)
     assert result.metadata["workers"] == 1 and result.metadata["failures"] == 0
-    assert "1 workers" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"available memory {largest + 1} bytes, {largest} bytes a cell, 0 bytes the setup: 1 workers" in err
 
 
 def test_memory_cap_counts_the_setup_basis(monkeypatch, tmp_path):
