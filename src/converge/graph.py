@@ -10,14 +10,14 @@ offered as a second scheme.
 
 The same matrix is stored in one of two ways, and `zonal_weights` picks it.
 
-The dense kernel. The full n x n weight matrix is built by one matmul against
-points pre-scaled by 1/t, one broadcast subtract of a row term (the squared
-norm over t, less half the log prefactor), one add of the result's own
-transpose, which makes it exactly symmetric, one `minimum` that clamps the
-exponent where roundoff makes r^2 negative, and one `exp`; the diagonal is
-then zeroed. The build peaks at the kernel and the half it is summed from,
-16 n^2 bytes, and a matvec is one BLAS matrix-vector product over the
-kernel, 8 n^2 bytes read.
+The dense kernel, `gaussian_kernel`. The full n x n weight matrix is built by
+one matmul against points pre-scaled by 1/t, one broadcast subtract of a row
+term (the squared norm over t, less half the log prefactor), one add of the
+result's own transpose, which makes it exactly symmetric, one `minimum` that
+clamps the exponent where roundoff makes r^2 negative, and one `exp`; the
+diagonal is then zeroed. The build peaks at the kernel and the half it is
+summed from, 16 n^2 bytes, and a matvec is one BLAS matrix-vector product
+over the kernel, 8 n^2 bytes read.
 
 The zonal factors. On unit-norm points |x - y|^2 = 2 - 2 x.y, so with
 z = 2/t a weight is t^(-d/2) e^(-z) exp(z x.y), a function of x.y alone. On
@@ -34,18 +34,19 @@ cos/sin(m phi), and per order m a core G_m, with A the sum over trig rows c
 of diag(c) T^T G_m(c) T diag(c). That sweep runs by parity of m:
 Y = (trig * x) T^T, each order's two rows of Y times G_m in one batched
 `matmul`, W = Z^T trig, and A x = sum_k T_k * W_k. It does about
-8 n (L + 1)^2 flops as four GEMMs, twice a per-order Legendre table sweep's
-two-column products, but reads under a third of its bytes: 16 n R with R,
-the model's `factor_rows` of rows stored and worked in, 195 at L = 31 where
-the tables took 672. W is written over the scaled trig, in working rows
-each thread allocates once (allocated every sweep, they cost about 1500
-page faults a sweep at n = 8192, 5.2 ms against 3.2). Every 2-D product is
-an `np.dot`: at these shapes `matmul` holds the GIL through the call (a
-thread looping a (2, 8192) by (8192, 32) `matmul` kept a pure-Python thread
-out of the GIL in gaps over 30 us half the time; `np.dot`, 1%). The factors
+8 n (L + 1)^2 flops as four GEMMs and reads 16 n R bytes, R the model's
+`factor_rows` of rows stored and worked in, 195 at L = 31. W is written
+over the scaled trig, in working rows each thread allocates once (allocated
+every sweep, they cost about 1500 page faults a sweep at n = 8192, 5.2 ms
+against 3.2). Every 2-D product is an `np.dot`: at these shapes `matmul`
+holds the GIL through the call (a thread looping a (2, 8192) by (8192, 32)
+`matmul` kept a pure-Python thread out of the GIL in gaps over 30 us half
+the time; `np.dot`, 1%). The factors
 are stored where all of these hold: the model has an expansion, every point
 has ||x|^2 - 1| <= UNIT_TOL, the tail is verified, and 16 n R < 8 n^2, that
-is 2 R < n. Otherwise the dense kernel is.
+is 2 R < n. Otherwise the dense kernel is. `_factored_sweep` is the one
+reader of the factors: `dense_matrix`, the oracle, is the definition at the
+points either way, so a fault in the stored factors moves Lanczos off it.
 
 The harness bounds memory by capping its worker count, not here;
 `kernel_bytes` is the kernel's share of a cell, from the same choice.
@@ -133,6 +134,22 @@ def zonal_weights(manifold, n: int, t: float, points: np.ndarray | None = None):
         count *= 2
 
 
+def gaussian_kernel(points: np.ndarray, d: int, t: float) -> np.ndarray:
+    """The n x n weights t^(-d/2) exp(-|x_i - x_j|^2 / t) of an (n, D) point
+    array, zero on the diagonal: the kernel's definition and dense storage."""
+    # a weight is exp(min(log t^{-d/2} + (2 x_i.x_j - |x_i|^2 - |x_j|^2) / t, log t^{-d/2})),
+    # the min the r^2 >= 0 clamp; half[i, j] = (x_i.x_j - |x_i|^2) / t + log t^{-d/2} / 2
+    inv_t = 1.0 / t
+    log_pref = math.log(t ** (-d / 2.0))
+    half = points @ (points * inv_t).T
+    half -= (np.einsum("ij,ij->i", points, points) * inv_t - 0.5 * log_pref)[:, None]
+    kernel = half + half.T  # a + b == b + a: exactly symmetric
+    np.minimum(kernel, log_pref, out=kernel)
+    np.exp(kernel, out=kernel)
+    np.fill_diagonal(kernel, 0.0)
+    return kernel
+
+
 def kernel_bytes(manifold, n: int, c: float) -> int:
     """Bytes of an n-point kernel at bandwidth constant c, as `build_laplacian`
     stores it: 8 n R for the R `factor_rows` of the zonal factors, or 16 n^2
@@ -160,20 +177,10 @@ class LaplacianOperator:
             self._work = threading.local()  # each thread's working rows
             self._factors = manifold.zonal_factors(points, t ** (-d / 2.0) * weights)
             self._degrees = self._factored_sweep(np.ones(n))
+            self._definition = points, d, t  # what `dense_matrix` rebuilds the kernel from
             return
-        # a weight, without the outer scale, is exp(min(log t^{-d/2} +
-        # (2 x_i.x_j - |x_i|^2 - |x_j|^2) / t, log t^{-d/2})): the minimum is
-        # the r^2 >= 0 clamp; half[i, j] = (x_i.x_j - |x_i|^2) / t + log t^{-d/2} / 2
-        inv_t = 1.0 / t
-        log_pref = math.log(t ** (-d / 2.0))
-        half = points @ (points * inv_t).T
-        half -= (np.einsum("ij,ij->i", points, points) * inv_t - 0.5 * log_pref)[:, None]
-        kernel = half + half.T  # a + b == b + a: exactly symmetric
-        np.minimum(kernel, log_pref, out=kernel)
-        np.exp(kernel, out=kernel)
-        np.fill_diagonal(kernel, 0.0)
-        self._kernel = kernel
-        self._degrees = kernel.sum(axis=1)
+        self._kernel = gaussian_kernel(points, d, t)
+        self._degrees = self._kernel.sum(axis=1)
 
     def _factored_sweep(self, x: np.ndarray) -> np.ndarray:
         """A x for a vector x (n,). With no trig, rows^T (cores * rows x): two
@@ -207,22 +214,11 @@ class LaplacianOperator:
         return self._scale * (self._degrees * x - ax)
 
     def dense_matrix(self) -> np.ndarray:
-        """Materialize L as a dense symmetric matrix (oracle/testing path)."""
-        if self._factors is None:
-            k = self._kernel
-        else:
-            rows, trig, cores = self._factors
-            if trig is None:
-                k = np.dot(rows.T, cores[:, None] * rows)
-            else:  # the sum over trig rows c of U_c^T G U_c, U_c = T * c
-                k, i, j = 0.0, 0, 0
-                for core in cores:
-                    orders, width = core.shape[:2]
-                    u = rows[i : i + width] * trig[j : j + 2 * orders, None]
-                    v = np.matmul(np.repeat(core, 2, axis=0), u)
-                    k = k + np.dot(u.reshape(-1, self.n).T, v.reshape(-1, self.n))
-                    i, j = i + width, j + 2 * orders
-        return self._scale * (np.diag(self._degrees) - k)
+        """Materialize L as a dense symmetric matrix from its definition,
+        `gaussian_kernel` at the points (oracle/testing path): the dense
+        storage's own kernel, or rebuilt, reading none of the zonal factors."""
+        k = self._kernel if self._factors is None else gaussian_kernel(*self._definition)
+        return self._scale * (np.diag(k.sum(axis=1)) - k)
 
     def degree_bound(self) -> float:
         """Gershgorin-style upper bound on the spectrum of L."""

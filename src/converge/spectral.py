@@ -22,8 +22,8 @@ pairs kept: LAPACK runs with the GIL released, so the other workers' sweeps
 go on meanwhile (two threads looping it at m = 50 made 1.95 times the calls
 of one, where scipy's `eigh_tridiagonal`, which holds the GIL, made 1.0
 times), at about 0.2 ms a check at m = 50 and 40 m^2 bytes (`peak_bytes`).
-A dense `eigh` of the materialized matrix is kept only as the oracle, for a
-caller that names it.
+A dense `eigh` of the pairwise kernel at the points, which reads none of the
+stored factors, is kept only as the oracle, for a caller that names it.
 """
 
 from __future__ import annotations

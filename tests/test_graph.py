@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from converge import graph, manifolds, spectral
 from converge.graph import build_laplacian, calibration_constant, scale_parameter
+from converge.harness import EIGEN_TOL
 
 # bandwidth constants under the ids of the two schemes there once were: the
 # heat-kernel operator at c = 1 is the gaussian one at 4 (test_heat_scheme_is_gaussian_at_4c)
@@ -254,18 +255,41 @@ def test_zonal_factors_match_the_pairwise_kernel(case):
     t, d = scale_parameter(n, m.intrinsic_dim, c), m.intrinsic_dim
     peak, scale = t ** (-d / 2), calibration_constant(m) / (n * t)
     k = _pairwise_kernel(p, t, peak)  # self-weights included, as the factors keep them
-    L = op.dense_matrix()
-    off = ~np.eye(n, dtype=bool)
-    assert np.abs(-L[off] / scale - k[off]).max() <= 1e-13 * peak
+    # the stored kernel, read through the sweep column by column
+    a = np.array([op._factored_sweep(e) for e in np.eye(n)]).T
+    assert np.abs(a - k).max() <= 1e-13 * peak
     # the degrees are A 1 less the self-weight, and L annihilates constants
-    assert np.allclose(np.diag(L) / scale, k.sum(axis=1) - peak, rtol=1e-13, atol=0)
+    assert np.allclose(op._degrees - np.diag(a), k.sum(axis=1) - peak, rtol=1e-13, atol=0)
     assert np.abs(op.matvec(np.ones(n))).max() <= 1e-12 * op.degree_bound()
+    L = scale * (np.diag(op._degrees) - a)
     want = scale * (np.diag(k.sum(axis=1)) - k)
     assert np.allclose(L, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    assert np.allclose(op.dense_matrix(), want, rtol=0, atol=1e-12 * np.abs(want).max())
     x = np.random.default_rng(2).standard_normal(n)
     assert np.allclose(op.matvec(x), L @ x, rtol=0, atol=1e-12 * np.abs(L @ x).max())
     with pytest.raises(ValueError):
         op.matvec(np.ones(n + 1))
+
+
+@pytest.mark.parametrize("m", manifolds.MODELS.values(), ids=manifolds.MODELS.keys())
+def test_the_oracle_reads_none_of_the_stored_factors(m):
+    # a fault in the stored factors moves the sweep, and so Lanczos, but not
+    # the oracle, which is the pairwise kernel at the points
+    n, c, d = 512, 2.0, m.intrinsic_dim
+    p = manifolds.sample_uniform(m, n, seed=4)
+    op = _operator(p, m, c)
+    _, trig, cores = op._factors
+    if trig is None:
+        cores *= 1.01  # the circle's weights
+    else:
+        cores[0][0] *= 1.01  # the sphere's order-0 core
+    op._degrees = op._factored_sweep(np.ones(n))
+    t = scale_parameter(n, d, c)
+    reference = graph.LaplacianOperator(p, d, t, calibration_constant(m))
+    assert np.array_equal(op.dense_matrix(), reference.dense_matrix())
+    dense = spectral.smallest_eigenpairs(op, K=10, tol=EIGEN_TOL, method="dense").eigenvalues
+    lanczos = spectral.smallest_eigenpairs(op, K=10, tol=EIGEN_TOL).eigenvalues
+    assert np.abs(dense - lanczos).max() > 100 * EIGEN_TOL
 
 
 def test_separable_sweep_matches_the_sum_over_modes():
