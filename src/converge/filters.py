@@ -34,11 +34,11 @@ def exponential_filter() -> SpectralFilter:
     return SpectralFilter(lambda lam: np.exp(-lam))
 
 
-def constant_filter(value: float = 1.0) -> SpectralFilter:
+def constant_filter(value: float) -> SpectralFilter:
     return SpectralFilter(lambda lam, v=value: np.full_like(lam, v))
 
 
-def tent_filter(center: float = 3.0) -> SpectralFilter:
+def tent_filter(center: float) -> SpectralFilter:
     """h(lambda) = max(0, 1 - |lambda - center|)."""
     return SpectralFilter(lambda lam, c=center: np.maximum(0.0, 1.0 - np.abs(lam - c)))
 

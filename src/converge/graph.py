@@ -42,9 +42,9 @@ against 3.2). Every 2-D product is an `np.dot`: at these shapes `matmul`
 holds the GIL through the call (a thread looping a (2, 8192) by (8192, 32)
 `matmul` kept a pure-Python thread out of the GIL in gaps over 30 us half
 the time; `np.dot`, 1%). The factors
-are stored where all of these hold: the model has an expansion, every point
-has ||x|^2 - 1| <= UNIT_TOL, the tail is verified, and 16 n R < 8 n^2, that
-is 2 R < n. Otherwise the dense kernel is. `_factored_sweep` is the one
+are stored where all of these hold: every point has ||x|^2 - 1| <= UNIT_TOL,
+the tail is verified, and 16 n R < 8 n^2, that is 2 R < n. Otherwise the
+dense kernel is. `_factored_sweep` is the one
 reader of the factors: `dense_matrix`, the oracle, is the definition at the
 points either way, so a fault in the stored factors moves Lanczos off it.
 
@@ -78,23 +78,21 @@ def calibration_constant(manifold) -> float:
     The kernel exp(-r^2/t) has per-coordinate second moment pi^{d/2} t / 2,
     and the Taylor expansion contributes another 1/2, so after the outer 1/t
     the graph Laplacian approximates pi^{d/2} / (4 vol) times the manifold
-    operator; the constant is therefore 4 vol / pi^{d/2}. `build_laplacian`
+    operator; the constant is therefore 4 vol / pi^{d/2}. `LaplacianOperator`
     applies it; the harness only checks it against the model's lambda_1, and
     a miss refuses the run.
     """
     return 4.0 * manifold.volume / math.pi ** (manifold.intrinsic_dim / 2.0)
 
 
-def zonal_weights(manifold, n: int, t: float, points: np.ndarray | None = None):
+def zonal_weights(manifold, n: int, t: float):
     """Per-mode coefficients mu_i (r,) of the zonal factors an n-point kernel
-    at bandwidth t is stored as, or None where it is stored dense.
+    at bandwidth t on unit-norm points is stored as, or None where it is
+    stored dense.
 
-    None where the model has no expansion, a given point is off the unit
-    sphere by more than UNIT_TOL in |x|^2, no level's tail is verified below
-    TAIL, or 2 R >= n, R being the model's `factor_rows` of the r modes: a
-    sweep reads each stored row twice, 16 n R bytes, against the 8 n^2 of the
-    dense kernel. Without `points` the model's own samples are assumed,
-    which are unit-norm to rounding.
+    None where no level's tail is verified below TAIL, or 2 R >= n, R being
+    the model's `factor_rows` of the r modes: a sweep reads each stored row
+    twice, 16 n R bytes, against the 8 n^2 of the dense kernel.
 
     The levels come from `manifold.kernel_levels` in doubling batches, so the
     choice costs O(levels). Past the last computed level the tail is bounded
@@ -104,16 +102,9 @@ def zonal_weights(manifold, n: int, t: float, points: np.ndarray | None = None):
     ratio is not below 1 bounds nothing, and a batch whose levels fill n / 2
     factor rows unverified means the dense kernel.
     """
-    if points is not None:
-        norms = np.einsum("ij,ij->i", points, points)
-        if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):
-            return None
     z, count = 2.0 / t, 8
     while True:
-        levels = manifold.kernel_levels(z, count)
-        if levels is None:
-            return None
-        sizes, mu = levels
+        sizes, mu = manifold.kernel_levels(z, count)
         terms = sizes * mu
         last, before = float(terms[-1]), float(terms[-2])
         if last == 0.0:
@@ -160,18 +151,23 @@ def kernel_bytes(manifold, n: int, c: float) -> int:
 
 
 class LaplacianOperator:
-    """Symmetric PSD graph Laplacian over n points, kernel cached at build.
+    """Symmetric PSD graph Laplacian of an (n, D) point array sampled from
+    `manifold`, at bandwidth t = scale_parameter(n, d, c) and scaled by
+    calibration_constant, kernel cached at build.
 
-    Given a manifold whose `zonal_weights` hold at the points, the kernel is
-    stored as its zonal factors; otherwise, and always without a manifold, as
-    the dense n x n kernel. Self-weights cancel identically in D - A: the
-    dense kernel zeroes them, and the factors keep them in both D and A.
+    Where every point has ||x|^2 - 1| <= UNIT_TOL and `zonal_weights` holds,
+    the kernel is stored as its zonal factors; otherwise as the dense n x n
+    kernel. Self-weights cancel identically in D - A: the dense kernel
+    zeroes them, and the factors keep them in both D and A.
     """
 
-    def __init__(self, points: np.ndarray, d: int, t: float, calibration: float, manifold=None):
+    def __init__(self, points: np.ndarray, manifold, c: float):
         self.n = n = points.shape[0]
-        self._scale = calibration / (n * t)
-        weights = None if manifold is None else zonal_weights(manifold, n, t, points)
+        d = manifold.intrinsic_dim
+        t = scale_parameter(n, d, c)
+        self._scale = calibration_constant(manifold) / (n * t)
+        norms = np.einsum("ij,ij->i", points, points)
+        weights = zonal_weights(manifold, n, t) if np.all(np.abs(norms - 1.0) <= UNIT_TOL) else None
         self._kernel = self._factors = None
         if weights is not None:
             self._work = threading.local()  # each thread's working rows
@@ -226,14 +222,10 @@ class LaplacianOperator:
 
 
 def build_laplacian(points: np.ndarray, manifold, c: float) -> LaplacianOperator:
-    """The graph Laplacian of an (n, D) point array sampled from `manifold`,
-    at bandwidth t = scale_parameter(n, d, c), scaled by calibration_constant,
-    its kernel stored as `zonal_weights` picks."""
+    """The `LaplacianOperator` of an (n, D) point array sampled from
+    `manifold` at bandwidth constant c, once its coordinates are checked
+    finite; fewer than 2 points or c <= 0 fail in `scale_parameter`."""
     x = np.asarray(points, float)
-    if x.shape[0] < 2:
-        raise ValueError(f"need at least 2 points, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):
         raise ValueError("point cloud contains non-finite coordinates")
-    d = manifold.intrinsic_dim
-    t = scale_parameter(x.shape[0], d, c)
-    return LaplacianOperator(x, d, t, calibration_constant(manifold), manifold)
+    return LaplacianOperator(x, manifold, c)

@@ -190,7 +190,7 @@ class ExperimentConfig:
             return d.pop(key, default)
 
         def section(key: str) -> dict:
-            value = take(raw, key, default={}) or {}
+            value = take(raw, key, default={})
             if not isinstance(value, dict):
                 raise ConfigError(f"{key} must be an object, got {value!r}")
             return dict(value)

@@ -53,9 +53,12 @@ class Manifold:
     A model sets intrinsic_dim, ambient_dim, volume and quadrature_size (the
     default grid's node count), and supplies sample(rng, n), level(i),
     eigenvalue(i), fill_basis(x, out) (rows 1.. of `eigenbasis`, row 0 being
-    the constant mode) and grid(m, start, stop), nodes start..stop-1 of the
-    m-node grid. A model may supply kernel_levels(z, count), and with it a
-    cheaper zonal_factors(x, weights) and its factor_rows(count, n).
+    the constant mode), grid(m, start, stop), nodes start..stop-1 of the
+    m-node grid, and kernel_levels(z, count): (sizes, mu) over levels
+    0..count-1, such that e^{-z} exp(z x.y) = sum_l mu_l sum_{i in level l}
+    phi_i(x) phi_i(y) for unit-norm x, y, where level l has sizes[l] modes.
+    A model may supply a cheaper zonal_factors(x, weights) and its
+    factor_rows(count, n).
     """
 
     intrinsic_dim: int
@@ -66,13 +69,6 @@ class Manifold:
     def eigenvalues(self, count: int) -> np.ndarray:
         """Eigenvalues of modes 0..count-1."""
         return np.array([self.eigenvalue(i) for i in range(count)])
-
-    def kernel_levels(self, z: float, count: int):
-        """(sizes, mu) over levels 0..count-1, such that e^{-z} exp(z x.y) =
-        sum_l mu_l sum_{i in level l} phi_i(x) phi_i(y) for unit-norm x, y,
-        where level l has sizes[l] modes; or None, where the model has no such
-        expansion. Here there is none."""
-        return None
 
     def zonal_factors(self, x: np.ndarray, weights: np.ndarray):
         """The kernel sum_i weights[i] phi_i(x) phi_i(y) over the first
@@ -187,9 +183,9 @@ class Circle(Manifold):
             if 2 * k < count:
                 np.multiply(sin_k, root2, out=out[2 * k])
 
-    def grid(self, m: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    def grid(self, m: int, start: int, stop: int) -> np.ndarray:
         """Equispaced angles: the trapezoid rule, spectrally accurate on a periodic domain."""
-        theta = np.arange(start, m if stop is None else stop) * (2.0 * math.pi / m)
+        theta = np.arange(start, stop) * (2.0 * math.pi / m)
         return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
@@ -321,10 +317,10 @@ class Sphere2(Manifold):
         core = (top // 2 + 1) * (top + 1) ** 2 + (top + 1) // 2 * top**2
         return 6 * top + 5 + -(-core // n)
 
-    def grid(self, m: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    def grid(self, m: int, start: int, stop: int) -> np.ndarray:
         """A Fibonacci lattice."""
         golden = (1.0 + math.sqrt(5.0)) / 2.0
-        i = np.arange(start, m if stop is None else stop)
+        i = np.arange(start, stop)
         z = 1.0 - (2.0 * i + 1.0) / m
         phi = 2.0 * math.pi * i / golden
         r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
@@ -402,16 +398,15 @@ def evaluate_signal(coefficients: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return basis @ coefficients
 
 
-def quadrature_nodes(manifold: Manifold, start: int = 0, stop: int | None = None):
-    """Quadrature grid (points, weights) for the normalized measure dV/vol.
+def quadrature_nodes(manifold: Manifold, start: int, stop: int):
+    """Nodes start..stop-1 (points, weights) of the quadrature grid for the
+    normalized measure dV/vol.
 
-    The model's quadrature_size nodes with equal weights that sum to 1, so
-    integrals are weighted means; with `start` and `stop`, nodes start..stop-1
-    of them. A node's coordinates depend on its index alone, so chunks of the
-    grid are the full grid's rows to the bit.
+    The model's quadrature_size nodes have equal weights that sum to 1, so
+    integrals are weighted means. A node's coordinates depend on its index
+    alone, so chunks of the grid are the full grid's rows to the bit.
     """
     m = manifold.quadrature_size
-    stop = m if stop is None else stop
     if not 0 <= start <= stop <= m:
         raise ValueError(f"need 0 <= start <= stop <= {m}, got {start}, {stop}")
     return manifold.grid(m, start, stop), np.full(stop - start, 1.0 / m)

@@ -38,22 +38,21 @@ def test_gaussian_kernel_weight():
     # a_ij = t^{-d/2} exp(-r^2/t) at d=2, t=0.25, r=0.5 -> 4 e^{-1}
     z = 1.0 - 0.25 / 2.0  # two points on the unit sphere at r^2 = 0.25
     pts = np.array([[0.0, 0.0, 1.0], [math.sqrt(1.0 - z * z), 0.0, z]])
-    t = 0.25
-    op = graph.LaplacianOperator(pts, 2, t, 2 * t)  # outer scale 1
-    a = -op.dense_matrix()[0, 1]
+    a = graph.gaussian_kernel(pts, 2, 0.25)[0, 1]
     assert a == pytest.approx(4 * math.exp(-1), rel=1e-12)
     assert a == pytest.approx(1.471518, abs=1e-6)
 
 
 def test_heat_prefactor_at_reference_bandwidth():
     # at 4 pi t = 1 the full heat weight prefactor is 4 pi / n; the heat
-    # operator at t with calibration 1 is the gaussian one at 4t with 4 / pi
+    # operator at t with calibration 1 is the gaussian one at 4t with 4 / pi,
+    # whose outer scale (4 / pi) / (n 4t) is 4 / n
     m, n = manifolds.Sphere2(), 10
     p = manifolds.sample_uniform(m, n, seed=2)
-    L = graph.LaplacianOperator(p, 2, 4 / (4 * math.pi), 4 / math.pi).dense_matrix()
+    w = 4 / n * graph.gaussian_kernel(p, 2, 1 / math.pi)
     r2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
     off = ~np.eye(n, dtype=bool)
-    assert np.allclose(-L[off], 4 * math.pi / n * np.exp(-math.pi * r2[off]), rtol=1e-12, atol=0)
+    assert np.allclose(w[off], 4 * math.pi / n * np.exp(-math.pi * r2[off]), rtol=1e-12, atol=0)
 
 
 def test_calibration_constants():
@@ -119,9 +118,10 @@ def test_matvec_length_check(small_operator):
 
 
 def test_matvec_against_hand_computed_3x3():
-    pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    t = 0.5
-    op = graph.LaplacianOperator(pts, 1, t, 2.0)
+    m, pts = manifolds.Circle(), np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    c = 0.5 * 3 ** (2 / 7)  # t = c 3^(-2/7), about 0.5
+    op = build_laplacian(pts, m, c)
+    t = scale_parameter(3, 1, c)
     # hand-built kernel: a_ij = t^{-1/2} exp(-|xi-xj|^2 / t)
     a = np.zeros((3, 3))
     for i in range(3):
@@ -129,19 +129,20 @@ def test_matvec_against_hand_computed_3x3():
             if i != j:
                 r2 = float(np.sum((pts[i] - pts[j]) ** 2))
                 a[i, j] = t ** -0.5 * math.exp(-r2 / t)
-    L = 2.0 / (3 * t) * (np.diag(a.sum(axis=1)) - a)
+    L = calibration_constant(m) / (3 * t) * (np.diag(a.sum(axis=1)) - a)
     e1 = np.array([1.0, 0.0, 0.0])
     assert np.allclose(op.matvec(e1), L @ e1, rtol=1e-12, atol=1e-12)
     assert np.allclose(op.dense_matrix(), L, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("c", list(SCHEME_C.values()), ids=list(SCHEME_C))
-def test_dense_kernel_matches_pairwise_reference(c):
+def test_dense_kernel_matches_pairwise_reference(monkeypatch, c):
     m = manifolds.Sphere2()
     n = 300
     p = manifolds.sample_uniform(m, n, seed=8)
     t = scale_parameter(n, 2, c)
-    op = graph.LaplacianOperator(p, 2, t, calibration_constant(m))  # no model: the dense kernel
+    monkeypatch.setattr(graph, "zonal_weights", lambda *args: None)  # at c = 4 the sphere takes factors
+    op = _operator(p, m, c)
     assert op._factors is None
     # kernel t^{-d/2} exp(-r^2/t) from all n^2 pairwise distances
     r2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
@@ -285,8 +286,9 @@ def test_the_oracle_reads_none_of_the_stored_factors(m):
         cores[0][0] *= 1.01  # the sphere's order-0 core
     op._degrees = op._factored_sweep(np.ones(n))
     t = scale_parameter(n, d, c)
-    reference = graph.LaplacianOperator(p, d, t, calibration_constant(m))
-    assert np.array_equal(op.dense_matrix(), reference.dense_matrix())
+    k = graph.gaussian_kernel(p, d, t)
+    reference = calibration_constant(m) / (n * t) * (np.diag(k.sum(axis=1)) - k)
+    assert np.array_equal(op.dense_matrix(), reference)
     dense = spectral.smallest_eigenpairs(op, K=10, tol=EIGEN_TOL, method="dense").eigenvalues
     lanczos = spectral.smallest_eigenpairs(op, K=10, tol=EIGEN_TOL).eigenvalues
     assert np.abs(dense - lanczos).max() > 100 * EIGEN_TOL
@@ -418,12 +420,3 @@ def test_points_off_the_unit_sphere_use_the_dense_kernel():
     assert _operator(p * (1.0 + 1e-13), m, c)._factors is not None
     assert _operator(p * (1.0 + 1e-9), m, c)._factors is None
 
-
-def test_a_model_without_an_expansion_uses_the_dense_kernel():
-    class Bare(manifolds.Manifold):
-        intrinsic_dim, ambient_dim, volume = 1, 2, 2.0 * math.pi
-
-    m, n, c = FACTORED["circle"]
-    p = manifolds.sample_uniform(m, n, seed=4)
-    assert _operator(p, Bare(), c)._factors is None
-    assert graph.kernel_bytes(Bare(), n, c) == 16 * n * n

@@ -590,14 +590,21 @@ def test_both_sides_keep_the_signal_width(monkeypatch):
     assert seen == [(16, 16)] * len(cfg.n_grid) * cfg.trials
 
 
-def test_one_basis_evaluation_per_cell(monkeypatch):
+# each grid's first n stores the dense kernel, its second the zonal factors
+@pytest.mark.parametrize(
+    "name, n_grid, factors_are_basis",
+    [("circle", [100, 256], True), ("sphere2", [256, 512], False)],
+    ids=["circle", "sphere2"],
+)
+def test_one_basis_evaluation_per_cell(monkeypatch, name, n_grid, factors_are_basis):
     # a cell's measure evaluates the continuum eigenfunctions at its points once,
     # for the signal and the continuum output alike; the setup once a chunk of
-    # its quadrature grid, the chunks partitioning the grid once; and a build
-    # once, at its r factor modes, where it stores zonal factors (on the
-    # circle, its one block is the eigenbasis), and not at all where it
-    # stores the dense kernel
-    basis, factors, nodes = manifolds.eigenbasis, manifolds.Manifold.zonal_factors, network.quadrature_nodes
+    # its quadrature grid, the chunks partitioning the grid once; and a circle
+    # build once, at its r factor modes, where it stores zonal factors (its one
+    # block is the eigenbasis), and not at all where it stores the dense
+    # kernel. A sphere build evaluates none: its Fourier factors are not the basis
+    m = manifolds.MODELS[name]
+    basis, factors, nodes = manifolds.eigenbasis, type(m).zonal_factors, network.quadrature_nodes
     measured, on_grid, built, chunks = [], [], [], []
 
     def counted(calls):
@@ -620,10 +627,10 @@ def test_one_basis_evaluation_per_cell(monkeypatch):
         chunks.append((start, stop))
         return nodes(manifold, start, stop)
 
-    monkeypatch.setattr(manifolds.Manifold, "zonal_factors", built_factors)
+    monkeypatch.setattr(type(m), "zonal_factors", built_factors)
     monkeypatch.setattr(network, "quadrature_nodes", chunk)
-    cfg = ExperimentConfig.from_dict(dict(TWO_LAYER_CONFIG, n_grid=[100, 256]))  # a dense cell at n = 100
-    m, c, K = cfg.manifold_model, cfg.bandwidth_constant, len(cfg.signal_coefficients)
+    cfg = ExperimentConfig.from_dict(dict(TWO_LAYER_CONFIG, manifold=name, n_grid=n_grid))
+    c, K = cfg.bandwidth_constant, len(cfg.signal_coefficients)
     result = run_convergence_experiment(cfg, threads=2)
     assert result.metadata["failures"] == 0
     cells = [n for n in cfg.n_grid for _ in range(cfg.trials)]
@@ -634,7 +641,7 @@ def test_one_basis_evaluation_per_cell(monkeypatch):
     assert None in ranks.values() and any(ranks.values())  # both storages are built
     factored = [(n, ranks[n]) for n in cells + [harness.CALIBRATION_N] if ranks[n]]
     assert sorted(built) == sorted(factored)
-    assert sorted(measured) == sorted([(n, K) for n in cells] + factored)
+    assert sorted(measured) == sorted([(n, K) for n in cells] + (factored if factors_are_basis else []))
     # one hidden layer: the chunks, in order, cover 0..quadrature_size once
     assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]]
     assert chunks[-1][1] == m.quadrature_size and len(chunks) > 1
@@ -991,6 +998,10 @@ def _network(widths, *families):
     return {"widths": widths, "filters": [[[{"family": f}] for f in families]]}
 
 
+# a config section given as anything but an object: only an absent key means the defaults
+NOT_OBJECTS = {"empty-list": [], "zero": 0, "false": False, "empty-string": "", "null": None}
+
+
 def _filter(spec):
     """TINY_CONFIG's one-filter network with the filter `spec`."""
     return dict(TINY_CONFIG["network"], filters=[[[spec]]])
@@ -1057,6 +1068,7 @@ def _filter(spec):
         ("run", 5),
         ("eigen", None),
         ("run", []),
+        *[("run", dict(TINY_CONFIG, **{key: value})) for key in ("graph", "signal") for value in NOT_OBJECTS.values()],
     ],
     ids=[
         "trials", "bandwidth", "truncation", "n_grid", "family", "bank",
@@ -1071,6 +1083,7 @@ def _filter(spec):
         "eigen-n_grid-below-modes", "trials-zero", "eigen-index-negative", "truncation-zero",
         "bandwidth-zero", "n_grid-unsorted", "n_grid-empty", "config-list", "config-string",
         "config-number", "config-null", "config-empty-list",
+        *[f"{key}-{kind}" for key in ("graph", "signal") for kind in NOT_OBJECTS],
     ],
 )
 def test_bad_values_are_config_errors(command, content, monkeypatch, tmp_path, capsys):

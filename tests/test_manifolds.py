@@ -90,11 +90,11 @@ def test_constant_mode():
 
 @REGISTERED
 def test_quadrature_weights_sum_to_one(m):
-    grid, w = quadrature_nodes(m)
+    grid, w = quadrature_nodes(m, 0, m.quadrature_size)
     assert grid.shape == (m.quadrature_size, m.ambient_dim)
     assert math.isclose(w.sum(), 1.0, rel_tol=1e-12)
     for count in (m.quadrature_size, 1000):
-        grid = m.grid(count)
+        grid = m.grid(count, 0, count)
         assert grid.shape == (count, m.ambient_dim)
         assert np.allclose(np.linalg.norm(grid, axis=1), 1.0, atol=1e-12)
 
@@ -103,7 +103,7 @@ def test_quadrature_weights_sum_to_one(m):
 @pytest.mark.parametrize("chunk", [1 << 13, 5000])
 def test_quadrature_chunks_are_the_grid_to_the_bit(m, chunk):
     # a node's coordinates depend on its index alone
-    grid, w = quadrature_nodes(m)
+    grid, w = quadrature_nodes(m, 0, m.quadrature_size)
     size = m.quadrature_size
     parts = [quadrature_nodes(m, start, min(start + chunk, size)) for start in range(0, size, chunk)]
     assert np.array_equal(np.concatenate([p for p, _ in parts]), grid)
@@ -116,14 +116,14 @@ def test_quadrature_chunks_are_the_grid_to_the_bit(m, chunk):
 
 @REGISTERED
 def test_orthonormality(m):
-    grid, w = quadrature_nodes(m)
+    grid, w = quadrature_nodes(m, 0, m.quadrature_size)
     V = eigenbasis(m, grid, 16)
     gram = (V * w[:, None]).T @ V
     assert np.abs(gram - np.eye(16)).max() < 1e-6
 
 
 def test_sphere_gram_100k_nodes():
-    grid, w = Sphere2().grid(10**5), np.full(10**5, 1.0 / 10**5)
+    grid, w = Sphere2().grid(10**5, 0, 10**5), np.full(10**5, 1.0 / 10**5)
     V = eigenbasis(Sphere2(), grid, 9)
     gram = (V * w[:, None]).T @ V
     assert np.abs(gram - np.eye(9)).max() < 1e-3
@@ -172,7 +172,7 @@ def test_circle_harmonics_satisfy_eigen_equation():
 def test_sup_norm_growth(m):
     # ||phi_i||_inf <= C (i+1)^{1/2} for a fitted C: the fitted growth
     # exponent of sup|phi_i| in (i+1) must not exceed 1/2
-    grid = m.grid(50_000)
+    grid = m.grid(50_000, 0, 50_000)
     sups = np.abs(eigenbasis(m, grid, 16)).max(axis=0)
     slope = np.polyfit(np.log(np.arange(1, 17)), np.log(sups), 1)[0]
     assert slope <= 0.5 + 1e-6
@@ -185,7 +185,7 @@ def test_sup_norm_growth(m):
 )
 def test_parseval(alpha, m):
     sig = np.array(alpha)
-    grid, w = m.grid(60_000), np.full(60_000, 1.0 / 60_000)
+    grid, w = m.grid(60_000, 0, 60_000), np.full(60_000, 1.0 / 60_000)
     quad = float(np.sum(w * evaluate_signal(sig, eigenbasis(m, grid, len(sig))) ** 2))
     assert quad == pytest.approx(np.dot(alpha, alpha), abs=1e-4)
 

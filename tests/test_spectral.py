@@ -193,12 +193,12 @@ ZONAL = {"circle": (manifolds.Circle(), 512, 2.0), "sphere2": (manifolds.Sphere2
 
 @pytest.mark.parametrize("case", ZONAL.values(), ids=ZONAL.keys())
 def test_zonal_factors_solve_like_the_dense_kernel(monkeypatch, case):
-    # the same points without a manifold: the dense kernel, the reference storage
+    # the same points stored as the dense kernel, the reference storage
     m, n, c = case
     p, factored = _operator(m, n, seed=6, c=c)
-    d = m.intrinsic_dim
-    t = graph.scale_parameter(n, d, c)
-    dense = graph.LaplacianOperator(p, d, t, graph.calibration_constant(m))
+    with monkeypatch.context() as mp:
+        mp.setattr(graph, "zonal_weights", lambda *args: None)
+        dense = build_laplacian(p, m, c)
     assert factored._kernel is None and dense._factors is None
     sweeps = {}
     for name, op in (("factored", factored), ("dense", dense)):
@@ -339,7 +339,7 @@ def hoeffding_violation_rate(f, g, manifold, n, trials, seed):
     is compared against sqrt(18 ln n / n) * sup|fg|; sup and the L2 inner
     product are taken on the manifold's quadrature grid.
     """
-    grid, w = manifolds.quadrature_nodes(manifold)
+    grid, w = manifolds.quadrature_nodes(manifold, 0, manifold.quadrature_size)
     fg = f(grid) * g(grid)
     exact = float(np.sum(w * fg))
     bound = hoeffding_bound(n, float(np.max(np.abs(fg))))
