@@ -416,7 +416,7 @@ def _run_cells(config, threads, keys, K, measure, setup, setup_bytes) -> Experim
     fit MEMORY_FRACTION of it together, and never below one, which finishes
     the setup before any cell; the count never changes a result. The gate
     is not counted: it runs before any cell, beside the setup alone, and its
-    2-mode cell at CALIBRATION_N (5.9 MB on the sphere, 4.0 MB on the
+    2-mode cell at CALIBRATION_N (6.0 MB on the sphere, 4.0 MB on the
     circle, at c = 2) fits in the share the fraction leaves out.
     """
     start = time.perf_counter()

@@ -13,12 +13,15 @@ The Ritz residual estimates are checked first at step max(2K, 8); after a
 miss, the next check extrapolates the estimates' geometric decay since the
 previous miss to the step where they meet the tolerance, at most max(K, 4)
 steps ahead. The residual gate ||L V - V Lambda|| is computed from the sweeps
-Lanczos already took (L applied to the Ritz vectors is the same combination
-of the stored L q_m), so a solve costs one kernel sweep per Lanczos step and
-no more. Its products, the reorthogonalization and the Ritz vectors, are
-`np.dot`, which releases the GIL where `matmul` holds it (see `graph`). The
-Ritz check is numpy's `eigh` of the dense m x m tridiagonal, its K smallest
-pairs kept: LAPACK runs with the GIL released, so the other workers' sweeps
+Lanczos already took: each sweep L q_j is the coefficients its
+reorthogonalization subtracts, over the basis, plus the remainder, so
+L V = Q_m (H_m S) + r s_m^T is read from those coefficients and the last
+remainder, and a solve costs one kernel sweep per Lanczos step and no more.
+It keeps one n-row array, the basis, which doubles as the steps fill it.
+Its products, the reorthogonalization and the Ritz vectors, are `np.dot`,
+which releases the GIL where `matmul` holds it (see `graph`). The Ritz
+check is numpy's `eigh` of the dense m x m tridiagonal, its K smallest pairs
+kept: LAPACK runs with the GIL released, so the other workers' sweeps
 go on meanwhile (two threads looping it at m = 50 made 1.95 times the calls
 of one, where scipy's `eigh_tridiagonal`, which holds the GIL, made 1.0
 times), at about 0.2 ms a check at m = 50 and 40 m^2 bytes (`peak_bytes`).
@@ -78,29 +81,36 @@ def _lanczos(op: LaplacianOperator, K: int, tol: float, seed: int):
     """Lanczos on L with full reorthogonalization; the K smallest Ritz pairs,
     within min(LANCZOS_STEPS K, n) steps.
 
-    Returns (theta, Q S, LQ S): the Ritz values, the Euclidean-unit Ritz
-    vectors, and L applied to them, assembled from the sweeps already taken
-    (column m of LQ is L q_m as the operator returned it).
+    Returns (theta, Q S, L Q S): the Ritz values, the Euclidean-unit Ritz
+    vectors, and L applied to them, assembled from the sweeps already taken.
+    Column j of the upper-Hessenberg H holds the coefficients that step j's
+    two reorthogonalization passes subtract, with beta_j below them, so
+    L Q_m = Q_m H_m + r e_m^T, r the remainder at the stop (Parlett, ch. 13).
+    The basis starts with room for the first check and one stride and
+    doubles, up to the step cap, when it fills.
     """
     n = op.n
     m_cap = min(LANCZOS_STEPS * K, n)
-    # column-major: a column is contiguous, and unused columns are never touched
-    Q = np.empty((n, m_cap), order="F")
-    LQ = np.empty((n, m_cap), order="F")
+    stride = max(K, 4)
+    check_at, last_miss = max(2 * K, 8), None
+    width = min(check_at + stride, m_cap)
+    # column-major: a column is contiguous, and Q[:, :m] is one block
+    Q = np.empty((n, width), order="F")
+    H = np.zeros((width, width), order="F")
     alphas = np.empty(m_cap)
     betas = np.empty(m_cap)
     Q[:, 0] = _start_vector(n, seed)
     floor = 1e-14 * max(op.degree_bound(), 1.0)
-    stride = max(K, 4)
-    check_at, last_miss = max(2 * K, 8), None
     for m in range(1, m_cap + 1):
         r = op.matvec(Q[:, m - 1])
-        LQ[:, m - 1] = r  # the raw sweep, kept for the residual gate
         alphas[m - 1] = np.dot(Q[:, m - 1], r)
         # full reorthogonalization, twice for safety; it also removes the
         # alpha q_m and beta q_{m-1} terms of the three-term recurrence
-        r -= np.dot(Q[:, :m], np.dot(Q[:, :m].T, r))
-        r -= np.dot(Q[:, :m], np.dot(Q[:, :m].T, r))
+        c1 = np.dot(Q[:, :m].T, r)
+        r -= np.dot(Q[:, :m], c1)
+        c2 = np.dot(Q[:, :m].T, r)
+        r -= np.dot(Q[:, :m], c2)
+        H[:m, m - 1] = c1 + c2
         beta = float(np.linalg.norm(r))
         exhausted = m == m_cap or beta < floor
         if exhausted and m < K:
@@ -116,7 +126,9 @@ def _lanczos(op: LaplacianOperator, K: int, tol: float, seed: int):
             # which equals the G_n residual after rescaling to unit G_n norm
             estimate, bound = np.abs(beta * S[-1]).max(), 0.1 * tol * max(theta[-1], 1.0)
             if exhausted or estimate <= bound:
-                return theta, np.dot(Q[:, :m], S), np.dot(LQ[:, :m], S)
+                LV = np.dot(Q[:, :m], np.dot(H[:m, :m], S))
+                LV += np.outer(r, S[-1])
+                return theta, np.dot(Q[:, :m], S), LV
             ratio, step = estimate / bound, stride
             if last_miss is not None and last_miss[1] > ratio:
                 # the estimates decay about geometrically: extrapolate the decay
@@ -125,19 +137,32 @@ def _lanczos(op: LaplacianOperator, K: int, tol: float, seed: int):
                 to_go = math.log(ratio) * (m - m0) / math.log(ratio0 / ratio)
                 step = min(stride, max(1, math.ceil(to_go)))
             check_at, last_miss = m + step, (m, ratio)
-        betas[m - 1] = beta
+        if m == width:  # the basis is full: double it, up to the step cap
+            width = min(2 * width, m_cap)
+            Q = _holding(np.empty((n, width), order="F"), Q)
+            H = _holding(np.zeros((width, width), order="F"), H)
+        betas[m - 1] = H[m, m - 1] = beta
         Q[:, m] = r / beta
 
 
+def _holding(grown: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """grown, with a copied into its leading rows and columns."""
+    grown[: a.shape[0], : a.shape[1]] = a
+    return grown
+
+
 def peak_bytes(n: int, K: int) -> int:
-    """Peak bytes of a solve, beside the kernel (`graph.kernel_bytes`): 16 n a
-    step for the basis and its sweeps over at most m = min(LANCZOS_STEPS K, n)
-    steps, 32 n K for the Ritz vectors and their sweeps, and 40 m^2 for the
-    Ritz check's `eigh` of the m x m tridiagonal: the matrix, LAPACK's copy
-    of it, its 2 m^2 workspace and the eigenvectors returned (41 m^2 of
-    resident memory measured at m = 1500)."""
+    """Peak bytes of a solve, beside the kernel (`graph.kernel_bytes`), over at
+    most m = min(LANCZOS_STEPS K, n) steps: 16 n m for the basis and the copy
+    it grows from while it doubles, 32 n K for the Ritz vectors and their
+    sweeps, 8 m^2 for the reorthogonalization coefficients, and 40 m^2 for
+    the Ritz check's `eigh` of the m x m tridiagonal: the matrix, LAPACK's
+    copy of it, its 2 m^2 workspace and the eigenvectors returned (41 m^2 of
+    resident memory measured at m = 1500). The coefficients double between
+    checks: their two copies, at most 16 m^2, then sit beside the last
+    check's matrix and eigenvectors alone, 32 m^2 in all."""
     m = min(LANCZOS_STEPS * K, n)
-    return 16 * n * (m + 2 * K) + 40 * m * m
+    return 16 * n * (m + 2 * K) + 48 * m * m
 
 
 def smallest_eigenpairs(
@@ -153,8 +178,8 @@ def smallest_eigenpairs(
     symmetric eigendecomposition of the materialized matrix, kept as the
     oracle that tests and benchmarks check Lanczos against.
     Raises ConvergenceFailure if residuals do not reach tol within the
-    iteration cap (LANCZOS_STEPS K matvecs), or if the returned pairs' residuals
-    ||L v - lambda v||_{G_n} exceed tol * max(lambda_K, 1).
+    iteration cap (min(LANCZOS_STEPS K, n) matvecs), or if the returned
+    pairs' residuals ||L v - lambda v||_{G_n} exceed tol * max(lambda_K, 1).
     """
     n = op.n
     if not 1 <= K <= n:

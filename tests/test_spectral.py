@@ -109,9 +109,14 @@ def test_lanczos_exhausted_krylov_space(monkeypatch):
         smallest_eigenpairs(op, K=3, method="lanczos")
 
 
-@pytest.mark.parametrize("manifold,K", [(manifolds.Sphere2(), 10), (manifolds.Circle(), 3)])
+# the K = 2 sphere solve takes 44 steps from a 12-column basis, so it
+# crosses two doublings (12 -> 24 -> 48 columns)
+@pytest.mark.parametrize(
+    "manifold,K", [(manifolds.Sphere2(), 10), (manifolds.Circle(), 3), (manifolds.Sphere2(), 2)]
+)
 def test_lanczos_reuses_its_sweeps_for_the_gate(manifold, K):
-    # L (Q S) assembled from the raw sweeps L q_m equals sweeping Q S anew
+    # L (Q S) assembled from the reorthogonalization coefficients and the last
+    # remainder equals sweeping Q S anew
     _, op = _operator(manifold, 2048, seed=9)
     theta, V, LV = spectral._lanczos(op, K, tol=1e-8, seed=9)
     swept = np.column_stack([op.matvec(V[:, j]) for j in range(K)])
@@ -185,6 +190,21 @@ def test_peak_bytes_bounds_a_large_integer_truncation():
         finally:
             tracemalloc.stop()
         assert 8 * n * n < solve <= spectral.peak_bytes(n, K), (n, K)  # past the stored dense kernel
+
+
+def test_a_solve_allocates_for_its_steps_not_the_cap():
+    # a K = 10 sphere solve stops after about 55 of its 400 capped steps: it
+    # holds less than one cap-sized basis, and no more than peak_bytes
+    n, K = 4096, 10
+    _, op = _operator(manifolds.Sphere2(), n, seed=3)
+    tracemalloc.start()
+    try:
+        smallest_eigenpairs(op, K=K, tol=1e-8, seed=1)
+        solve = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solve < 8 * n * min(spectral.LANCZOS_STEPS * K, n)
+    assert solve <= spectral.peak_bytes(n, K)
 
 
 # (model, n, c) whose kernels are stored as zonal factors
